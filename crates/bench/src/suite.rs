@@ -58,12 +58,12 @@
 //!
 //! `/6` adds the per-scenario `branch_fanout` row: after the sizing
 //! pass, N single-gate speculative trials are evaluated as one
-//! copy-on-write `WhatIfBatch` through the workspace (`fanout_wall_ms`
+//! `WhatIfBatch` through the workspace (`fanout_wall_ms`
 //! is the whole batch, end to end), and the row also records the total
-//! divergent-cone node recomputations the equivalent N branches cost
+//! node recomputations the equivalent N one-shot branches cost
 //! against what N from-scratch session rebuilds would have visited —
 //! the validator requires the branch total to be **strictly smaller**,
-//! so the COW versioning layer's headline saving is re-asserted by
+//! so the branch layer's headline saving is re-asserted by
 //! every `--check` of every artifact.
 //!
 //! `/7` adds the per-scenario `sequential` block: after the sizing
@@ -108,7 +108,7 @@ use vartol_ssta::{
 /// wall-clock and thread-scaling rows on production-scale circuits,
 /// with `scenarios` allowed to be empty on a large-only run; `/6`
 /// added the per-scenario `branch_fanout` row — the N-branch
-/// copy-on-write what-if batch wall-clock plus its recompute counts
+/// what-if batch wall-clock plus its recompute counts
 /// against N from-scratch rebuilds; `/7` added the per-scenario
 /// `sequential` block — per-path-group setup slack, WNS, and TNS under
 /// the canonical clock, through the workspace's sequential verbs; `/8`
@@ -230,10 +230,10 @@ pub struct ServeStat {
     pub serve_warm_ms: f64,
 }
 
-/// One scenario's copy-on-write fan-out measurement (schema `/6`):
+/// One scenario's branch fan-out measurement (schema `/6`):
 /// [`FANOUT_BRANCHES`] single-gate speculative trials evaluated as one
 /// `WhatIfBatch` through the workspace, plus the recompute-count
-/// comparison that is the COW versioning layer's reason to exist.
+/// comparison that is the branch layer's reason to exist.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BranchFanoutStat {
     /// Number of speculative single-gate trials in the batch.
@@ -323,7 +323,7 @@ pub struct ScenarioReport {
     pub sizing: SizingStat,
     /// Cold vs cached query latency through the `vartol-serve` service.
     pub serve: ServeStat,
-    /// The N-branch copy-on-write what-if fan-out (schema `/6`).
+    /// The N-branch what-if fan-out (schema `/6`).
     pub branch_fanout: BranchFanoutStat,
     /// Per-path-group setup slack, WNS, and TNS under the canonical
     /// clock (schema `/7`).
@@ -428,7 +428,7 @@ impl SuiteReport {
             if f.branch_recomputes >= f.rebuild_recomputes {
                 return Err(format!(
                     "{}: {} branch recomputations do not beat {} rebuild visits — \
-                     the COW fan-out saving regressed",
+                     the branch fan-out saving regressed",
                     s.circuit, f.branch_recomputes, f.rebuild_recomputes
                 ));
             }
@@ -839,11 +839,11 @@ fn measure_serve(service: &Service, netlist: &Netlist) -> ServeStat {
 /// Speculative single-gate trials per scenario fan-out (schema `/6`).
 pub const FANOUT_BRANCHES: usize = 8;
 
-/// Measures one circuit's copy-on-write fan-out row (schema `/6`):
+/// Measures one circuit's branch fan-out row (schema `/6`):
 /// [`FANOUT_BRANCHES`] single-gate trials as one `WhatIfBatch` through
 /// the workspace (the recorded wall-clock), then the recompute-count
 /// comparison on a serial side session — branches only revisit their
-/// divergent cones, a rebuild revisits every node, and the validator
+/// resized gates' cones, a rebuild revisits every node, and the validator
 /// holds every artifact to that saving.
 ///
 /// # Panics
@@ -894,9 +894,8 @@ fn measure_branch_fanout(
         other => panic!("{name}: expected a what-if answer, got {other:?}"),
     }
 
-    // Recompute counts on a serial side session: deterministic by
-    // construction, unlike the pool-raced memo adoptions inside the
-    // workspace fan-out.
+    // Recompute counts on a serial side session, one fork per pick like
+    // the workspace fan-out, so the count is the same at any pool width.
     let mut session = TimingSession::new(library, config.ssta.clone().with_threads(1), netlist);
     session.refresh();
     let full_build = session.recompute_count();
@@ -1179,7 +1178,7 @@ mod tests {
             assert!(!q.groups[3].worst.is_empty(), "{}", s.circuit);
             let min_wns = q.groups.iter().map(|g| g.wns).fold(f64::INFINITY, f64::min);
             assert_eq!(q.wns.to_bits(), min_wns.to_bits(), "{}", s.circuit);
-            // Schema /6 fan-out row: N branches, and the COW saving.
+            // Schema /6 fan-out row: N branches, and the branch saving.
             let f = &s.branch_fanout;
             assert_eq!(f.branches, FANOUT_BRANCHES, "{}", s.circuit);
             assert!(f.fanout_wall_ms > 0.0, "{}", s.circuit);
@@ -1258,12 +1257,12 @@ mod tests {
         // And the text-level check sees the shim's `null` rendering.
         assert!(check_json_text(&report.to_json(), 1).is_err());
         // A fan-out row whose branches stopped beating rebuilds is a
-        // regression of the COW layer itself — --check must refuse it.
+        // regression of the branch layer itself — --check must refuse it.
         report.scenarios[0].engines[2].sigma = 1.0;
         report.scenarios[0].branch_fanout.branch_recomputes =
             report.scenarios[0].branch_fanout.rebuild_recomputes;
         let err = report.validate().expect_err("regressed saving must fail");
-        assert!(err.contains("COW fan-out saving regressed"), "{err}");
+        assert!(err.contains("branch fan-out saving regressed"), "{err}");
         // Schema /7: a probability outside [0, 1] is a broken
         // statistical-slack computation, not a unit quirk.
         report.scenarios[0].branch_fanout.branch_recomputes =

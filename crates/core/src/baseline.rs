@@ -7,10 +7,10 @@
 //! point: greedy critical-path sizing against nominal delays, followed by
 //! an optional area-recovery pass that downsizes gates wherever the delay
 //! target allows. Both run on a deterministic [`TimingSession`]; per-gate
-//! size trials happen on copy-on-write branches ([`TimingSession::fork`])
-//! so the parent stays frozen while every trial re-times only the
-//! affected fanout cone, and the winning trial is committed back —
-//! adopting the branch's memoized cone without recomputing it.
+//! size trials happen on a forked branch ([`TimingSession::fork`]) so
+//! the parent stays frozen while every trial re-times only the affected
+//! fanout cone against the branch's last state, and the winning trial is
+//! committed back — the parent takes over the branch's state by move.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -156,7 +156,7 @@ impl MeanDelaySizer {
     }
 
     /// The same objective read off a branch (which refreshes only the
-    /// branch's divergent cone, leaving the parent untouched). The
+    /// cone of its latest resize, leaving the parent untouched). The
     /// incremental-equals-scratch contract makes this bit-identical to
     /// scoring the resize on the session itself.
     fn branch_score(branch: &mut SessionBranch) -> (f64, f64) {
@@ -177,9 +177,10 @@ impl MeanDelaySizer {
         a.1 < b.1 - 1e-9
     }
 
-    /// Tries every size of `g` on a copy-on-write branch, committing the
-    /// one that minimizes the deterministic objective (the commit adopts
-    /// the branch's memoized cone — no recomputation). Returns true if
+    /// Tries every size of `g` on one forked branch, committing the one
+    /// that minimizes the deterministic objective (the commit re-times
+    /// the winner's cone on the branch if it was not the last size tried,
+    /// then moves the branch's state into the parent). Returns true if
     /// the size changed.
     fn improve_gate(
         &self,

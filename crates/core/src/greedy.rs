@@ -7,13 +7,11 @@
 //! by trialing all of its library sizes with the fast engine over a
 //! local subcircuit, against the pass-start (frozen) FULLSSTA boundary
 //! statistics. Those per-gate scoring jobs are mutually independent —
-//! every trial reads only the frozen arrival/electrical snapshot and
-//! mutates only its own copy-on-write size vector — so they fan out
-//! across a [`ScopedPool`]: one owned session branch
-//! ([`TimingSession::fork`]) per worker thread, one task per path gate,
-//! results gathered in path order. Sibling branches share one frozen
-//! fork base, so spawning a worker's branch is a pointer bump, not a
-//! snapshot copy.
+//! every trial reads only the session's frozen arrival/electrical
+//! snapshot and mutates only its worker's own netlist copy — so they fan
+//! out across a [`ScopedPool`]: one netlist copy per worker thread, one
+//! task per path gate, results gathered in path order. Scoring never
+//! re-times anything, so no worker needs a session of its own.
 //!
 //! Determinism contract: each task's result depends only on its gate
 //! (every trial mutation is rolled back inside the task), and the pool
@@ -37,7 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist, Subcircuit};
-use vartol_ssta::{EngineKind, Fassta, ScopedPool, SessionBranch, TimingSession, WnssTracer};
+use vartol_ssta::{EngineKind, Fassta, ScopedPool, TimingSession, WnssTracer};
 
 /// The paper's statistically-aware gain-based gate sizer.
 ///
@@ -52,8 +50,8 @@ use vartol_ssta::{EngineKind, Fassta, ScopedPool, SessionBranch, TimingSession, 
 /// rollbacks, and per-candidate validations are **incremental**: only the
 /// fanout cone of the gates that actually changed is re-analyzed, instead
 /// of the whole netlist — the asymptotic win that makes deep circuits
-/// tractable. Candidate scoring fans out over session forks on a
-/// [`ScopedPool`] (see the [module docs](self)), bit-identical at every
+/// tractable. Candidate scoring fans out over per-worker netlist copies
+/// on a [`ScopedPool`] (see the [module docs](self)), bit-identical at every
 /// thread count.
 ///
 /// # Example
@@ -147,13 +145,12 @@ impl StatisticalGreedy {
                     tracer.trace_all(session.netlist(), session.arrivals())
                 }
             };
-            // Score all path gates concurrently: one branch per worker
-            // (sharing one frozen fork base), one task per gate, results
-            // in path order.
+            // Score all path gates concurrently: one netlist copy per
+            // worker, one task per gate, results in path order.
             let decisions = pool.map_init(
                 path.len(),
-                || session.fork(),
-                |branch, i| self.best_size_for(branch, path[i], &fast_engine),
+                || session.netlist().clone(),
+                |netlist, i| self.best_size_for(netlist, &session, path[i], &fast_engine),
             );
             let mut scheduled: Vec<(GateId, usize)> = Vec::new();
             for (&g, decision) in path.iter().zip(&decisions) {
@@ -328,19 +325,20 @@ impl StatisticalGreedy {
     }
 
     /// Evaluates every library size of `g` over its subcircuit with the
-    /// fast engine against the branch's frozen (pass-start) boundary
+    /// fast engine against the `frozen` session's pass-start boundary
     /// statistics; returns `(best_size, current_size)`, or `None` if the
-    /// gate has no alternatives. Trials mutate only the branch's private
-    /// size vector and are rolled back before returning, so the branch
-    /// can be reused for the next gate and the result depends on nothing
-    /// but `g` — the property the parallel scoring fan-out relies on.
+    /// gate has no alternatives. Trials mutate only the worker's netlist
+    /// copy and are rolled back before returning, so the copy can be
+    /// reused for the next gate and the result depends on nothing but
+    /// `g` — the property the parallel scoring fan-out relies on.
     fn best_size_for(
         &self,
-        branch: &mut SessionBranch,
+        netlist: &mut Netlist,
+        frozen: &TimingSession,
         g: GateId,
         fast_engine: &Fassta<'_>,
     ) -> Option<(usize, usize)> {
-        let gate = branch.netlist().gate(g);
+        let gate = netlist.gate(g);
         let GateKind::Cell {
             function,
             size: current,
@@ -354,37 +352,28 @@ impl StatisticalGreedy {
             return None;
         }
 
-        let sub = Subcircuit::extract(branch.netlist(), g, self.config.subcircuit_depth);
+        let sub = Subcircuit::extract(netlist, g, self.config.subcircuit_depth);
         let alpha = self.config.alpha;
-
-        let mut best_size = current;
-        let mut best_cost = {
-            let outs = fast_engine.evaluate_subcircuit(
-                branch.netlist(),
-                &sub,
-                branch.base_arrivals(),
-                branch.base_timing(),
-            );
+        let local_cost = |netlist: &Netlist| {
+            let outs =
+                fast_engine.evaluate_subcircuit(netlist, &sub, frozen.arrivals(), frozen.timing());
             subcircuit_cost(&outs, alpha)
         };
+
+        let mut best_size = current;
+        let mut best_cost = local_cost(netlist);
         for size in 0..group_len {
             if size == current {
                 continue;
             }
-            branch.resize(g, size);
-            let outs = fast_engine.evaluate_subcircuit(
-                branch.netlist(),
-                &sub,
-                branch.base_arrivals(),
-                branch.base_timing(),
-            );
-            let cost = subcircuit_cost(&outs, alpha);
+            netlist.set_size(g, size);
+            let cost = local_cost(netlist);
             if cost < best_cost - f64::EPSILON * best_cost.abs() {
                 best_cost = cost;
                 best_size = size;
             }
         }
-        branch.resize(g, current); // trial state rolled back
+        netlist.set_size(g, current); // trial state rolled back
         Some((best_size, current))
     }
 }

@@ -173,10 +173,9 @@ pub enum ServeRequest {
         /// the global optimizers accept this.
         yield_deadline: Option<f64>,
     },
-    /// Fork a named copy-on-write branch of the circuit (see
-    /// [`vartol::workspace::Request::Fork`]). The branch shares all
-    /// unchanged state with the circuit and persists until committed or
-    /// dropped.
+    /// Fork a named branch of the circuit (see
+    /// [`vartol::workspace::Request::Fork`]): a private copy of the
+    /// circuit's session that persists until committed or dropped.
     Fork {
         /// Target circuit.
         circuit: String,
@@ -196,8 +195,8 @@ pub enum ServeRequest {
         /// New size index.
         size: usize,
     },
-    /// Analyze a named branch: recomputes only its divergent fanout
-    /// cone, bit-identical to a from-scratch analysis at the branch's
+    /// Analyze a named branch: recomputes only the fanout cone of the
+    /// gates resized since its last analysis, bit-identical to a from-scratch analysis at the branch's
     /// sizes. Cacheable — keyed by the **branch's** size fingerprint,
     /// so speculative queries from separate connections never collide
     /// with the parent's entries or each other's.
@@ -207,9 +206,10 @@ pub enum ServeRequest {
         /// Branch name.
         branch: String,
     },
-    /// Commit a named branch back into the circuit (the session adopts
-    /// the branch's memoized analysis without recomputing); invalidates
-    /// the circuit's cache entries like [`ServeRequest::Resize`].
+    /// Commit a named branch back into the circuit (the session takes
+    /// over the branch's sizes and analysis; only a branch with pending
+    /// resizes is re-timed first); invalidates the circuit's cache
+    /// entries like [`ServeRequest::Resize`].
     Commit {
         /// Target circuit.
         circuit: String,
@@ -544,7 +544,7 @@ pub enum ServeResponse {
     Forked {
         /// The new branch's name.
         branch: String,
-        /// Size fingerprint of the frozen base the branch forked from,
+        /// Size fingerprint of the fork point the branch started from,
         /// as a 16-digit hex string (u64 fingerprints do not survive
         /// JSON's f64 numbers).
         fingerprint: String,
@@ -553,7 +553,7 @@ pub enum ServeResponse {
     BranchResized {
         /// The branch.
         branch: String,
-        /// How many gates now differ from the frozen base.
+        /// How many gates now differ from the fork point.
         diverged: usize,
     },
     /// Answer to [`ServeRequest::BranchAnalyze`] (and each successful

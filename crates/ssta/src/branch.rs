@@ -1,41 +1,33 @@
-//! Copy-on-write circuit versions: owned, forkable [`SessionBranch`]es.
+//! Circuit versions: owned, forkable [`SessionBranch`]es.
 //!
 //! [`TimingSession::fork`](crate::TimingSession::fork) replaces the
 //! mutate-and-rollback idiom (resize the one authoritative session, read,
-//! resize back) with first-class **versions** of a circuit:
+//! resize back) with first-class **versions** of a circuit. A branch is a
+//! forked session:
 //!
-//! * A fork captures the parent's refreshed state once into a shared
-//!   `ForkBase` (`Arc`-held netlist, propagation state, and chunked
-//!   [`CowVec`] snapshots); sibling branches of the same parent state are
-//!   pure pointer bumps.
-//! * Each branch owns a persistent, structurally-shared size vector —
-//!   resizing path-copies one 64-element chunk, everything else stays
-//!   physically shared with the base and with sibling branches.
-//! * [`SessionBranch::refresh`] recomputes **only the branch's divergent
-//!   cone** (the gates whose sizes differ from the base, plus their
-//!   fanins), starting from the shared base state. The result — a full
-//!   propagation state plus chunk-shared arrival/electrical snapshots —
-//!   is memoized **per fork base** keyed by the branch's size
-//!   fingerprint, so a sibling that reaches the same size vector adopts
-//!   the cone result without recomputing a single node (observable via
-//!   [`SessionBranch::recompute_count`]).
+//! * The fork copies the parent's refreshed session once — netlist and
+//!   propagation state — and records the fork-point sizes and their
+//!   fingerprint. The parent is never touched again.
+//! * [`SessionBranch::refresh`] is the session's own incremental update:
+//!   it recomputes only the fanout cone of the gates resized since the
+//!   branch's *last* refresh, so a long walk pays per move, not for its
+//!   whole divergence from the fork point.
 //! * A branch can be **committed back**
 //!   ([`TimingSession::commit`](crate::TimingSession::commit)) — the
-//!   parent adopts the branch's sizes and evaluated state with zero
-//!   recomputation — or simply dropped.
+//!   parent takes over the branch's sizes and evaluated state by move —
+//!   or simply dropped.
 //!
 //! # Determinism
 //!
 //! A branch's answers depend only on `(library, config, structure,
-//! branch sizes)`: the divergent-cone update runs the same per-node
-//! kernels as a from-scratch analysis and is bit-identical to one (the
-//! incremental-equals-scratch contract the session layer already ships).
-//! Sibling branches share no mutable state except the cone memo, whose
-//! entries are pure functions of the size fingerprint — concurrent
-//! evaluation at any pool width returns bit-identical answers. A panic
-//! inside one branch's evaluation cannot poison siblings: cone
-//! computation happens outside the memo lock, and the lock itself is
-//! poison-tolerant.
+//! branch sizes)`: its refresh runs the same per-node kernels as a
+//! from-scratch analysis and is bit-identical to one (the
+//! incremental-equals-scratch contract of the session layer). Branches
+//! share no mutable state with each other or with the parent, so
+//! concurrent evaluation at any pool width returns bit-identical answers,
+//! and a panic inside one branch's evaluation cannot reach its siblings
+//! (the panicked branch itself may hold half-updated state and should be
+//! dropped).
 //!
 //! # Example
 //!
@@ -64,13 +56,10 @@
 //! ```
 
 use crate::config::SstaConfig;
-use crate::cow::CowVec;
-use crate::delay::CircuitTiming;
 use crate::engine::EngineKind;
 use crate::fingerprint::size_fingerprint;
-use crate::state::{CircuitSummary, TimingState};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, PoisonError};
+use crate::session::TimingSession;
+use std::sync::Arc;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist, NetlistError};
 use vartol_stats::Moments;
@@ -82,7 +71,7 @@ pub enum BranchError {
     /// The parent has pending resizes; refresh it first.
     ParentDirty,
     /// The parent's sizes changed since the fork (e.g. a sibling branch
-    /// committed first): the branch's frozen base no longer matches.
+    /// committed first): the branch's fork point no longer matches.
     BaseMismatch {
         /// Size fingerprint the branch was forked from.
         expected: u64,
@@ -112,210 +101,110 @@ impl std::fmt::Display for BranchError {
 
 impl std::error::Error for BranchError {}
 
-/// One cone result: the branch's full propagation state at a divergent
-/// size vector, plus chunk-shared snapshots. Memoized per [`ForkBase`]
-/// keyed by size fingerprint, shared between sibling branches.
-#[derive(Debug)]
-pub(crate) struct ConeResult {
-    pub(crate) state: TimingState,
-    pub(crate) summary: CircuitSummary,
-    pub(crate) arrivals: CowVec<Moments>,
-    pub(crate) slews: CowVec<f64>,
-    pub(crate) delays: CowVec<Moments>,
-    /// Node recomputations this cone cost when first evaluated —
-    /// diagnostic provenance; adopters of a memoized cone pay zero.
-    #[allow(dead_code)]
-    pub(crate) visits: u64,
-}
-
-/// The frozen state every branch of one fork generation shares: built
-/// once per parent refresh, handed out behind an `Arc`.
-#[derive(Debug)]
-pub(crate) struct ForkBase {
-    library: Arc<Library>,
-    config: SstaConfig,
-    netlist: Netlist,
-    state: TimingState,
-    summary: CircuitSummary,
-    sizes: CowVec<usize>,
-    size_fp: u64,
-    arrivals_cow: CowVec<Moments>,
-    slews_cow: CowVec<f64>,
-    delays_cow: CowVec<Moments>,
-    /// Sibling-shared memo of divergent cone results, keyed by the
-    /// branch size fingerprint. Locked only around lookup/insert — cone
-    /// computation happens outside, so a panicking evaluation cannot
-    /// leave the lock poisoned mid-write (and lookups tolerate poison
-    /// regardless).
-    memo: Mutex<HashMap<u64, Arc<ConeResult>>>,
-}
-
-impl ForkBase {
-    pub(crate) fn new(
-        library: Arc<Library>,
-        config: SstaConfig,
-        netlist: Netlist,
-        state: TimingState,
-        summary: CircuitSummary,
-    ) -> Self {
-        let sizes_vec = netlist.sizes();
-        let size_fp = size_fingerprint(&sizes_vec);
-        let arrivals_cow = CowVec::from_slice(&state.arrivals);
-        let slews_cow = CowVec::from_slice(state.timing.slews_slice());
-        let delays_cow = CowVec::from_slice(state.timing.delay_moments_slice());
-        Self {
-            library,
-            config,
-            netlist,
-            state,
-            summary,
-            sizes: CowVec::from_slice(&sizes_vec),
-            size_fp,
-            arrivals_cow,
-            slews_cow,
-            delays_cow,
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    pub(crate) fn size_fp(&self) -> u64 {
-        self.size_fp
-    }
-
-    fn memo_get(&self, fp: u64) -> Option<Arc<ConeResult>> {
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&fp)
-            .cloned()
-    }
-
-    /// Inserts a freshly computed cone, returning the canonical entry —
-    /// if a sibling raced us to the same fingerprint, its (bit-identical)
-    /// result wins so both branches share one allocation.
-    fn memo_insert(&self, fp: u64, result: Arc<ConeResult>) -> Arc<ConeResult> {
-        Arc::clone(
-            self.memo
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(fp)
-                .or_insert(result),
-        )
-    }
-}
-
-/// An owned copy-on-write version of a circuit, created by
-/// [`TimingSession::fork`](crate::TimingSession::fork) (see the
-/// [module docs](self)).
+/// An owned version of a circuit: a private [`TimingSession`] forked by
+/// [`TimingSession::fork`] (see the [module docs](self)).
 ///
 /// A branch is `Send` and carries no lifetimes: it can be stored in a
 /// registry, handed to a worker thread, evaluated, and committed back or
-/// dropped. Until it diverges, every byte of its state is physically
-/// shared with its fork base (and with sibling branches). Cloning a
-/// branch yields a sibling at the same sizes — chunk-shared, same fork
-/// base, same memo.
+/// dropped. Cloning a branch copies its session state.
 #[derive(Debug, Clone)]
 pub struct SessionBranch {
-    base: Arc<ForkBase>,
-    /// The branch's persistent size vector (path-copied chunks).
-    sizes: CowVec<usize>,
-    /// Working netlist at branch sizes, materialized on first divergence.
-    work: Option<Box<Netlist>>,
-    /// The adopted cone result for the current size fingerprint.
-    eval: Option<(u64, Arc<ConeResult>)>,
-    /// Node recomputations this branch caused (memo hits cost zero).
-    visits: u64,
+    session: TimingSession,
+    /// Sizes at the fork point.
+    base_sizes: Vec<usize>,
+    /// Fingerprint of `base_sizes`, checked again at commit.
+    base_fp: u64,
 }
 
 impl SessionBranch {
-    pub(crate) fn from_base(base: Arc<ForkBase>) -> Self {
-        let sizes = base.sizes.clone();
+    /// Wraps a refreshed copy of the parent session whose cost meter the
+    /// caller has reset.
+    pub(crate) fn new(session: TimingSession) -> Self {
+        let base_sizes = session.sizes();
+        let base_fp = size_fingerprint(&base_sizes);
         Self {
-            base,
-            sizes,
-            work: None,
-            eval: None,
-            visits: 0,
+            session,
+            base_sizes,
+            base_fp,
         }
+    }
+
+    /// Hands the branch's session to the commit path.
+    pub(crate) fn into_session(self) -> TimingSession {
+        self.session
     }
 
     /// The shared library.
     #[must_use]
     pub fn library(&self) -> &Library {
-        &self.base.library
+        self.session.library()
     }
 
     /// A shared handle to the library.
     #[must_use]
     pub fn library_handle(&self) -> Arc<Library> {
-        Arc::clone(&self.base.library)
+        self.session.library_handle()
     }
 
-    /// The shared timing configuration.
+    /// The timing configuration inherited from the parent session.
     #[must_use]
     pub fn config(&self) -> &SstaConfig {
-        &self.base.config
+        self.session.config()
     }
 
     /// The engine flavor inherited from the parent session.
     #[must_use]
     pub fn kind(&self) -> EngineKind {
-        self.base.state.kind
+        self.session.kind()
     }
 
-    /// The branch's netlist at its current sizes. Until the branch
-    /// diverges this is the shared base netlist; afterwards it is the
-    /// branch's private working copy.
+    /// The branch's netlist at its current sizes.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        self.work.as_deref().unwrap_or(&self.base.netlist)
+        self.session.netlist()
     }
 
     /// Snapshot of all gate sizes.
     #[must_use]
     pub fn sizes(&self) -> Vec<usize> {
-        self.sizes.to_vec()
-    }
-
-    /// The branch's persistent size vector — chunk-shared with the base
-    /// and with sibling branches wherever it has not diverged.
-    #[must_use]
-    pub fn size_snapshot(&self) -> &CowVec<usize> {
-        &self.sizes
+        self.session.sizes()
     }
 
     /// Stable fingerprint of the branch's current size vector (same
-    /// scheme as [`TimingSession::size_fingerprint`](crate::TimingSession::size_fingerprint),
-    /// so service layers can key per-branch caches with it).
+    /// scheme as [`TimingSession::size_fingerprint`], so service layers
+    /// can key per-branch caches with it).
     #[must_use]
     pub fn size_fingerprint(&self) -> u64 {
-        size_fingerprint(&self.sizes.to_vec())
+        self.session.size_fingerprint()
     }
 
-    /// The size fingerprint of the fork base this branch diverged from.
+    /// The size fingerprint of the fork point this branch diverged from.
     #[must_use]
     pub fn base_fingerprint(&self) -> u64 {
-        self.base.size_fp
+        self.base_fp
     }
 
-    /// Whether the branch's sizes differ from its fork base.
+    /// Whether the branch's sizes differ from its fork point.
     #[must_use]
     pub fn is_diverged(&self) -> bool {
-        self.sizes != self.base.sizes
+        self.sizes() != self.base_sizes
     }
 
-    /// Gate indices whose sizes differ from the fork base, ascending.
+    /// Gate indices whose sizes differ from the fork point, ascending.
     #[must_use]
     pub fn diverged_gates(&self) -> Vec<usize> {
-        self.sizes.diff_indices(&self.base.sizes)
+        self.sizes()
+            .iter()
+            .zip(&self.base_sizes)
+            .enumerate()
+            .filter_map(|(i, (now, base))| (now != base).then_some(i))
+            .collect()
     }
 
-    /// Node recomputations this branch has caused. Adopting a memoized
-    /// sibling cone costs zero — the work-saving meter the fan-out
-    /// acceptance test sums.
+    /// Node recomputations this branch has caused since the fork.
     #[must_use]
     pub fn recompute_count(&self) -> u64 {
-        self.visits
+        self.session.recompute_count()
     }
 
     /// Sets the size of a cell gate in this branch only.
@@ -325,8 +214,7 @@ impl SessionBranch {
     /// Panics if `id` is a primary input or out of range (see
     /// [`SessionBranch::try_resize`] for the non-panicking form).
     pub fn resize(&mut self, id: GateId, size: usize) {
-        self.try_resize(id, size)
-            .unwrap_or_else(|e| panic!("cannot size a primary input or bad id: {e}"));
+        self.session.resize(id, size);
     }
 
     /// Sets the size of a cell gate in this branch only, rejecting bad
@@ -337,10 +225,7 @@ impl SessionBranch {
     ///
     /// Propagates [`Netlist::try_set_size`] errors.
     pub fn try_resize(&mut self, id: GateId, size: usize) -> Result<(), NetlistError> {
-        self.materialize().try_set_size(id, size)?;
-        self.sizes.set(id.index(), size);
-        self.eval = None;
-        Ok(())
+        self.session.try_resize(id, size)
     }
 
     /// Restores a full size snapshot into this branch.
@@ -349,78 +234,15 @@ impl SessionBranch {
     ///
     /// Propagates [`Netlist::try_restore_sizes`] errors.
     pub fn try_restore_sizes(&mut self, sizes: &[usize]) -> Result<(), NetlistError> {
-        self.materialize().try_restore_sizes(sizes)?;
-        for (i, &s) in sizes.iter().enumerate() {
-            self.sizes.set(i, s);
-        }
-        self.eval = None;
-        Ok(())
-    }
-
-    fn materialize(&mut self) -> &mut Netlist {
-        self.work
-            .get_or_insert_with(|| Box::new(self.base.netlist.clone()))
+        self.session.try_restore_sizes(sizes)
     }
 
     /// Brings the branch's analysis up to date with its sizes by
-    /// recomputing **only the divergent cone** against the shared base
-    /// state — or by adopting a sibling's memoized cone for the same size
-    /// fingerprint at zero recomputation cost — and returns the circuit
-    /// moments. Bit-identical to a from-scratch session at the branch's
-    /// sizes.
+    /// recomputing only the cone of the gates resized since its last
+    /// refresh, and returns the circuit moments. Bit-identical to a
+    /// from-scratch session at the branch's sizes.
     pub fn refresh(&mut self) -> Moments {
-        if !self.is_diverged() {
-            self.eval = None;
-            return self.base.summary.moments;
-        }
-        let fp = self.size_fingerprint();
-        if let Some((efp, e)) = &self.eval {
-            if *efp == fp {
-                return e.summary.moments;
-            }
-        }
-        if let Some(e) = self.base.memo_get(fp) {
-            let moments = e.summary.moments;
-            self.eval = Some((fp, e));
-            return moments;
-        }
-
-        // Cone computation, outside the memo lock: seed the divergent
-        // gates plus their fanins (whose loads changed) and propagate
-        // from a clone of the shared base state. The clone copies bytes
-        // but recomputes nothing; only `update` visits nodes.
-        let work = self
-            .work
-            .as_deref()
-            .expect("a diverged branch has a materialized netlist");
-        let mut seeds: BTreeSet<usize> = BTreeSet::new();
-        for i in self.sizes.diff_indices(&self.base.sizes) {
-            seeds.insert(i);
-            for &f in work.gate(GateId::from_index(i)).fanins() {
-                seeds.insert(f.index());
-            }
-        }
-        let mut state = self.base.state.clone();
-        let before = state.visits;
-        state.update(work, &self.base.library, &self.base.config, seeds);
-        let visits = state.visits - before;
-        let summary = state.circuit(work, &self.base.config);
-        let arrivals = CowVec::overlay(&self.base.arrivals_cow, &state.arrivals);
-        let slews = CowVec::overlay(&self.base.slews_cow, state.timing.slews_slice());
-        let delays = CowVec::overlay(&self.base.delays_cow, state.timing.delay_moments_slice());
-        let result = Arc::new(ConeResult {
-            state,
-            summary,
-            arrivals,
-            slews,
-            delays,
-            visits,
-        });
-        self.visits += visits;
-        let canonical = self.base.memo_insert(fp, result);
-        let moments = canonical.summary.moments;
-        self.eval = Some((fp, canonical));
-        moments
+        self.session.refresh()
     }
 
     /// Circuit output moments at the branch's sizes (refreshing first).
@@ -432,89 +254,33 @@ impl SessionBranch {
     /// first).
     pub fn worst_output(&mut self) -> GateId {
         self.refresh();
-        match &self.eval {
-            Some((_, e)) => e.summary.worst_output,
-            None => self.base.summary.worst_output,
-        }
+        self.session.worst_output()
     }
 
     /// Arrival moments of one node at the branch's sizes (refreshing
     /// first).
     pub fn arrival(&mut self, id: GateId) -> Moments {
         self.refresh();
-        match &self.eval {
-            Some((_, e)) => e.state.arrivals[id.index()],
-            None => self.base.state.arrivals[id.index()],
-        }
+        self.session.arrival(id)
     }
 
-    /// The branch's arrival snapshot as a chunked copy-on-write vector:
-    /// chunks outside the divergent cone are physically shared with the
-    /// fork base and with sibling branches (refreshing first).
-    pub fn arrival_snapshot(&mut self) -> &CowVec<Moments> {
+    /// All arrival moments at the branch's sizes, indexed by
+    /// [`GateId::index`] (refreshing first).
+    pub fn arrivals(&mut self) -> &[Moments] {
         self.refresh();
-        match &self.eval {
-            Some((_, e)) => &e.arrivals,
-            None => &self.base.arrivals_cow,
-        }
-    }
-
-    /// The branch's electrical slew snapshot, chunk-shared like
-    /// [`SessionBranch::arrival_snapshot`] (refreshing first).
-    pub fn slew_snapshot(&mut self) -> &CowVec<f64> {
-        self.refresh();
-        match &self.eval {
-            Some((_, e)) => &e.slews,
-            None => &self.base.slews_cow,
-        }
-    }
-
-    /// The branch's per-gate delay-moment snapshot, chunk-shared like
-    /// [`SessionBranch::arrival_snapshot`] (refreshing first).
-    pub fn delay_snapshot(&mut self) -> &CowVec<Moments> {
-        self.refresh();
-        match &self.eval {
-            Some((_, e)) => &e.delays,
-            None => &self.base.delays_cow,
-        }
-    }
-
-    /// The **frozen** pass-start arrival moments of the fork base,
-    /// indexed by [`GateId::index`] — the boundary statistics the
-    /// optimizer's subcircuit trials evaluate against (§4.3). These never
-    /// change as the branch diverges; use
-    /// [`SessionBranch::arrival_snapshot`] for the branch's own state.
-    #[must_use]
-    pub fn base_arrivals(&self) -> &[Moments] {
-        &self.base.state.arrivals
-    }
-
-    /// The **frozen** electrical snapshot of the fork base — the other
-    /// half of the trial boundary (see
-    /// [`SessionBranch::base_arrivals`]).
-    #[must_use]
-    pub fn base_timing(&self) -> &CircuitTiming {
-        &self.base.state.timing
+        self.session.arrivals()
     }
 
     /// Total cell area at the branch's current sizes.
     #[must_use]
     pub fn total_area(&self) -> f64 {
-        self.netlist().total_area(&self.base.library)
-    }
-
-    /// Hands the evaluated cone result to the session commit path:
-    /// refreshes, then returns `None` when the branch never diverged.
-    pub(crate) fn eval_result(&mut self) -> Option<Arc<ConeResult>> {
-        self.refresh();
-        self.eval.as_ref().map(|(_, e)| Arc::clone(e))
+        self.session.total_area()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::TimingSession;
     use vartol_netlist::generators::{benchmark, ripple_carry_adder};
 
     fn session(name: &str) -> TimingSession {
@@ -548,11 +314,7 @@ mod tests {
         fresh.set_size(g, 4);
         let scratch = TimingSession::new(&lib, SstaConfig::default(), fresh);
         assert_eq!(branch_moments, scratch.circuit_moments());
-        assert_eq!(b.arrival_snapshot().to_vec().as_slice(), {
-            let mut sc = scratch;
-            sc.refresh();
-            &sc.arrivals().to_vec()[..]
-        });
+        assert_eq!(b.arrivals(), scratch.arrivals());
     }
 
     #[test]
@@ -570,52 +332,6 @@ mod tests {
             "branch visited {} of {node_count} nodes",
             b.recompute_count()
         );
-    }
-
-    #[test]
-    fn sibling_with_same_divergence_adopts_the_memoized_cone() {
-        let mut s = session("c432");
-        s.refresh();
-        let g = s.netlist().gate_ids().nth(9).expect("gates");
-        let mut a = s.fork();
-        let mut b = s.fork();
-        a.resize(g, 5);
-        b.resize(g, 5);
-        let ma = a.refresh();
-        let mb = b.refresh();
-        assert_eq!(ma, mb);
-        assert!(a.recompute_count() > 0, "first branch pays for the cone");
-        assert_eq!(b.recompute_count(), 0, "sibling adopts the memo");
-        // The adopted snapshots are the same allocation, chunk for chunk.
-        let sa = a.arrival_snapshot().clone();
-        assert_eq!(
-            b.arrival_snapshot().shared_chunks_with(&sa),
-            sa.chunk_count()
-        );
-    }
-
-    #[test]
-    fn snapshots_share_chunks_outside_the_cone() {
-        let mut s = session("c1908");
-        s.refresh();
-        let g = s.netlist().gate_ids().last().expect("gates");
-        let mut a = s.fork();
-        let mut b = s.fork();
-        a.resize(g, 4);
-        b.resize(g, 5);
-        a.refresh();
-        b.refresh();
-        let sa = a.arrival_snapshot().clone();
-        let shared = b.arrival_snapshot().shared_chunks_with(&sa);
-        assert!(
-            shared > sa.chunk_count() / 2,
-            "siblings share most arrival chunks: {shared} of {}",
-            sa.chunk_count()
-        );
-        let za = a.size_snapshot().clone();
-        assert!(b.size_snapshot().shared_chunks_with(&za) > za.chunk_count() / 2);
-        let ea = a.slew_snapshot().clone();
-        assert!(b.slew_snapshot().shared_chunks_with(&ea) > ea.chunk_count() / 2);
     }
 
     #[test]
@@ -700,24 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn sibling_forks_share_one_base_allocation() {
-        let mut s = session("c432");
-        s.refresh();
-        let a = s.fork();
-        let b = s.fork();
-        assert!(
-            Arc::ptr_eq(&a.base, &b.base),
-            "sibling forks must share the cached fork base"
-        );
-        // After a committed mutation the base is rebuilt.
-        let g = s.netlist().gate_ids().next().expect("gates");
-        s.resize(g, 2);
-        s.refresh();
-        let c = s.fork();
-        assert!(!Arc::ptr_eq(&a.base, &c.base));
-    }
-
-    #[test]
     fn branch_panic_does_not_poison_siblings_or_parent() {
         let mut s = session("c432");
         let baseline = s.refresh();
@@ -732,7 +430,7 @@ mod tests {
         }));
         assert!(panicked.is_err(), "evaluation of a bogus size must panic");
         drop(bad);
-        // Siblings and parent keep working, memo lock un-poisoned.
+        // Siblings and parent share no state with the panicked branch.
         good.resize(g, 4);
         let m = good.refresh();
         assert!(m.mean > 0.0);

@@ -208,18 +208,6 @@ impl CircuitTiming {
         self.delay_moments[id.index()]
     }
 
-    /// The raw per-node slew vector, for the branch layer's chunked
-    /// copy-on-write electrical snapshots.
-    pub(crate) fn slews_slice(&self) -> &[f64] {
-        &self.slews
-    }
-
-    /// The raw per-node delay-moment vector, for the branch layer's
-    /// chunked copy-on-write electrical snapshots.
-    pub(crate) fn delay_moments_slice(&self) -> &[Moments] {
-        &self.delay_moments
-    }
-
     /// Recomputes load, slew, and delay for the members of a subcircuit
     /// against the netlist's *current* sizes, returning delay moments keyed
     /// by position in `sub.members()`.

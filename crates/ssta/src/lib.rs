@@ -85,7 +85,6 @@
 
 pub mod branch;
 pub mod config;
-pub mod cow;
 pub mod criticality;
 pub mod delay;
 pub mod dsta;
@@ -105,7 +104,6 @@ pub mod wnss;
 
 pub use branch::{BranchError, SessionBranch};
 pub use config::{CorrelationMode, SstaConfig};
-pub use cow::CowVec;
 pub use criticality::Criticality;
 pub use delay::CircuitTiming;
 pub use dsta::{Dsta, DstaResult};

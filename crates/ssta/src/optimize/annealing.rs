@@ -1,23 +1,22 @@
 //! Deterministic multi-start simulated annealing over session branches.
 //!
 //! Each restart is an independent Metropolis walk over the discrete
-//! size space, running on its own copy-on-write
+//! size space, running on its own forked
 //! [`SessionBranch`](crate::SessionBranch): proposing a size is a
-//! pointer-cheap private mutation, evaluating it is a memoized
-//! incremental cone refresh, and the parent session stays frozen
-//! throughout. Restarts fan out over a [`ScopedPool`]; each draws from
-//! its own SplitMix64 stream keyed by `(seed, restart index)`, so the
-//! walk — and therefore the whole outcome — is **bit-identical at every
-//! pool width**, and a run over restarts `[k, k+n)` via
-//! [`AnnealingConfig::restart_offset`] reproduces exactly those
-//! restarts of a full run (the restart-chunking property the
-//! determinism suite pins down).
+//! private mutation, evaluating it is an incremental refresh of the
+//! moved gate's cone against the branch's last state, and the parent
+//! session stays frozen throughout. Restarts fan out over a
+//! [`ScopedPool`]; each draws from its own SplitMix64 stream keyed by
+//! `(seed, restart index)`, so the walk — and therefore the whole
+//! outcome — is **bit-identical at every pool width**, and a run over
+//! restarts `[k, k+n)` via [`AnnealingConfig::restart_offset`]
+//! reproduces exactly those restarts of a full run (the
+//! restart-chunking property the determinism suite pins down).
 //!
 //! The best branch (lowest energy; ties go to the earliest restart) is
-//! adopted with [`TimingSession::commit`] — zero recompute, the
-//! branch's memoized cone results become the session's — which is also
-//! why the committed winner provably equals its branch fingerprint's
-//! memoized report.
+//! adopted with [`TimingSession::commit`], which moves the branch's
+//! evaluated state into the session without recomputing it — so the
+//! committed winner is exactly the state its restart reported.
 //!
 //! [`ScopedPool`]: crate::ScopedPool
 //! [`TimingSession::commit`]: crate::TimingSession::commit
@@ -373,9 +372,8 @@ impl Sizer for AnnealingSizer {
             return outcome;
         }
 
-        // Fork the whole population up front (pointer bumps off one
-        // frozen base), walk the restarts concurrently, join in restart
-        // order.
+        // Fork the whole population up front (one state copy each), walk
+        // the restarts concurrently, join in restart order.
         let base_sizes = session.sizes();
         let branches: Vec<SessionBranch> =
             (0..self.config.restarts).map(|_| session.fork()).collect();

@@ -9,11 +9,11 @@
 //! delay sensitivity `∂D/∂x` is probed numerically: each gate is
 //! re-evaluated at its neighbor drive indices with the fast engine over
 //! a local subcircuit against frozen boundary statistics — the same
-//! copy-on-write fan-out `StatisticalGreedy` uses, one forked
-//! [`SessionBranch`](crate::SessionBranch) per pool worker, so the pass
-//! is bit-identical at every pool width. After each gradient step the
-//! continuous sizes are rounded back to discrete cells
-//! ([`round_to_library`](super::round_to_library)) and the one
+//! fan-out `StatisticalGreedy` uses: one netlist copy per pool worker,
+//! read against the session's pass-start arrivals and electrical
+//! snapshot, so the pass is bit-identical at every pool width. After
+//! each gradient step the continuous sizes are rounded back to discrete
+//! cells ([`round_to_library`](super::round_to_library)) and the one
 //! authoritative [`TimingSession`] repairs itself with an incremental
 //! [`refresh`](TimingSession::refresh) of only the changed cones.
 //!
@@ -156,18 +156,20 @@ impl LagrangianSizer {
         reach
     }
 
-    /// Probes `(∂D/∂size, ∂A/∂size)` for one gate on a frozen branch:
-    /// the local objective is evaluated at the neighbor drive indices
-    /// with the fast engine against the branch's pass-start boundary,
-    /// then the trial resize is rolled back, so the result depends on
-    /// nothing but the gate — the parallel fan-out contract.
+    /// Probes `(∂D/∂size, ∂A/∂size)` for one gate on a worker's netlist
+    /// copy: the local objective is evaluated at the neighbor drive
+    /// indices with the fast engine against the `frozen` session's
+    /// pass-start boundary, then the trial resize is rolled back, so the
+    /// result depends on nothing but the gate — the parallel fan-out
+    /// contract.
     fn probe_gradient(
         &self,
-        branch: &mut crate::branch::SessionBranch,
+        netlist: &mut Netlist,
+        frozen: &TimingSession,
         g: GateId,
         fast: &Fassta<'_>,
     ) -> Gradient {
-        let gate = branch.netlist().gate(g);
+        let gate = netlist.gate(g);
         let GateKind::Cell { function, size } = *gate.kind() else {
             return None;
         };
@@ -176,28 +178,23 @@ impl LagrangianSizer {
         if group.len() <= 1 {
             return None;
         }
-        let sub = Subcircuit::extract(branch.netlist(), g, self.config.subcircuit_depth);
-        let local = |branch: &crate::branch::SessionBranch| {
-            let outs = fast.evaluate_subcircuit(
-                branch.netlist(),
-                &sub,
-                branch.base_arrivals(),
-                branch.base_timing(),
-            );
+        let sub = Subcircuit::extract(netlist, g, self.config.subcircuit_depth);
+        let local = |netlist: &Netlist| {
+            let outs = fast.evaluate_subcircuit(netlist, &sub, frozen.arrivals(), frozen.timing());
             self.config.objective.local_value(&outs)
         };
-        let d_here = local(branch);
+        let d_here = local(netlist);
         let lo = size.checked_sub(1);
         let hi = (size + 1 < group.len()).then_some(size + 1);
         let d_lo = lo.map(|s| {
-            branch.resize(g, s);
-            local(branch)
+            netlist.set_size(g, s);
+            local(netlist)
         });
         let d_hi = hi.map(|s| {
-            branch.resize(g, s);
-            local(branch)
+            netlist.set_size(g, s);
+            local(netlist)
         });
-        branch.resize(g, size); // trial state rolled back
+        netlist.set_size(g, size); // trial state rolled back
         let area = |s: usize| group.cells()[s].area();
         let (dd, da) = match (lo, hi) {
             (Some(l), Some(h)) => (
@@ -319,12 +316,12 @@ impl Sizer for LagrangianSizer {
                 .collect();
 
             // Parallel sensitivity probes against the frozen pass-start
-            // state: one COW branch per worker, one task per gate,
+            // state: one netlist copy per worker, one task per gate,
             // results in gate order.
             let grads = pool.map_init(
                 probed.len(),
-                || session.fork(),
-                |branch, i| self.probe_gradient(branch, probed[i], &fast),
+                || session.netlist().clone(),
+                |netlist, i| self.probe_gradient(netlist, &session, probed[i], &fast),
             );
 
             // Normalized gradient step on the continuous sizes.

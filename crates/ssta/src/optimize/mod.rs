@@ -10,9 +10,9 @@
 //!   per-endpoint Lagrange multipliers, rounded back to discrete cells
 //!   and repaired via incremental [`TimingSession::refresh`].
 //! * [`AnnealingSizer`] — a deterministic multi-start simulated
-//!   annealing wrapper whose restart population fans out over
-//!   copy-on-write [`SessionBranch`]es and commits the winning branch
-//!   with [`TimingSession::commit`] (zero recompute).
+//!   annealing wrapper whose restart population fans out over forked
+//!   [`SessionBranch`]es and commits the winning branch with
+//!   [`TimingSession::commit`], which moves its state in.
 //!
 //! Both support a yield-targeted [`Objective::Yield`] mode that
 //! maximizes `P(delay ≤ deadline)` under the correlated variation model
@@ -208,7 +208,9 @@ pub trait Sizer {
 
 /// Selector for the optimizer behind a sizing request — the value the
 /// `Workspace` and the wire protocol thread through to pick a [`Sizer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub enum OptimizerKind {
     /// The paper's statistical greedy (`StatisticalGreedy`). Default.
     #[default]

@@ -22,13 +22,11 @@
 //! circuits, a single-gate resize near the outputs touches a handful of
 //! nodes where a from-scratch pass would touch thousands.
 //!
-//! For speculative work — scoring many independent `(gate, size)`
-//! candidates against one frozen analysis — a session is forked with
-//! [`TimingSession::fork`]: each [`crate::branch::SessionBranch`] owns a
-//! copy-on-write view of the circuit and serves the parent's refreshed
-//! arrival and electrical state as its frozen base, so branches on
-//! different worker threads can trial resizes concurrently without ever
-//! touching the session or each other.
+//! For speculative work a session is forked with
+//! [`TimingSession::fork`]: each [`crate::branch::SessionBranch`] is a
+//! private copy of the refreshed session that re-times its own resizes
+//! incrementally, so branches on different worker threads can trial
+//! resizes concurrently without ever touching the session or each other.
 //!
 //! Dirty-flag contract (audited for the parallel optimizer): `resize`
 //! and `restore_sizes` mark exactly the gates whose current size differs
@@ -64,7 +62,7 @@
 //! assert_eq!(netlist.gate(gate).size(), Some(4));
 //! ```
 
-use crate::branch::{BranchError, ForkBase, SessionBranch};
+use crate::branch::{BranchError, SessionBranch};
 use crate::config::SstaConfig;
 use crate::criticality::Criticality;
 use crate::delay::CircuitTiming;
@@ -72,7 +70,7 @@ use crate::engine::{EngineKind, TimingReport};
 use crate::slack::StatisticalSlacks;
 use crate::state::{CircuitSummary, TimingState};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist, NetlistError};
 use vartol_stats::{DiscretePdf, Moments};
@@ -90,7 +88,7 @@ use vartol_stats::{DiscretePdf, Moments};
 /// arrivals between a resize and a refresh is explicitly supported (the
 /// optimizer's subcircuit trials evaluate against frozen boundary
 /// statistics, §4.3).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TimingSession {
     library: Arc<Library>,
     config: SstaConfig,
@@ -101,10 +99,6 @@ pub struct TimingSession {
     dirty: BTreeSet<usize>,
     /// Sizes as of the last refresh, for no-op resize detection.
     analyzed_sizes: Vec<usize>,
-    /// Cached frozen fork base: the first [`TimingSession::fork`] after a
-    /// refresh pays one state copy, every sibling fork is a pointer bump.
-    /// Invalidated by anything that mutates sizes or analysis state.
-    fork_cache: Mutex<Option<Arc<ForkBase>>>,
 }
 
 impl TimingSession {
@@ -149,18 +143,7 @@ impl TimingSession {
             summary,
             dirty: BTreeSet::new(),
             analyzed_sizes,
-            fork_cache: Mutex::new(None),
         }
-    }
-
-    /// Drops the cached fork base. Every mutation of sizes or analysis
-    /// state must route through here so no branch can ever fork from (or
-    /// commit against) a stale snapshot.
-    fn invalidate_fork_cache(&mut self) {
-        *self
-            .fork_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// The incremental engine flavor.
@@ -252,7 +235,6 @@ impl TimingSession {
     /// Propagates [`Netlist::try_set_size`] errors.
     pub fn try_resize(&mut self, id: GateId, size: usize) -> Result<(), NetlistError> {
         self.netlist.try_set_size(id, size)?;
-        self.invalidate_fork_cache();
         if self.analyzed_sizes[id.index()] == size {
             self.dirty.remove(&id.index());
         } else {
@@ -297,7 +279,6 @@ impl TimingSession {
     /// Propagates [`Netlist::try_restore_sizes`] errors.
     pub fn try_restore_sizes(&mut self, sizes: &[usize]) -> Result<(), NetlistError> {
         self.netlist.try_restore_sizes(sizes)?;
-        self.invalidate_fork_cache();
         for id in self.netlist.gate_ids() {
             let i = id.index();
             if sizes[i] == self.analyzed_sizes[i] {
@@ -320,7 +301,6 @@ impl TimingSession {
     /// moments. A no-op when nothing changed.
     pub fn refresh(&mut self) -> Moments {
         if !self.dirty.is_empty() {
-            self.invalidate_fork_cache();
             let mut seeds: BTreeSet<usize> = BTreeSet::new();
             for &i in &self.dirty {
                 // The resized gate's own drive and delay change, and its
@@ -359,7 +339,6 @@ impl TimingSession {
         self.summary = self.state.circuit(&self.netlist, &self.config);
         self.analyzed_sizes = self.netlist.sizes();
         self.dirty.clear();
-        self.invalidate_fork_cache();
     }
 
     /// Circuit output moments as of the last refresh.
@@ -440,21 +419,18 @@ impl TimingSession {
         )
     }
 
-    /// Forks an owned copy-on-write [`SessionBranch`] of this session.
-    ///
-    /// The first fork after a refresh snapshots the session's state once
-    /// into a shared fork base; every further fork of the same state is
-    /// a pointer bump, and sibling branches share unchanged chunks of
-    /// the size vector and the arrival/electrical snapshots physically
-    /// (see [`crate::branch`]). A branch recomputes only its own
-    /// divergent cone, memoizes cone results with its siblings, and can
-    /// be committed back through [`TimingSession::commit`] or simply
-    /// dropped.
+    /// Forks an owned [`SessionBranch`] of this session: a private copy
+    /// of the refreshed session (netlist and propagation state, one state
+    /// copy) plus the fork-point sizes. The branch re-times its own
+    /// resizes incrementally against its last refresh (see
+    /// [`crate::branch`]) and is either committed back through
+    /// [`TimingSession::commit`] or simply dropped. Its
+    /// [`SessionBranch::recompute_count`] starts at zero.
     ///
     /// # Panics
     ///
     /// Panics if resizes are pending ([`TimingSession::is_dirty`]): the
-    /// frozen base must be consistent with the sizes it was computed
+    /// fork point must be consistent with the sizes it was computed
     /// from, so callers refresh first.
     #[must_use]
     pub fn fork(&self) -> SessionBranch {
@@ -463,38 +439,21 @@ impl TimingSession {
             "fork requires a refreshed session (pending resizes would \
              make the frozen snapshot inconsistent)"
         );
-        let mut cache = self
-            .fork_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let fp = crate::fingerprint::size_fingerprint(&self.netlist.sizes());
-        let base = match cache.as_ref() {
-            Some(b) if b.size_fp() == fp => Arc::clone(b),
-            _ => {
-                let b = Arc::new(ForkBase::new(
-                    Arc::clone(&self.library),
-                    self.config.clone(),
-                    self.netlist.clone(),
-                    self.state.clone(),
-                    self.summary.clone(),
-                ));
-                *cache = Some(Arc::clone(&b));
-                b
-            }
-        };
-        SessionBranch::from_base(base)
+        let mut session = self.clone();
+        session.state.visits = 0;
+        SessionBranch::new(session)
     }
 
-    /// Commits a branch back into this session: the session adopts the
-    /// branch's sizes and its evaluated propagation state **without
-    /// recomputing anything** ([`TimingSession::recompute_count`] is
-    /// unchanged), and returns the committed circuit moments. The result
-    /// is bit-identical to applying the branch's resizes directly and
-    /// refreshing.
+    /// Commits a branch back into this session: the branch is refreshed
+    /// if it has pending resizes, then the session takes over its sizes
+    /// and propagation state by move, without recomputing anything itself
+    /// ([`TimingSession::recompute_count`] is unchanged), and returns the
+    /// committed circuit moments. The result is bit-identical to applying
+    /// the branch's resizes directly and refreshing.
     ///
-    /// Consumes the branch; sibling branches of the same fork base stay
-    /// valid for reads, but committing them afterwards fails with
-    /// [`BranchError::BaseMismatch`] because their frozen base no longer
+    /// Consumes the branch; sibling branches forked from the same state
+    /// stay valid for reads, but committing them afterwards fails with
+    /// [`BranchError::BaseMismatch`] because their fork point no longer
     /// matches the parent.
     ///
     /// # Errors
@@ -503,7 +462,7 @@ impl TimingSession {
     /// [`BranchError::BaseMismatch`] when this session's sizes changed
     /// since the fork; [`BranchError::CircuitMismatch`] when the branch
     /// belongs to a different circuit, engine kind, or configuration.
-    pub fn commit(&mut self, mut branch: SessionBranch) -> Result<Moments, BranchError> {
+    pub fn commit(&mut self, branch: SessionBranch) -> Result<Moments, BranchError> {
         if self.is_dirty() {
             return Err(BranchError::ParentDirty);
         }
@@ -515,26 +474,21 @@ impl TimingSession {
             });
         }
         if branch.netlist().node_count() != self.netlist.node_count()
+            || branch.netlist().name() != self.netlist.name()
             || branch.kind() != self.state.kind
             || branch.config() != &self.config
         {
             return Err(BranchError::CircuitMismatch);
         }
-        let Some(eval) = branch.eval_result() else {
-            return Ok(self.summary.moments); // never diverged
-        };
-        self.netlist
-            .try_restore_sizes(&branch.sizes())
-            .map_err(|_| BranchError::CircuitMismatch)?;
-        // Adoption: clone the memoized cone state (a byte copy, zero
-        // kernel recomputations) and keep the parent's own cost meter.
-        let mut state = eval.state.clone();
-        state.visits = self.state.visits;
-        self.state = state;
-        self.summary = eval.summary.clone();
-        self.analyzed_sizes = self.netlist.sizes();
-        self.dirty.clear();
-        self.invalidate_fork_cache();
+        let mut branch = branch.into_session();
+        branch.refresh();
+        // Keep the parent's own cost meter: the branch's visits were
+        // counted on the branch.
+        branch.state.visits = self.state.visits;
+        self.netlist = branch.netlist;
+        self.state = branch.state;
+        self.summary = branch.summary;
+        self.analyzed_sizes = branch.analyzed_sizes;
         Ok(self.summary.moments)
     }
 }
@@ -703,8 +657,7 @@ mod tests {
         let mut branch = session.fork();
         branch.resize(g, 5);
         assert_eq!(branch.netlist().gate(g).size(), Some(5));
-        // Frozen boundary: the branch still serves pass-start arrivals.
-        assert_eq!(branch.base_arrivals(), arrivals_before.as_slice());
+        assert_ne!(branch.refresh(), baseline);
 
         // The parent saw none of it.
         assert!(!session.is_dirty());
@@ -723,9 +676,9 @@ mod tests {
         session.refresh();
         let gates: Vec<GateId> = session.netlist().gate_ids().take(24).collect();
 
-        // Score "upsize by one" for each gate in a branch; the trial is
-        // rolled back before the next task, so results depend only on
-        // the task index.
+        // Score "upsize by one" for each gate in a branch against the
+        // parent's frozen boundary; the trial is rolled back before the
+        // next task, so results depend only on the task index.
         let score = |branch: &mut SessionBranch, i: usize| -> (u64, u64) {
             let g = gates[i];
             let current = branch.netlist().gate(g).size().expect("cell");
@@ -735,8 +688,8 @@ mod tests {
             let outs = fast.evaluate_subcircuit(
                 branch.netlist(),
                 &sub,
-                branch.base_arrivals(),
-                branch.base_timing(),
+                session.arrivals(),
+                session.timing(),
             );
             branch.resize(g, current);
             let m = outs.iter().copied().reduce(|a, b| a + b).expect("outputs");

@@ -11,7 +11,7 @@
 //! * Continuous-to-discrete rounding never leaves the library's size
 //!   ladder, for any float including NaN and the infinities.
 //! * The annealing winner the session commits is exactly the circuit
-//!   the branch's memoized report describes: replaying the final sizes
+//!   its restart's report describes: replaying the final sizes
 //!   through an independent incremental session — and through a
 //!   from-scratch analysis — reproduces the reported moments bit for
 //!   bit.
@@ -123,7 +123,7 @@ proptest! {
     }
 
     #[test]
-    fn committed_annealing_winner_matches_its_memoized_report(
+    fn committed_annealing_winner_matches_its_reported_moments(
         (cfg, seed) in dag_config(),
         anneal_seed in any::<u64>(),
     ) {
@@ -140,8 +140,8 @@ proptest! {
 
         // The committed circuit replayed through an *independent*
         // incremental session reproduces the reported moments bit for
-        // bit — commit() adopted the branch's memoized cone results, so
-        // any drift here means the memo and the circuit disagree.
+        // bit — commit() moved the winning branch's evaluated state in,
+        // so any drift here means that state and the circuit disagree.
         let mut session = TimingSession::new(lib.clone(), config.ssta.clone(), n.clone());
         session
             .try_restore_sizes(&sized.sizes())

@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use vartol_liberty::Library;
 use vartol_netlist::generators::{random_dag, RandomDagConfig};
-use vartol_ssta::{Dsta, Fassta, FullSsta, SstaConfig};
+use vartol_netlist::Netlist;
+use vartol_ssta::{Dsta, Fassta, FullSsta, SstaConfig, TimingSession};
+use vartol_stats::Moments;
 
 fn dag_config() -> impl Strategy<Value = (RandomDagConfig, u64)> {
     (2usize..10, 10usize..80, 3usize..30, any::<u64>()).prop_map(|(inputs, gates, window, seed)| {
@@ -18,8 +20,88 @@ fn dag_config() -> impl Strategy<Value = (RandomDagConfig, u64)> {
     })
 }
 
+/// Bitwise image of a circuit's moments and per-node arrivals.
+fn bits(moments: Moments, arrivals: &[Moments]) -> (u64, u64, Vec<(u64, u64)>) {
+    (
+        moments.mean.to_bits(),
+        moments.var.to_bits(),
+        arrivals
+            .iter()
+            .map(|m| (m.mean.to_bits(), m.var.to_bits()))
+            .collect(),
+    )
+}
+
+/// A from-scratch FULLSSTA session's moments and arrivals, bitwise.
+fn scratch_bits(lib: &Library, netlist: &Netlist) -> (u64, u64, Vec<(u64, u64)>) {
+    let scratch = TimingSession::new(lib, SstaConfig::default(), netlist.clone());
+    bits(scratch.circuit_moments(), scratch.arrivals())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn branch_walk_matches_scratch_after_every_refresh(
+        (cfg, seed) in dag_config(),
+        walk_seed in any::<u64>(),
+        steps in 1usize..40,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let lib = Library::synthetic_90nm();
+        let n = random_dag(cfg, seed, &lib);
+        let gates: Vec<_> = n.gate_ids().collect();
+        let mut parent = TimingSession::new(&lib, SstaConfig::default(), n);
+        let parent_before = bits(parent.refresh(), parent.arrivals());
+        let parent_sizes = parent.sizes();
+
+        let mut branch = parent.fork();
+        let mut rng = StdRng::seed_from_u64(walk_seed);
+        // (gate, size before the resize), newest last.
+        let mut undo = Vec::new();
+        for step in 0..steps {
+            match rng.gen_range(0..6u8) {
+                // Resize a random gate to a random library size.
+                0..=2 => {
+                    let id = gates[rng.gen_range(0..gates.len())];
+                    let g = branch.netlist().gate(id);
+                    let group = lib
+                        .group(g.function().expect("cell"), g.fanins().len())
+                        .expect("validated");
+                    undo.push((id, g.size().expect("cell")));
+                    branch.resize(id, rng.gen_range(0..group.len()));
+                }
+                // Revert the latest resize, with no refresh in between.
+                3 => {
+                    if let Some((id, size)) = undo.pop() {
+                        branch.resize(id, size);
+                    }
+                }
+                _ => {
+                    let got = bits(branch.refresh(), branch.arrivals());
+                    prop_assert_eq!(
+                        got,
+                        scratch_bits(&lib, branch.netlist()),
+                        "step {}: branch drifted from scratch",
+                        step
+                    );
+                    // The parent is untouched until the commit.
+                    prop_assert_eq!(&parent.sizes(), &parent_sizes);
+                    prop_assert_eq!(
+                        &bits(parent.circuit_moments(), parent.arrivals()),
+                        &parent_before
+                    );
+                }
+            }
+        }
+
+        let final_netlist = branch.netlist().clone();
+        let committed = parent.commit(branch).expect("parent stayed at the fork point");
+        let expected = scratch_bits(&lib, &final_netlist);
+        prop_assert_eq!(committed.mean.to_bits(), expected.0);
+        prop_assert_eq!(bits(parent.circuit_moments(), parent.arrivals()), expected);
+        prop_assert_eq!(parent.sizes(), final_netlist.sizes());
+    }
 
     #[test]
     fn arrivals_monotone_along_edges((cfg, seed) in dag_config()) {

@@ -39,10 +39,9 @@
 //!   the weighted `μ + α·σ` objective, plus deterministic baselines. Both
 //!   sizers hold their library through a shared handle (no lifetimes).
 //!   `StatisticalGreedy`'s candidate-evaluation inner loop is parallel:
-//!   each outer pass forks one copy-on-write branch
-//!   ([`TimingSession::fork`](ssta::TimingSession::fork)) per worker,
-//!   scores every `(gate, size)` candidate against the frozen pass-start
-//!   fork base concurrently, and merges the bids in path order — so the
+//!   each outer pass gives every worker its own netlist copy, scores
+//!   every `(gate, size)` candidate against the session's frozen
+//!   pass-start arrivals concurrently, and merges the bids in path order — so the
 //!   chosen resizes, final moments, and area are bit-identical for
 //!   every thread count (`SizerConfig::with_threads`, 0 = all CPUs), just
 //!   like the Monte-Carlo engine.
@@ -60,7 +59,7 @@
 //!   Monte-Carlo [`Yield`](workspace::Request::Yield) at a deadline,
 //!   what-if [`Resize`](workspace::Request::Resize)s, full
 //!   [`Size`](workspace::Request::Size) optimization runs, and named
-//!   copy-on-write circuit versions —
+//!   circuit versions (forked sessions) —
 //!   [`Fork`](workspace::Request::Fork) /
 //!   [`BranchResize`](workspace::Request::BranchResize) /
 //!   [`BranchAnalyze`](workspace::Request::BranchAnalyze) /
@@ -163,12 +162,13 @@
 //! Speculation used to mean mutating the one session and rolling back
 //! (`resize` → measure → `restore_sizes`), or borrowing a
 //! lifetime-bound `TrialSession` that could not leave the stack frame.
-//! Both are superseded by **owned copy-on-write branches**:
-//! [`TimingSession::fork`](ssta::TimingSession::fork) snapshots the
-//! session's state once into a shared base and hands back a
-//! [`SessionBranch`](ssta::SessionBranch) — cheap to create, safe to
-//! send across threads, recomputing only its own divergent fanout cone,
-//! and either committed back or simply dropped. The old
+//! Both are superseded by **owned branches**:
+//! [`TimingSession::fork`](ssta::TimingSession::fork) copies the
+//! session's state once and hands back a
+//! [`SessionBranch`](ssta::SessionBranch) — a forked session, safe to
+//! send across threads, whose refreshes re-time only the gates resized
+//! since its last refresh, and which is either committed back (its state
+//! moves into the parent) or simply dropped. The old
 //! `fork_for_trial`/`TrialSession` shim is gone as of 0.7; branch code
 //! reads like this:
 //!
@@ -184,7 +184,7 @@
 //! let gates: Vec<_> = session.netlist().gate_ids().collect();
 //!
 //! // Speculate on two alternatives at once. Neither touches the
-//! // session; unchanged state is physically shared between them.
+//! // session; each owns its own copy of the state.
 //! let mut upsize = session.fork();
 //! upsize.resize(gates[0], 5);
 //! let mut downsize = session.fork();
@@ -194,11 +194,11 @@
 //! assert_ne!(up.mean.to_bits(), down.mean.to_bits());
 //! assert_eq!(session.circuit_moments(), baseline); // parent untouched
 //!
-//! // Only the divergent cone was recomputed, not the whole circuit.
+//! // Only the resized gate's cone was recomputed, not the whole circuit.
 //! assert!(upsize.recompute_count() > 0);
 //! assert!((upsize.recompute_count() as usize) < session.netlist().node_count());
 //!
-//! // Keep the winner: commit adopts its state without recomputing.
+//! // Keep the winner: commit moves its state in without recomputing.
 //! let committed = session.commit(upsize).expect("parent unchanged since fork");
 //! assert_eq!(committed, up);
 //! assert_eq!(session.netlist().gate(gates[0]).size(), Some(5));

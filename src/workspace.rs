@@ -219,7 +219,8 @@ pub enum ErrorCode {
     /// The branch could not be committed (parent diverged since fork,
     /// pending parent resizes, or a foreign circuit).
     BranchConflict,
-    /// Evaluation panicked; the circuit's session was recovered.
+    /// Evaluation panicked; the circuit's session was recovered and any
+    /// branch the request named was dropped.
     Panic,
     /// The request itself was malformed at the protocol boundary.
     BadRequest,
@@ -380,9 +381,9 @@ pub enum Request {
         /// global optimizers (`lagrangian`, `annealing`) accept this.
         yield_deadline: Option<f64>,
     },
-    /// Fork a named copy-on-write branch of the circuit. The branch
-    /// shares all unchanged state with the circuit's cached session and
-    /// persists across batches until committed or dropped.
+    /// Fork a named branch of the circuit: a private copy of the
+    /// circuit's cached session at its current sizes. It persists across
+    /// batches until committed or dropped.
     Fork {
         /// Target circuit name.
         circuit: String,
@@ -401,19 +402,19 @@ pub enum Request {
         /// New size index into the gate's library cell group.
         size: usize,
     },
-    /// Analyze a named branch: recomputes only the branch's divergent
-    /// fanout cone (memoized and shared with sibling branches at the
-    /// same sizes), bit-identical to a from-scratch analysis.
+    /// Analyze a named branch: recomputes only the fanout cone of the
+    /// gates resized since the branch's last analysis, bit-identical to a
+    /// from-scratch analysis.
     BranchAnalyze {
         /// Target circuit name.
         circuit: String,
         /// Branch name.
         branch: String,
     },
-    /// Commit a named branch back into the circuit: the session adopts
-    /// the branch's sizes and its memoized analysis without recomputing.
-    /// Remaining sibling branches stay readable but can no longer commit
-    /// (their frozen base is stale).
+    /// Commit a named branch back into the circuit: the branch is
+    /// analyzed if it has pending resizes, then the session takes over
+    /// its sizes and analysis. Remaining sibling branches stay readable
+    /// but can no longer commit (their fork point is stale).
     Commit {
         /// Target circuit name.
         circuit: String,
@@ -429,9 +430,9 @@ pub enum Request {
     },
     /// Evaluate N independent what-if trials as anonymous branches of
     /// one circuit, fanned out in parallel over the workspace pool —
-    /// answers in trial order, bit-identical at every pool width. The
-    /// circuit is left untouched; trials share memoized cones when they
-    /// land on the same sizes.
+    /// answers in trial order, bit-identical at every pool width. Each
+    /// trial forks its own branch, so it re-times only its own resizes;
+    /// the circuit is left untouched.
     WhatIfBatch {
         /// Target circuit name.
         circuit: String,
@@ -584,7 +585,7 @@ pub enum Answer {
     Forked {
         /// The new branch's name.
         branch: String,
-        /// Size fingerprint of the frozen base the branch forked from.
+        /// Size fingerprint of the fork point the branch started from.
         fingerprint: u64,
     },
     /// Result of [`Request::BranchResize`] — deliberately cheap: no
@@ -592,7 +593,7 @@ pub enum Answer {
     BranchResized {
         /// The branch.
         branch: String,
-        /// How many gates now differ from the frozen base.
+        /// How many gates now differ from the fork point.
         diverged: usize,
     },
     /// Result of [`Request::BranchAnalyze`] (and each successful
@@ -999,9 +1000,10 @@ impl Workspace {
 }
 
 /// Evaluates one request on one circuit entry, timing it and containing
-/// panics: a panicking evaluation yields [`Answer::Error`] and the
-/// session is restored to the sizes it had before the request and
-/// rebuilt from scratch, so the entry stays serviceable.
+/// panics: a panicking evaluation yields [`Answer::Error`], the session
+/// is restored to the sizes it had before the request and rebuilt from
+/// scratch, and the branch a branch verb named is dropped, so the entry
+/// stays serviceable.
 fn process(
     library: &Arc<Library>,
     config: &WorkspaceConfig,
@@ -1017,11 +1019,22 @@ fn process(
         // analyzed fine before this request, so the rebuild succeeds.
         let _ = entry.session.try_restore_sizes(&sizes_before);
         entry.session.rebuild();
+        // A branch updates its own state in place, so a panic inside a
+        // branch verb may have left it half-refreshed: drop it.
+        let mut recovered = format!("circuit `{}` recovered", entry.name);
+        if let Request::BranchResize { branch, .. }
+        | Request::BranchAnalyze { branch, .. }
+        | Request::Commit { branch, .. } = request
+        {
+            if entry.branches.remove(branch).is_some() {
+                entry.dropped += 1;
+                recovered.push_str(&format!(", branch `{branch}` dropped"));
+            }
+        }
         Answer::error(
             ErrorCode::Panic,
             format!(
-                "request panicked (circuit `{}` recovered): {}",
-                entry.name,
+                "request panicked ({recovered}): {}",
                 panic_message(payload.as_ref())
             ),
         )
@@ -1255,7 +1268,8 @@ fn answer(
                 return unknown_branch(&entry.name, branch);
             };
             // Commit a clone so a rejected commit leaves the branch
-            // readable (the clone is a chunk-shared sibling, not a copy).
+            // readable. The clone copies the branch's session state once;
+            // the commit then moves that copy in.
             match entry.session.commit(b.clone()) {
                 Ok(moments) => {
                     entry.branches.remove(branch);
@@ -1283,19 +1297,16 @@ fn answer(
         }
         Request::WhatIfBatch { trials, .. } => {
             entry.session.refresh();
-            let base_sizes = entry.session.sizes();
             let session = &entry.session;
             let name = entry.name.as_str();
-            // One branch per worker (all sharing one frozen fork base
-            // and one cone memo), one task per trial, outcomes in trial
-            // order — the same discipline as the parallel sizer, so the
-            // answers are bit-identical at every pool width.
+            // One fork per trial (a worker's reused branch would re-time
+            // the previous trial's cone too), outcomes in trial order —
+            // the same discipline as the parallel sizer, so the answers
+            // are bit-identical at every pool width.
             let pool = ScopedPool::new(config.threads);
-            let outcomes = pool.map_init(
-                trials.len(),
-                || session.fork(),
-                |branch, i| what_if_trial(library, name, branch, &base_sizes, &trials[i], i),
-            );
+            let outcomes = pool.map(trials.len(), |i| {
+                what_if_trial(library, name, session.fork(), &trials[i], i)
+            });
             Answer::WhatIf { outcomes }
         }
         Request::Size {
@@ -1539,11 +1550,6 @@ fn validate_resize(
     }
 }
 
-/// Evaluates one [`WhatIfTrial`] on a worker's branch: rewinds the
-/// branch to the base sizes, applies the trial's resizes (validated like
-/// [`Request::Resize`]), and refreshes its divergent cone. A validation
-/// failure or panic answers [`Answer::Error`] for this trial only; the
-/// branch rewinds cleanly for the worker's next trial either way.
 /// Maps a [`SizingOutcome`] from the shared optimizer vocabulary onto
 /// the [`OptimizationReport`] the `Sized` answer has always carried, so
 /// every optimizer speaks the same wire shape. The report's `alpha` is
@@ -1576,17 +1582,17 @@ fn outcome_to_report(outcome: SizingOutcome) -> OptimizationReport {
     )
 }
 
+/// Evaluates one [`WhatIfTrial`] on its own fresh branch: applies the
+/// trial's resizes (validated like [`Request::Resize`]) and refreshes
+/// their cone. A validation failure or panic answers [`Answer::Error`]
+/// for this trial only; the branch is dropped either way.
 fn what_if_trial(
     library: &Library,
     circuit: &str,
-    branch: &mut SessionBranch,
-    base_sizes: &[usize],
+    mut branch: SessionBranch,
     trial: &WhatIfTrial,
     index: usize,
 ) -> Answer {
-    branch
-        .try_restore_sizes(base_sizes)
-        .expect("base sizes come from the branch's own circuit");
     for r in &trial.resizes {
         let id = match validate_resize(library, circuit, branch.netlist(), &r.gate, r.size) {
             Ok(id) => id,

@@ -1,4 +1,4 @@
-//! The copy-on-write branch contracts, end to end.
+//! The branch (forked session) contracts, end to end.
 //!
 //! * N divergent branches of one session evaluate **bit-identically at
 //!   every propagation pool width** — the width is a throughput knob,
@@ -93,8 +93,7 @@ type Signature = (u64, u64, u64, Vec<(u64, u64)>);
 fn branch_signature(branch: &mut SessionBranch) -> Signature {
     let moments = branch.refresh();
     let arrivals = branch
-        .arrival_snapshot()
-        .to_vec()
+        .arrivals()
         .iter()
         .map(|m| (m.mean.to_bits(), m.var.to_bits()))
         .collect();
@@ -174,7 +173,7 @@ fn branch_answers_equal_a_from_scratch_session() {
         );
         assert_eq!(branch_moments.var.to_bits(), scratch_moments.var.to_bits());
         assert_eq!(
-            branch.arrival_snapshot().to_vec().as_slice(),
+            branch.arrivals(),
             scratch.arrivals(),
             "{name}: branch arrivals must equal the from-scratch session's"
         );
