@@ -47,17 +47,17 @@ fn bench_max_ops(c: &mut Criterion) {
             }
         });
     });
+    let pdf_pairs: Vec<(DiscretePdf, DiscretePdf)> = pairs
+        .iter()
+        .take(64)
+        .map(|&(x, y)| {
+            (
+                DiscretePdf::from_moments(x, 12),
+                DiscretePdf::from_moments(y, 12),
+            )
+        })
+        .collect();
     group.bench_function("discrete_pdf_12pt", |b| {
-        let pdf_pairs: Vec<(DiscretePdf, DiscretePdf)> = pairs
-            .iter()
-            .take(64)
-            .map(|&(x, y)| {
-                (
-                    DiscretePdf::from_moments(x, 12),
-                    DiscretePdf::from_moments(y, 12),
-                )
-            })
-            .collect();
         b.iter_batched(
             || pdf_pairs.clone(),
             |ps| {
@@ -67,6 +67,17 @@ fn bench_max_ops(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+    // FULLSSTA's per-node sum: the 144-point convolution rebinned to 12.
+    // The 64 pairs differ in spacing, so the merge order of the
+    // convolution's rows varies from call to call (one repeated pair lets
+    // the branch predictor learn it and overstates the speed).
+    group.bench_function("discrete_pdf_12pt_sum", |b| {
+        b.iter(|| {
+            for (x, y) in &pdf_pairs {
+                black_box(x.add_rebinned(y, 12));
+            }
+        });
     });
     group.finish();
 

@@ -119,7 +119,11 @@ impl CellGroup {
 pub struct Library {
     name: String,
     groups: Vec<CellGroup>,
-    group_index: HashMap<(LogicFunction, usize), usize>,
+    /// Dense `(function, arity)` → group table: slot
+    /// `function as usize * arities + arity`, `arities` = largest group
+    /// arity + 1.
+    group_index: Vec<Option<usize>>,
+    arities: usize,
     name_index: HashMap<String, (usize, usize)>,
 }
 
@@ -143,10 +147,11 @@ impl Library {
     /// share a name.
     #[must_use]
     pub fn new(name: String, groups: Vec<CellGroup>) -> Self {
-        let mut group_index = HashMap::new();
+        let arities = groups.iter().map(|g| g.arity() + 1).max().unwrap_or(0);
+        let mut group_index = vec![None; LogicFunction::ALL.len() * arities];
         let mut name_index = HashMap::new();
         for (gi, g) in groups.iter().enumerate() {
-            let prev = group_index.insert((g.function(), g.arity()), gi);
+            let prev = group_index[g.function() as usize * arities + g.arity()].replace(gi);
             assert!(
                 prev.is_none(),
                 "duplicate group {:?}/{}",
@@ -162,6 +167,7 @@ impl Library {
             name,
             groups,
             group_index,
+            arities,
             name_index,
         }
     }
@@ -181,9 +187,10 @@ impl Library {
     /// The size ladder for `(function, arity)`, if present.
     #[must_use]
     pub fn group(&self, function: LogicFunction, arity: usize) -> Option<&CellGroup> {
-        self.group_index
-            .get(&(function, arity))
-            .map(|&i| &self.groups[i])
+        if arity >= self.arities {
+            return None;
+        }
+        self.group_index[function as usize * self.arities + arity].map(|i| &self.groups[i])
     }
 
     /// The cell for `(function, arity)` at size index `drive_index`.
@@ -356,6 +363,29 @@ mod tests {
                 g.arity(),
                 g.len()
             );
+        }
+    }
+
+    #[test]
+    fn group_table_matches_a_linear_search() {
+        let full = Library::synthetic_90nm();
+        // A sparse subset (every third group) and an empty library probe
+        // the table's holes and its arity bound.
+        let sparse = Library::new(
+            "sparse".into(),
+            full.groups().iter().step_by(3).cloned().collect(),
+        );
+        let empty = Library::new("empty".into(), Vec::new());
+        for lib in [&full, &sparse, &empty] {
+            for f in LogicFunction::ALL {
+                for k in 0..=8 {
+                    let want = lib
+                        .groups()
+                        .iter()
+                        .find(|g| g.function() == f && g.arity() == k);
+                    assert_eq!(lib.group(f, k), want, "{}: {f:?}/{k}", lib.name());
+                }
+            }
         }
     }
 

@@ -39,6 +39,8 @@ pub struct NetlistBuilder {
     nodes: Vec<Gate>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
+    /// Membership flags for `outputs`, indexed by node (grown on demand).
+    output_flags: Vec<bool>,
     name_index: HashMap<String, GateId>,
     registers: Vec<(GateId, Option<GateId>)>,
     errors: Vec<NetlistError>,
@@ -53,6 +55,7 @@ impl NetlistBuilder {
             nodes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            output_flags: Vec::new(),
             name_index: HashMap::new(),
             registers: Vec::new(),
             errors: Vec::new(),
@@ -139,7 +142,12 @@ impl NetlistBuilder {
     /// Marks a node as a primary output. Marking the same node twice is
     /// idempotent.
     pub fn mark_output(&mut self, id: GateId) {
-        if !self.outputs.contains(&id) {
+        let i = id.index();
+        if i >= self.output_flags.len() {
+            self.output_flags.resize(i + 1, false);
+        }
+        if !self.output_flags[i] {
+            self.output_flags[i] = true;
             self.outputs.push(id);
         }
     }
@@ -175,11 +183,14 @@ impl NetlistBuilder {
             };
             registers.push(Register::new(name, q, d));
         }
+        let flags = self.output_flags.len().max(self.nodes.len());
+        self.output_flags.resize(flags, false);
         Ok(Netlist::from_parts(
             self.name,
             self.nodes,
             self.inputs,
             self.outputs,
+            self.output_flags,
             self.name_index,
             registers,
         ))
@@ -244,10 +255,14 @@ mod tests {
         let mut b = NetlistBuilder::new("t");
         let a = b.input("a");
         let g = b.gate("g", LogicFunction::Inv, &[a]);
+        let h = b.gate("h", LogicFunction::Inv, &[g]);
         b.mark_output(g);
+        b.mark_output(h);
         b.mark_output(g);
+        b.mark_output(h);
         let n = b.build().expect("valid");
-        assert_eq!(n.output_count(), 1);
+        assert_eq!(n.outputs(), &[g, h], "first-mark order, no repeats");
+        assert!(n.is_output(g) && n.is_output(h) && !n.is_output(a));
     }
 
     #[test]

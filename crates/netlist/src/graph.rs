@@ -192,6 +192,10 @@ pub struct Netlist {
     nodes: Vec<Gate>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
+    /// `output_flags[i]` is true iff node `i` is in `outputs` — the O(1)
+    /// form of [`Netlist::is_output`], kept in step with `outputs`; at
+    /// least one entry per node.
+    output_flags: Vec<bool>,
     name_index: HashMap<String, GateId>,
     registers: Vec<Register>,
 }
@@ -202,6 +206,7 @@ impl Netlist {
         nodes: Vec<Gate>,
         inputs: Vec<GateId>,
         outputs: Vec<GateId>,
+        output_flags: Vec<bool>,
         name_index: HashMap<String, GateId>,
         registers: Vec<Register>,
     ) -> Self {
@@ -210,6 +215,7 @@ impl Netlist {
             nodes,
             inputs,
             outputs,
+            output_flags,
             name_index,
             registers,
         }
@@ -268,7 +274,7 @@ impl Netlist {
     /// Whether `id` is marked as a primary output.
     #[must_use]
     pub fn is_output(&self, id: GateId) -> bool {
-        self.outputs.contains(&id)
+        self.output_flags.get(id.index()).copied().unwrap_or(false)
     }
 
     /// The register cut, in Q-gate construction order (empty for a
@@ -321,8 +327,9 @@ impl Netlist {
         let mut marked = self.clone();
         for r in &self.registers {
             let d = r.d();
-            if !self.gate(d).is_input() && !marked.outputs.contains(&d) {
+            if !self.gate(d).is_input() && !marked.is_output(d) {
                 marked.outputs.push(d);
+                marked.output_flags[d.index()] = true;
             }
         }
         marked

@@ -2,10 +2,48 @@
 
 use proptest::prelude::*;
 use vartol_liberty::Library;
-use vartol_netlist::generators::{random_dag, RandomDagConfig};
+use vartol_netlist::generators::{pipeline_adder, random_dag, shift_register_dag, RandomDagConfig};
 use vartol_netlist::iscas::{parse_bench, write_bench};
 use vartol_netlist::sim::{random_inputs, simulate};
-use vartol_netlist::Subcircuit;
+use vartol_netlist::{GateId, Netlist, Subcircuit};
+
+/// `is_output` — a per-node flag — agrees with a scan of `outputs()` on
+/// every node of `n` and of its endpoint-marked view, and is false past
+/// the node table.
+fn assert_output_flags_match(n: &Netlist) {
+    for view in [n.clone(), n.endpoint_marked()] {
+        for id in view.node_ids() {
+            assert_eq!(
+                view.is_output(id),
+                view.outputs().contains(&id),
+                "{}: {id}",
+                view.name()
+            );
+        }
+        for past in [view.node_count(), view.node_count() + 1, usize::MAX >> 33] {
+            assert!(!view.is_output(GateId::from_index(past)), "{}", view.name());
+        }
+    }
+}
+
+#[test]
+fn output_flags_match_the_output_list_on_shipped_and_sequential_netlists() {
+    let lib = Library::synthetic_90nm();
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data");
+    let mut benches = 0;
+    for entry in std::fs::read_dir(data).expect("data directory") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "bench") {
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let name = path.file_stem().expect("stem").to_string_lossy();
+            assert_output_flags_match(&parse_bench(&text, &name).expect("parses"));
+            benches += 1;
+        }
+    }
+    assert!(benches >= 5, "found {benches} .bench files");
+    assert_output_flags_match(&pipeline_adder(4, &lib));
+    assert_output_flags_match(&shift_register_dag(6, &lib));
+}
 
 fn dag_config() -> impl Strategy<Value = (RandomDagConfig, u64)> {
     (2usize..12, 5usize..120, 2usize..40, any::<u64>()).prop_map(|(inputs, gates, window, seed)| {
@@ -22,6 +60,11 @@ fn dag_config() -> impl Strategy<Value = (RandomDagConfig, u64)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn output_flags_match_the_output_list_on_random_dags((cfg, seed) in dag_config()) {
+        assert_output_flags_match(&random_dag(cfg, seed, &Library::synthetic_90nm()));
+    }
 
     #[test]
     fn random_dags_satisfy_invariants((cfg, seed) in dag_config()) {

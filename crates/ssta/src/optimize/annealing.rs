@@ -239,7 +239,7 @@ impl AnnealingSizer {
         for _ in 0..self.config.moves {
             let (g, group_len) = resizable[rng.next_below(resizable.len() as u64) as usize];
             let proposal = rng.next_below(group_len as u64) as usize;
-            let current = branch.sizes()[g.index()];
+            let current = branch.netlist().gate(g).size().expect("a resizable cell");
             // A same-size proposal still advances the stream (and the
             // schedule) so the walk is a pure function of the seed.
             if proposal != current {
@@ -278,7 +278,7 @@ impl AnnealingSizer {
             loop {
                 let mut changed = false;
                 for &(g, _) in resizable.iter().rev() {
-                    let current = branch.sizes()[g.index()];
+                    let current = branch.netlist().gate(g).size().expect("a resizable cell");
                     let mut kept = current;
                     for size in (0..current).rev() {
                         branch.resize(g, size);

@@ -401,7 +401,7 @@ impl Sizer for LagrangianSizer {
             loop {
                 let mut changed = false;
                 for &g in probed.iter().rev() {
-                    let current = session.sizes()[g.index()];
+                    let current = session.netlist().gate(g).size().expect("a resizable cell");
                     let mut kept = current;
                     for size in (0..current).rev() {
                         session.resize(g, size);

@@ -71,6 +71,7 @@ use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingReport};
 use crate::pool::ScopedPool;
 use crate::variation::{condition_moments, mix_conditional_moments};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
@@ -302,16 +303,16 @@ pub(crate) struct LaneView<'a> {
     schedule: &'a LevelSchedule,
 }
 
-impl LaneView<'_> {
+impl<'a> LaneView<'a> {
     fn arrival(&self, id: GateId) -> Moments {
         self.arena.arrivals[self.arena.idx(self.lane, self.schedule.slot(id))]
     }
 
-    fn pdf(&self, id: GateId) -> &DiscretePdf {
+    fn pdf(&self, id: GateId) -> &'a DiscretePdf {
         &self.arena.pdfs[self.arena.idx(self.lane, self.schedule.slot(id))]
     }
 
-    fn contrib(&self, id: GateId) -> &[f64] {
+    fn contrib(&self, id: GateId) -> &'a [f64] {
         &self.arena.contribs[self.arena.idx(self.lane, self.schedule.slot(id))]
     }
 
@@ -588,7 +589,8 @@ impl TimingState {
                             damp,
                         )
                         .expect("netlists have at least one output")
-                        .0;
+                        .0
+                        .into_owned();
                         (v.weight(), pdf)
                     })
                     .collect();
@@ -646,7 +648,8 @@ impl TimingState {
                     1.0,
                 )
                 .expect("netlists have at least one output")
-                .0;
+                .0
+                .into_owned();
                 CircuitSummary {
                     moments: pdf.moments(),
                     pdf: Some(pdf),
@@ -799,16 +802,17 @@ fn lane_pdf(
     let track = view.arena.track();
     let damp = view.arena.damp();
     let acc = reduce_correlated_outputs(view, g.fanins().iter().copied(), n, track, damp);
-    let (arrival, mut v) = acc.unwrap_or_else(|| {
+    let (arrival, v) = acc.unwrap_or_else(|| {
         (
-            DiscretePdf::deterministic(0.0),
+            Cow::Owned(DiscretePdf::deterministic(0.0)),
             if track {
-                vec![0.0; schedule.level_count()]
+                Cow::Owned(vec![0.0; schedule.level_count()])
             } else {
-                Vec::new()
+                Cow::Borrowed(&[])
             },
         )
     });
+    let mut v = v.into_owned();
     let delay_m = condition_moments(timing.delay_moments(id), view.shift(), resid);
     let delay = DiscretePdf::from_moments(delay_m, n);
     let pdf = arrival.add_rebinned(&delay, n);
@@ -824,28 +828,26 @@ fn lane_pdf(
 
 /// Folds the arrival PDFs (and contribution vectors) of `ids` with
 /// [`correlated_max`] — the one reduction both node propagation and the
-/// circuit-level output RV use, reading one lane of the arena.
-fn reduce_correlated_outputs(
-    view: &LaneView<'_>,
-    ids: impl Iterator<Item = GateId>,
+/// circuit-level output RV use, reading one lane of the arena. A single
+/// id comes back borrowed: nothing is copied until a max needs it.
+fn reduce_correlated_outputs<'a>(
+    view: &LaneView<'a>,
+    mut ids: impl Iterator<Item = GateId>,
     n: usize,
     track: bool,
     damp: f64,
-) -> Option<(DiscretePdf, Vec<f64>)> {
-    let mut acc: Option<(DiscretePdf, Vec<f64>)> = None;
+) -> Option<(Cow<'a, DiscretePdf>, Cow<'a, [f64]>)> {
+    let contrib = |id| if track { view.contrib(id) } else { &[] };
+    let first = ids.next()?;
+    let mut acc = (
+        Cow::Borrowed(view.pdf(first)),
+        Cow::Borrowed(contrib(first)),
+    );
     for id in ids {
-        let p = view.pdf(id);
-        let v = if track {
-            view.contrib(id).to_vec()
-        } else {
-            Vec::new()
-        };
-        acc = Some(match acc {
-            None => (p.clone(), v),
-            Some((apdf, av)) => correlated_max(&apdf, av, p, &v, n, track, damp),
-        });
+        let (pdf, v) = correlated_max(&acc.0, &acc.1, view.pdf(id), contrib(id), n, track, damp);
+        acc = (Cow::Owned(pdf), Cow::Owned(v));
     }
-    acc
+    Some(acc)
 }
 
 /// The weighted mixture of per-lane PDFs, rebinned to `n` support points
@@ -883,7 +885,7 @@ pub(crate) const CONDITIONED_OVERLAP_DAMPING: f64 = 0.5;
 /// kernel, shared by from-scratch and incremental analysis).
 pub(crate) fn correlated_max(
     a: &DiscretePdf,
-    av: Vec<f64>,
+    av: &[f64],
     b: &DiscretePdf,
     bv: &[f64],
     n: usize,
@@ -891,11 +893,11 @@ pub(crate) fn correlated_max(
     damp: f64,
 ) -> (DiscretePdf, Vec<f64>) {
     if !track {
-        return (a.max_rebinned(b, n), av);
+        return (a.max_rebinned(b, n), Vec::new());
     }
     let ma = a.moments();
     let mb = b.moments();
-    let rho = overlap_correlation(&av, bv, ma.var, mb.var, damp);
+    let rho = overlap_correlation(av, bv, ma.var, mb.var, damp);
     let cm = clark_max_correlated(ma, mb, rho);
     let shape = a.max(b);
     let pdf = shape.with_moments(cm.max, n).rebin(n);

@@ -13,6 +13,37 @@
 //! After every operation the support is re-discretized ("rebinned") back to
 //! the configured sample count so cost stays bounded along arbitrarily deep
 //! circuits.
+//!
+//! # Cost and bit-identity
+//!
+//! Each operation gives the same bits as its textbook form: sort every
+//! point, merge duplicates, normalize, then bin into arrays. It gets
+//! there with less work:
+//!
+//! * **sum** merges the convolution's rows instead of sorting them. Row
+//!   `i` (`a_i + b_j` over increasing `j`) is already sorted, since
+//!   rounding is monotone and `x + y` is -0.0 only when both terms are.
+//!   A stable bottom-up merge of sorted runs gives exactly the order of a
+//!   stable sort. A tie takes the left run first, so ties keep row-major
+//!   order. Points carry the integer key that `f64::total_cmp` compares.
+//! * **max** merges its two sorted supports.
+//! * **rebin** takes the mean and the bin sums in one pass. Sorted points
+//!   visit the bins in order, so a bin's sums are final once the next bin
+//!   starts.
+//!
+//! The rules that keep the bits equal:
+//!
+//! * Sums fold left to right from -0.0, as `f64`'s `Sum` does.
+//! * Zero-mass points are dropped before duplicate values merge.
+//! * Divisions stay divisions: no reciprocal, no `mul_add`.
+//!
+//! The merges rely on every support being sorted under `total_cmp`. Every
+//! constructor keeps it so: `shift`, `scale` and the moment-matching
+//! stretches are monotone maps, and they never turn a `+0.0` before a
+//! `-0.0`. Debug builds assert it.
+//!
+//! `tests/proptest_stats.rs` pins all of this against a verbatim copy of
+//! the old algorithms.
 
 use crate::moments::Moments;
 use crate::normal::Normal;
@@ -59,23 +90,19 @@ impl DiscretePdf {
     /// mass is zero, or any value is non-finite.
     #[must_use]
     pub fn from_points(points: Vec<(f64, f64)>) -> Self {
-        assert!(
-            !points.is_empty(),
-            "a discrete pdf needs at least one point"
-        );
-        let mut pts: Vec<(f64, f64)> = points;
-        for &(v, p) in &pts {
-            assert!(v.is_finite(), "support value must be finite, got {v}");
-            assert!(
-                p.is_finite() && p >= 0.0,
-                "probability must be finite and non-negative, got {p}"
-            );
-        }
-        pts.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let mut points: Vec<Keyed> = points.into_iter().map(keyed).collect();
+        check_points(&points);
+        points.sort_by_key(|x| x.0);
+        Self::from_sorted(points)
+    }
 
-        let mut values = Vec::with_capacity(pts.len());
-        let mut probs = Vec::with_capacity(pts.len());
-        for (v, p) in pts {
+    /// The tail of [`from_points`](Self::from_points): merges duplicate
+    /// values and normalizes `points`, which are checked and stably
+    /// sorted by key.
+    fn from_sorted(points: Vec<Keyed>) -> Self {
+        let mut values = Vec::with_capacity(points.len());
+        let mut probs = Vec::with_capacity(points.len());
+        for (_, v, p) in points {
             if p == 0.0 {
                 continue;
             }
@@ -182,7 +209,11 @@ impl DiscretePdf {
     /// Variance of the distribution.
     #[must_use]
     pub fn var(&self) -> f64 {
-        let m = self.mean();
+        self.var_about(self.mean())
+    }
+
+    /// Variance given the distribution's own mean `m`.
+    fn var_about(&self, m: f64) -> f64 {
         let v: f64 = self
             .values
             .iter()
@@ -282,34 +313,45 @@ impl DiscretePdf {
     #[must_use]
     pub fn add(&self, other: &Self) -> Self {
         let mut points = Vec::with_capacity(self.len() * other.len());
+        let mut valid = true;
         for (va, pa) in self.values.iter().zip(&self.probs) {
             for (vb, pb) in other.values.iter().zip(&other.probs) {
-                points.push((va + vb, pa * pb));
+                let (v, p) = (va + vb, pa * pb);
+                valid &= v.is_finite() & p.is_finite() & (p >= 0.0);
+                points.push(keyed((v, p)));
             }
         }
-        Self::from_points(points)
+        if !valid {
+            check_points(&points);
+        }
+        // With `other` sorted, row `i` — `a_i + b_j` over increasing `j`
+        // — is sorted too (rounding is monotone, and `x + y` is -0.0 only
+        // when both are), so merging the rows is the stable sort.
+        merge_runs(&mut points, other.len());
+        Self::from_sorted(points)
     }
 
     /// Max of independent random variables via CDF multiplication:
     /// `F_max(x) = F_A(x) · F_B(x)` evaluated on the merged support.
     #[must_use]
     pub fn max(&self, other: &Self) -> Self {
-        // Merged, deduplicated support.
-        let mut support: Vec<f64> = self
+        // Merged, deduplicated support: the two sorted supports are two
+        // runs (any longer run splits into sorted chunks of the first).
+        let mut support: Vec<Keyed> = self
             .values
             .iter()
-            .chain(other.values.iter())
-            .copied()
+            .chain(&other.values)
+            .map(|&v| keyed((v, 0.0)))
             .collect();
-        support.sort_by(f64::total_cmp);
-        support.dedup();
+        merge_runs(&mut support, self.len());
+        support.dedup_by(|x, kept| x.1 == kept.1);
 
         // Running CDFs over the merged support, then difference to masses.
         let mut points = Vec::with_capacity(support.len());
         let mut prev = 0.0;
         let (mut ia, mut ib) = (0usize, 0usize);
         let (mut fa, mut fb) = (0.0f64, 0.0f64);
-        for &x in &support {
+        for &(_, x, _) in &support {
             while ia < self.len() && self.values[ia] <= x {
                 fa += self.probs[ia];
                 ia += 1;
@@ -321,11 +363,13 @@ impl DiscretePdf {
             let f = (fa * fb).min(1.0);
             let mass = f - prev;
             if mass > 0.0 {
-                points.push((x, mass));
+                points.push(keyed((x, mass)));
             }
             prev = f;
         }
-        Self::from_points(points)
+        // `support` is sorted, so `points` is too.
+        check_points(&points);
+        Self::from_sorted(points)
     }
 
     /// Re-discretizes onto at most `n` equal-width bins spanning the current
@@ -349,24 +393,31 @@ impl DiscretePdf {
         if hi - lo <= 0.0 {
             return Self::deterministic(lo);
         }
-        let target_mean = self.mean();
-        let target_var = self.var();
-
         let width = (hi - lo) / n as f64;
-        let mut mass = vec![0.0f64; n];
-        let mut weighted = vec![0.0f64; n];
-        for (v, p) in self.values.iter().zip(&self.probs) {
+        // One pass: the mean, plus the bins — sorted points visit them
+        // in order, so a bin's sums are final once the next bin starts.
+        // The mean folds from -0.0, as `f64`'s `Sum` does.
+        debug_assert!(self.values.is_sorted_by(|x, y| x.total_cmp(y).is_le()));
+        let mut points = Vec::with_capacity(n);
+        let mut target_mean = -0.0;
+        let (mut bin, mut mass, mut weighted) = (0, 0.0f64, 0.0f64);
+        for (&v, &p) in self.values.iter().zip(&self.probs) {
+            target_mean += v * p;
             let idx = (((v - lo) / width) as usize).min(n - 1);
-            mass[idx] += p;
-            weighted[idx] += p * v;
+            if idx != bin {
+                if mass > 0.0 {
+                    points.push((weighted / mass, mass));
+                }
+                (bin, mass, weighted) = (idx, 0.0, 0.0);
+            }
+            mass += p;
+            weighted += p * v;
         }
-        let coarse = Self::from_points(
-            mass.iter()
-                .zip(&weighted)
-                .filter(|(m, _)| **m > 0.0)
-                .map(|(m, w)| (w / m, *m))
-                .collect(),
-        );
+        if mass > 0.0 {
+            points.push((weighted / mass, mass));
+        }
+        let target_var = self.var_about(target_mean);
+        let mut coarse = Self::from_points(points);
 
         // Variance correction: stretch the support about the mean.
         let got_var = coarse.var();
@@ -374,14 +425,10 @@ impl DiscretePdf {
             return coarse;
         }
         let k = (target_var / got_var).sqrt();
-        Self {
-            values: coarse
-                .values
-                .iter()
-                .map(|v| target_mean + k * (v - target_mean))
-                .collect(),
-            probs: coarse.probs,
+        for v in &mut coarse.values {
+            *v = target_mean + k * (*v - target_mean);
         }
+        coarse
     }
 
     /// Affinely rescales the support so the distribution matches `target`
@@ -425,6 +472,73 @@ impl DiscretePdf {
     pub fn max_rebinned(&self, other: &Self, n: usize) -> Self {
         self.max(other).rebin(n)
     }
+}
+
+/// A support point with its sort key: `(total_key(value), value, mass)`.
+type Keyed = (i64, f64, f64);
+
+/// `(value, mass)` with its sort key.
+fn keyed((v, p): (f64, f64)) -> Keyed {
+    (total_key(v), v, p)
+}
+
+/// The input checks of [`DiscretePdf::from_points`], in its order.
+fn check_points(points: &[Keyed]) {
+    assert!(
+        !points.is_empty(),
+        "a discrete pdf needs at least one point"
+    );
+    for &(_, v, p) in points {
+        assert!(v.is_finite(), "support value must be finite, got {v}");
+        assert!(
+            p.is_finite() && p >= 0.0,
+            "probability must be finite and non-negative, got {p}"
+        );
+    }
+}
+
+/// The integer whose order is `f64::total_cmp`'s order — the transform
+/// `total_cmp` itself applies, done once per point instead of per
+/// comparison.
+fn total_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Stable bottom-up merge of `points`, given as consecutive sorted runs
+/// of `run` points (the last may be shorter), into one sorted sequence.
+/// On a tie the left run — the earlier points — goes first, which is
+/// exactly the order a stable sort keeps.
+fn merge_runs(points: &mut Vec<Keyed>, mut run: usize) {
+    debug_assert!(points
+        .chunks(run.max(1))
+        .all(|r| r.is_sorted_by_key(|x| x.0)));
+    let len = points.len();
+    if run == 0 || run >= len {
+        return;
+    }
+    let mut src = std::mem::take(points);
+    let mut dst = vec![(0, 0.0, 0.0); len];
+    while run < len {
+        for start in (0..len).step_by(2 * run) {
+            let mid = (start + run).min(len);
+            let end = (start + 2 * run).min(len);
+            let (mut i, mut j) = (start, mid);
+            for out in &mut dst[start..end] {
+                let right = i >= mid || (j < end && src[j].0 < src[i].0);
+                *out = if right {
+                    j += 1;
+                    src[j - 1]
+                } else {
+                    i += 1;
+                    src[i - 1]
+                };
+            }
+        }
+        std::mem::swap(&mut src, &mut dst);
+        run *= 2;
+    }
+    *points = src;
 }
 
 impl std::fmt::Display for DiscretePdf {

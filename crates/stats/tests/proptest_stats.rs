@@ -310,3 +310,325 @@ proptest! {
         }
     }
 }
+
+/// A verbatim copy of `DiscretePdf`'s operations as they were before the
+/// merged-runs convolution (general sort in `from_points`, `max` over a
+/// chained-sorted-deduplicated support, `rebin` through two bin arrays),
+/// kept as the oracle the current ones must match bit for bit.
+mod oracle {
+    use vartol_stats::{Moments, Normal};
+
+    const SUPPORT_SIGMAS: f64 = 4.0;
+
+    #[derive(Debug, Clone)]
+    pub struct Pdf {
+        pub values: Vec<f64>,
+        pub probs: Vec<f64>,
+    }
+
+    impl Pdf {
+        pub fn from_points(points: Vec<(f64, f64)>) -> Self {
+            assert!(
+                !points.is_empty(),
+                "a discrete pdf needs at least one point"
+            );
+            let mut pts: Vec<(f64, f64)> = points;
+            for &(v, p) in &pts {
+                assert!(v.is_finite(), "support value must be finite, got {v}");
+                assert!(
+                    p.is_finite() && p >= 0.0,
+                    "probability must be finite and non-negative, got {p}"
+                );
+            }
+            pts.sort_by(|x, y| x.0.total_cmp(&y.0));
+
+            let mut values = Vec::with_capacity(pts.len());
+            let mut probs = Vec::with_capacity(pts.len());
+            for (v, p) in pts {
+                if p == 0.0 {
+                    continue;
+                }
+                if let Some(last) = values.last() {
+                    if v - last == 0.0 {
+                        *probs.last_mut().expect("probs parallel to values") += p;
+                        continue;
+                    }
+                }
+                values.push(v);
+                probs.push(p);
+            }
+            assert!(
+                !values.is_empty(),
+                "total probability mass must be positive"
+            );
+            let total: f64 = probs.iter().sum();
+            assert!(total > 0.0, "total probability mass must be positive");
+            for p in &mut probs {
+                *p /= total;
+            }
+            Self { values, probs }
+        }
+
+        pub fn deterministic(value: f64) -> Self {
+            Self::from_points(vec![(value, 1.0)])
+        }
+
+        pub fn from_normal(mean: f64, sigma: f64, n: usize) -> Self {
+            assert!(n > 0, "need at least one sample point");
+            if sigma == 0.0 {
+                return Self::deterministic(mean);
+            }
+            let dist = Normal::new(mean, sigma);
+            let lo = mean - SUPPORT_SIGMAS * sigma;
+            let hi = mean + SUPPORT_SIGMAS * sigma;
+            let width = (hi - lo) / n as f64;
+            let mut points = Vec::with_capacity(n);
+            for i in 0..n {
+                let a = lo + i as f64 * width;
+                let b = a + width;
+                let mass = dist.cdf(b) - dist.cdf(a);
+                points.push((0.5 * (a + b), mass));
+            }
+            Self::from_points(points)
+        }
+
+        pub fn from_moments(m: Moments, n: usize) -> Self {
+            Self::from_normal(m.mean, m.std(), n)
+        }
+
+        fn len(&self) -> usize {
+            self.values.len()
+        }
+
+        pub fn mean(&self) -> f64 {
+            self.values
+                .iter()
+                .zip(&self.probs)
+                .map(|(v, p)| v * p)
+                .sum()
+        }
+
+        pub fn var(&self) -> f64 {
+            let m = self.mean();
+            let v: f64 = self
+                .values
+                .iter()
+                .zip(&self.probs)
+                .map(|(v, p)| (v - m) * (v - m) * p)
+                .sum();
+            v.max(0.0)
+        }
+
+        pub fn add(&self, other: &Self) -> Self {
+            let mut points = Vec::with_capacity(self.len() * other.len());
+            for (va, pa) in self.values.iter().zip(&self.probs) {
+                for (vb, pb) in other.values.iter().zip(&other.probs) {
+                    points.push((va + vb, pa * pb));
+                }
+            }
+            Self::from_points(points)
+        }
+
+        pub fn max(&self, other: &Self) -> Self {
+            let mut support: Vec<f64> = self
+                .values
+                .iter()
+                .chain(other.values.iter())
+                .copied()
+                .collect();
+            support.sort_by(f64::total_cmp);
+            support.dedup();
+
+            let mut points = Vec::with_capacity(support.len());
+            let mut prev = 0.0;
+            let (mut ia, mut ib) = (0usize, 0usize);
+            let (mut fa, mut fb) = (0.0f64, 0.0f64);
+            for &x in &support {
+                while ia < self.len() && self.values[ia] <= x {
+                    fa += self.probs[ia];
+                    ia += 1;
+                }
+                while ib < other.len() && other.values[ib] <= x {
+                    fb += other.probs[ib];
+                    ib += 1;
+                }
+                let f = (fa * fb).min(1.0);
+                let mass = f - prev;
+                if mass > 0.0 {
+                    points.push((x, mass));
+                }
+                prev = f;
+            }
+            Self::from_points(points)
+        }
+
+        pub fn rebin(&self, n: usize) -> Self {
+            assert!(n > 0, "need at least one bin");
+            if self.len() <= n {
+                return self.clone();
+            }
+            let lo = self.values[0];
+            let hi = *self.values.last().expect("non-empty");
+            if hi - lo <= 0.0 {
+                return Self::deterministic(lo);
+            }
+            let target_mean = self.mean();
+            let target_var = self.var();
+
+            let width = (hi - lo) / n as f64;
+            let mut mass = vec![0.0f64; n];
+            let mut weighted = vec![0.0f64; n];
+            for (v, p) in self.values.iter().zip(&self.probs) {
+                let idx = (((v - lo) / width) as usize).min(n - 1);
+                mass[idx] += p;
+                weighted[idx] += p * v;
+            }
+            let coarse = Self::from_points(
+                mass.iter()
+                    .zip(&weighted)
+                    .filter(|(m, _)| **m > 0.0)
+                    .map(|(m, w)| (w / m, *m))
+                    .collect(),
+            );
+
+            let got_var = coarse.var();
+            if got_var <= 0.0 || target_var <= 0.0 {
+                return coarse;
+            }
+            let k = (target_var / got_var).sqrt();
+            Self {
+                values: coarse
+                    .values
+                    .iter()
+                    .map(|v| target_mean + k * (v - target_mean))
+                    .collect(),
+                probs: coarse.probs,
+            }
+        }
+
+        pub fn with_moments(&self, target: Moments, fallback_samples: usize) -> Self {
+            let v0 = self.var();
+            if target.var <= 0.0 {
+                return Self::deterministic(target.mean);
+            }
+            if v0 <= 0.0 {
+                return Self::from_moments(target, fallback_samples);
+            }
+            let m0 = self.mean();
+            let k = (target.var / v0).sqrt();
+            Self {
+                values: self
+                    .values
+                    .iter()
+                    .map(|x| target.mean + k * (x - m0))
+                    .collect(),
+                probs: self.probs.clone(),
+            }
+        }
+    }
+}
+
+fn pdf_bits(values: &[f64], probs: &[f64]) -> (Vec<u64>, Vec<u64>) {
+    (
+        values.iter().map(|v| v.to_bits()).collect(),
+        probs.iter().map(|p| p.to_bits()).collect(),
+    )
+}
+
+fn assert_same(what: &str, case: usize, got: &DiscretePdf, want: &oracle::Pdf) {
+    assert_eq!(
+        pdf_bits(got.values(), got.probs()),
+        pdf_bits(&want.values, &want.probs),
+        "{what} differs from the oracle in case {case}: {got:?} vs {want:?}"
+    );
+}
+
+/// Raw `(value, mass)` points for the oracle comparison, drawn to hit the
+/// cases where a merge could disagree with a sort: values on a coarse
+/// grid (so sums tie three ways and more, with masses whose summation
+/// order shows in the bits), negative supports, signed zeros, negative
+/// subnormals (whose products round to -0.0), zero masses and masses so
+/// small that their products underflow to zero.
+fn oracle_points(rng: &mut StdRng) -> Vec<(f64, f64)> {
+    let k = if rng.gen_bool(0.15) {
+        1
+    } else {
+        rng.gen_range(1..=16usize)
+    };
+    let mode = rng.gen_range(0..4u32);
+    let step = [0.25, 0.5, 1.0][rng.gen_range(0..3usize)];
+    let mut points: Vec<(f64, f64)> = (0..k)
+        .map(|_| {
+            let v = match mode {
+                0 => f64::from(rng.gen_range(-6..=6i32)) * step,
+                1 => -1000.0 + 2000.0 * rng.gen::<f64>(),
+                2 => -f64::from(rng.gen_range(0..=20u32)) * 5e-324,
+                _ => [0.0, -0.0, 1.0, -1.0][rng.gen_range(0..4usize)],
+            };
+            let p = match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => 1e-170,
+                2 => 0.5,
+                _ => rng.gen::<f64>(),
+            };
+            (v, p)
+        })
+        .collect();
+    if points.iter().all(|&(_, p)| p == 0.0) {
+        points[0].1 = 1.0;
+    }
+    points
+}
+
+/// The merged-runs `add`, the one-pass `rebin` and the merge-based `max`
+/// reproduce the old algorithms bit for bit.
+#[test]
+fn discrete_pdf_ops_match_the_sorting_oracle_bit_for_bit() {
+    // The one-pass rebin folds its mean by hand from -0.0; that equals
+    // `f64`'s `Sum` only because `Sum` folds from -0.0 too.
+    assert_eq!(
+        [-0.0f64].into_iter().sum::<f64>().to_bits(),
+        (-0.0f64).to_bits()
+    );
+    let mut rng = StdRng::seed_from_u64(0x0dac_1501);
+    for case in 0..10_000 {
+        let (pa, pb) = (oracle_points(&mut rng), oracle_points(&mut rng));
+        let n = rng.gen_range(1..=16usize);
+        let (a, b) = (
+            DiscretePdf::from_points(pa.clone()),
+            DiscretePdf::from_points(pb.clone()),
+        );
+        let (oa, ob) = (oracle::Pdf::from_points(pa), oracle::Pdf::from_points(pb));
+        assert_same("from_points", case, &a, &oa);
+        assert_same("from_points", case, &b, &ob);
+
+        let (sum, osum) = (a.add(&b), oa.add(&ob));
+        assert_same("add", case, &sum, &osum);
+        assert_same("add_rebinned", case, &a.add_rebinned(&b, n), &osum.rebin(n));
+        assert_same("rebin", case, &sum.rebin(n), &osum.rebin(n));
+        assert_same("rebin", case, &a.rebin(n), &oa.rebin(n));
+
+        let (max, omax) = (a.max(&b), oa.max(&ob));
+        assert_same("max", case, &max, &omax);
+        assert_same("max_rebinned", case, &a.max_rebinned(&b, n), &omax.rebin(n));
+
+        let target = match rng.gen_range(0..3u32) {
+            0 => Moments::deterministic(-5.0 + 10.0 * rng.gen::<f64>()),
+            _ => Moments::new(-5.0 + 10.0 * rng.gen::<f64>(), 4.0 * rng.gen::<f64>()),
+        };
+        let (stretched, ostretched) = (max.with_moments(target, n), omax.with_moments(target, n));
+        assert_same(
+            "with_moments+rebin",
+            case,
+            &stretched.rebin(n),
+            &ostretched.rebin(n),
+        );
+        // A stretched support feeds the next sum, as in FULLSSTA.
+        assert_same(
+            "with_moments+add_rebinned",
+            case,
+            &b.add_rebinned(&stretched, n),
+            &ob.add(&ostretched).rebin(n),
+        );
+    }
+}

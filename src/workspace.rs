@@ -66,7 +66,7 @@ use vartol_liberty::Library;
 use vartol_netlist::edif::parse_edif;
 use vartol_netlist::generators::preset;
 use vartol_netlist::iscas::parse_bench;
-use vartol_netlist::{Netlist, NetlistError};
+use vartol_netlist::{GateId, Netlist, NetlistError};
 use vartol_ssta::{
     AnnealingConfig, AnnealingSizer, ClockConstraint, EngineKind, LagrangianConfig,
     LagrangianSizer, MonteCarloTimer, Objective, OptimizerKind, ScopedPool, SequentialTiming,
@@ -1077,17 +1077,17 @@ fn scratch_report(
     }
 }
 
-/// Packages a report as the [`Answer::Analysis`] payload (worst output
-/// resolved to its name).
+/// Packages circuit moments and the worst output as the
+/// [`Answer::Analysis`] payload (worst output resolved to its name).
 fn analysis_answer(
     entry: &CircuitEntry,
     kind: EngineKind,
-    report: &vartol_ssta::TimingReport,
+    moments: Moments,
+    worst: GateId,
 ) -> Answer {
-    let worst = report.worst_output();
     Answer::Analysis {
         kind,
-        moments: report.circuit_moments(),
+        moments,
         worst_output: entry.session.netlist().gate(worst).name().to_owned(),
     }
 }
@@ -1103,19 +1103,22 @@ fn answer(
 ) -> Answer {
     match request {
         Request::Analyze { kind, .. } => {
-            let report = match kind {
-                // The cached session *is* the FULLSSTA state: serve it
-                // incrementally instead of a from-scratch pass.
-                EngineKind::FullSsta => entry.session.current_report(),
-                _ => scratch_report(
+            let (moments, worst) = if *kind == EngineKind::FullSsta {
+                // The cached session *is* the FULLSSTA state: answer from
+                // its refreshed summary, with no from-scratch pass and no
+                // report copy of every node's PDF.
+                (entry.session.refresh(), entry.session.worst_output())
+            } else {
+                let report = scratch_report(
                     library,
                     config,
                     &entry.session.config().clone(),
                     entry.session.netlist(),
                     *kind,
-                ),
+                );
+                (report.circuit_moments(), report.worst_output())
             };
-            analysis_answer(entry, *kind, &report)
+            analysis_answer(entry, *kind, moments, worst)
         }
         Request::AnalyzeUnder { kind, model, .. } => {
             if let Err(e) = model.validate() {
@@ -1133,7 +1136,12 @@ fn answer(
                 entry.session.netlist(),
                 *kind,
             );
-            analysis_answer(entry, *kind, &report)
+            analysis_answer(
+                entry,
+                *kind,
+                report.circuit_moments(),
+                report.worst_output(),
+            )
         }
         Request::Arrival { node, .. } => {
             let Some(id) = entry.session.netlist().gate_by_name(node) else {
