@@ -1,14 +1,16 @@
 //! End-to-end sizing benchmarks: the cost of one StatisticalGreedy run on
 //! small suite circuits, plus the deterministic baseline and the
 //! subcircuit-evaluation inner loop it amortizes (Table 1's runtime
-//! column, scaled down).
+//! column, scaled down), alone and as one sensitivity-probe pass over a
+//! whole shipped circuit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vartol_core::{MeanDelaySizer, SizerConfig, StatisticalGreedy};
 use vartol_liberty::Library;
 use vartol_netlist::generators::benchmark;
-use vartol_netlist::Subcircuit;
+use vartol_netlist::iscas::parse_bench;
+use vartol_netlist::{GateKind, Subcircuit};
 use vartol_ssta::{Fassta, FullSsta, SstaConfig};
 
 fn bench_sizing(c: &mut Criterion) {
@@ -60,6 +62,40 @@ fn bench_sizing(c: &mut Criterion) {
             },
         );
     }
+
+    // One Lagrangian probe pass: every resizable gate of s344_like (the
+    // endpoint-marked view the sequential sizers run on) evaluated at its
+    // neighbour sizes over a depth-2 region extracted once.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/s344_like.bench");
+    let text = std::fs::read_to_string(path).expect("shipped circuit is readable");
+    let mut s344 = parse_bench(&text, "s344_like")
+        .expect("shipped circuit parses")
+        .endpoint_marked();
+    let full = FullSsta::new(&lib, &ssta).analyze(&s344);
+    let probes: Vec<(Subcircuit, usize, usize)> = s344
+        .gate_ids()
+        .filter_map(|g| {
+            let gate = s344.gate(g);
+            let GateKind::Cell { function, size } = *gate.kind() else {
+                return None;
+            };
+            let ladder = lib.group(function, gate.fanins().len())?.len();
+            (ladder > 1).then(|| (Subcircuit::extract(&s344, g, 2), size, ladder))
+        })
+        .collect();
+    group.bench_function("s344_probe_pass", |b| {
+        b.iter(|| {
+            for (sub, size, ladder) in &probes {
+                let g = sub.center();
+                for trial in [size.checked_sub(1), Some(size + 1).filter(|s| s < ladder)] {
+                    let Some(trial) = trial else { continue };
+                    s344.set_size(g, trial);
+                    black_box(fast.evaluate_subcircuit(&s344, sub, full.arrivals(), full.timing()));
+                }
+                s344.set_size(g, *size);
+            }
+        });
+    });
     group.finish();
 }
 

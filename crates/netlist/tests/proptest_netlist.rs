@@ -133,6 +133,33 @@ proptest! {
     }
 
     #[test]
+    fn subcircuit_extraction_is_independent_of_sizes((cfg, seed) in dag_config(), size_seed in any::<u64>()) {
+        // The sizers extract each gate's region once per run and reuse it
+        // across resizes; that is sound only if extraction reads structure
+        // alone.
+        use rand::{Rng, SeedableRng};
+        let lib = Library::synthetic_90nm();
+        let mut n = random_dag(cfg, seed, &lib);
+        let ids: Vec<GateId> = n.gate_ids().collect();
+        let extract_all = |n: &Netlist| -> Vec<Subcircuit> {
+            ids.iter()
+                .flat_map(|&g| (0..=3).map(move |depth| Subcircuit::extract(n, g, depth)))
+                .collect()
+        };
+        let before = extract_all(&n);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(size_seed);
+        for _ in 0..ids.len() {
+            let g = ids[rng.gen_range(0..ids.len())];
+            let gate = n.gate(g);
+            let group = lib
+                .group(gate.function().expect("cell"), gate.fanins().len())
+                .expect("validated");
+            n.set_size(g, rng.gen_range(0..group.len()));
+        }
+        prop_assert_eq!(extract_all(&n), before);
+    }
+
+    #[test]
     fn size_snapshots_round_trip((cfg, seed) in dag_config(), bump in 0usize..5) {
         let lib = Library::synthetic_90nm();
         let mut n = random_dag(cfg, seed, &lib);

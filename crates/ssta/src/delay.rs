@@ -216,7 +216,8 @@ impl CircuitTiming {
     /// loads its fanins harder, changing their delays and output slews);
     /// boundary nodes keep the slews of this snapshot. Members are visited
     /// in topological order, so refreshed slews propagate inside the
-    /// region.
+    /// region; a fanin's fresh slew is found by position in the sorted
+    /// member list, so the pass allocates two `Vec`s and no map.
     #[must_use]
     pub fn member_delays(
         &self,
@@ -225,22 +226,25 @@ impl CircuitTiming {
         config: &SstaConfig,
         sub: &Subcircuit,
     ) -> Vec<Moments> {
-        use std::collections::HashMap;
-        let mut fresh_slews: HashMap<vartol_netlist::GateId, f64> =
-            HashMap::with_capacity(sub.members().len());
-        sub.members()
+        let members = sub.members();
+        let mut fresh_slews: Vec<f64> = Vec::with_capacity(members.len());
+        members
             .iter()
-            .map(|&m| {
+            .enumerate()
+            .map(|(pos, &m)| {
                 let g = netlist.gate(m);
                 let cell = netlist.cell(m, library);
                 let in_slew = g
                     .fanins()
                     .iter()
-                    .map(|f| fresh_slews.get(f).copied().unwrap_or(self.slews[f.index()]))
+                    .map(|f| match members[..pos].binary_search(f) {
+                        Ok(p) => fresh_slews[p],
+                        Err(_) => self.slews[f.index()],
+                    })
                     .fold(0.0f64, f64::max);
                 let load = Self::load_of(netlist, library, config, m);
                 let d = cell.delay(in_slew, load).max(0.0);
-                fresh_slews.insert(m, cell.output_slew(in_slew, load).max(0.0));
+                fresh_slews.push(cell.output_slew(in_slew, load).max(0.0));
                 config.variation.delay_moments(d, cell.drive())
             })
             .collect()

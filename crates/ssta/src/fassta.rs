@@ -15,6 +15,16 @@
 //!   one extracted region against boundary arrivals stored by FULLSSTA,
 //!   with member delays recomputed for the netlist's *current* sizes.
 //!
+//! The inner loop's cost model: a [`Subcircuit`] holds structure only, so
+//! a sizer extracts it once and reuses it across every trial size. One
+//! evaluation is one topological pass over the members — per member a
+//! load sum, one NLDM delay/slew lookup and one fast max per extra
+//! fanin — with member fanins found by binary search in the sorted
+//! member list; it allocates a few member-sized `Vec`s and hashes
+//! nothing. The Lagrangian sizer's central difference reads only the
+//! two neighbour sizes, so it evaluates the current size only at a
+//! ladder end, where the difference is one-sided.
+//!
 //! Under a correlated [`VariationModel`](crate::variation::VariationModel)
 //! with global sources, whole-circuit analysis conditions exactly like
 //! FULLSSTA (moment lanes per Gauss–Hermite node, recombined per node);
@@ -33,9 +43,8 @@ use crate::config::SstaConfig;
 use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingEngine, TimingReport};
 use crate::state::TimingState;
-use std::collections::HashMap;
 use vartol_liberty::Library;
-use vartol_netlist::{GateId, Netlist, Subcircuit};
+use vartol_netlist::{Netlist, Subcircuit};
 use vartol_stats::fast_max::fast_max_moments;
 use vartol_stats::Moments;
 
@@ -86,19 +95,22 @@ impl<'a> Fassta<'a> {
         boundary_arrivals: &[Moments],
         base_timing: &CircuitTiming,
     ) -> Vec<Moments> {
+        let members = sub.members();
         let member_delays = base_timing.member_delays(netlist, self.library, self.config, sub);
 
-        // Arrival overlay for members only.
-        let mut local: HashMap<GateId, Moments> = HashMap::with_capacity(sub.members().len());
-        for (pos, &m) in sub.members().iter().enumerate() {
+        // Arrival overlay for members only, indexed like `members`: a
+        // fanin that is an earlier member reads the overlay, anything
+        // else the boundary snapshot.
+        let mut local: Vec<Moments> = Vec::with_capacity(members.len());
+        for (pos, &m) in members.iter().enumerate() {
             let g = netlist.gate(m);
             let mut arrival = Moments::zero();
             let mut first = true;
-            for &f in g.fanins() {
-                let fa = local
-                    .get(&f)
-                    .copied()
-                    .unwrap_or_else(|| boundary_arrivals[f.index()]);
+            for f in g.fanins() {
+                let fa = match members[..pos].binary_search(f) {
+                    Ok(p) => local[p],
+                    Err(_) => boundary_arrivals[f.index()],
+                };
                 arrival = if first {
                     fa
                 } else {
@@ -106,10 +118,16 @@ impl<'a> Fassta<'a> {
                 };
                 first = false;
             }
-            local.insert(m, arrival + member_delays[pos]);
+            local.push(arrival + member_delays[pos]);
         }
 
-        sub.local_outputs().iter().map(|o| local[o]).collect()
+        sub.local_outputs()
+            .iter()
+            .map(|o| {
+                let pos = members.binary_search(o).expect("local outputs are members");
+                local[pos]
+            })
+            .collect()
     }
 }
 

@@ -157,18 +157,20 @@ impl LagrangianSizer {
     }
 
     /// Probes `(∂D/∂size, ∂A/∂size)` for one gate on a worker's netlist
-    /// copy: the local objective is evaluated at the neighbor drive
-    /// indices with the fast engine against the `frozen` session's
-    /// pass-start boundary, then the trial resize is rolled back, so the
-    /// result depends on nothing but the gate — the parallel fan-out
-    /// contract.
+    /// copy: the local objective is evaluated over `sub`, the gate's
+    /// region, at the neighbor drive indices with the fast engine against
+    /// the `frozen` session's pass-start boundary, then the trial resize
+    /// is rolled back, so the result depends on nothing but the gate —
+    /// the parallel fan-out contract. The value at the current size is
+    /// only evaluated when a one-sided difference reads it.
     fn probe_gradient(
         &self,
         netlist: &mut Netlist,
         frozen: &TimingSession,
-        g: GateId,
+        sub: &Subcircuit,
         fast: &Fassta<'_>,
     ) -> Gradient {
+        let g = sub.center();
         let gate = netlist.gate(g);
         let GateKind::Cell { function, size } = *gate.kind() else {
             return None;
@@ -178,12 +180,10 @@ impl LagrangianSizer {
         if group.len() <= 1 {
             return None;
         }
-        let sub = Subcircuit::extract(netlist, g, self.config.subcircuit_depth);
         let local = |netlist: &Netlist| {
-            let outs = fast.evaluate_subcircuit(netlist, &sub, frozen.arrivals(), frozen.timing());
+            let outs = fast.evaluate_subcircuit(netlist, sub, frozen.arrivals(), frozen.timing());
             self.config.objective.local_value(&outs)
         };
-        let d_here = local(netlist);
         let lo = size.checked_sub(1);
         let hi = (size + 1 < group.len()).then_some(size + 1);
         let d_lo = lo.map(|s| {
@@ -201,8 +201,8 @@ impl LagrangianSizer {
                 (d_hi.unwrap() - d_lo.unwrap()) / 2.0,
                 (area(h) - area(l)) / 2.0,
             ),
-            (Some(l), None) => (d_here - d_lo.unwrap(), area(size) - area(l)),
-            (None, Some(h)) => (d_hi.unwrap() - d_here, area(h) - area(size)),
+            (Some(l), None) => (local(netlist) - d_lo.unwrap(), area(size) - area(l)),
+            (None, Some(h)) => (d_hi.unwrap() - local(netlist), area(h) - area(size)),
             (None, None) => return None,
         };
         Some((dd, da))
@@ -255,6 +255,12 @@ impl Sizer for LagrangianSizer {
                 }
             }
         }
+        // Resizing never changes structure, so each probed gate's
+        // sensitivity region is extracted once for the whole run.
+        let subs: Vec<Subcircuit> = probed
+            .iter()
+            .map(|&g| Subcircuit::extract(session.netlist(), g, self.config.subcircuit_depth))
+            .collect();
         let mut x: Vec<f64> = probed
             .iter()
             .map(|&g| match *session.netlist().gate(g).kind() {
@@ -321,7 +327,7 @@ impl Sizer for LagrangianSizer {
             let grads = pool.map_init(
                 probed.len(),
                 || session.netlist().clone(),
-                |netlist, i| self.probe_gradient(netlist, &session, probed[i], &fast),
+                |netlist, i| self.probe_gradient(netlist, &session, &subs[i], &fast),
             );
 
             // Normalized gradient step on the continuous sizes.

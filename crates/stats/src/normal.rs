@@ -128,9 +128,13 @@ impl std::fmt::Display for Normal {
 
 /// One standard-normal sample via the Box–Muller transform.
 ///
-/// Uses a fresh pair of uniforms per call; the second variate is discarded
-/// for simplicity (sampling is only used in Monte-Carlo reference paths,
-/// never in the optimizer's hot loop).
+/// Uses a fresh pair of uniforms per call and discards the second
+/// variate. That waste is pinned: every seeded Monte Carlo result, and
+/// the service's cached `Yield` answers, are bit-identical only while
+/// each sample consumes exactly two uniforms in this order. Sampling is
+/// not a cold path: it dominates Monte Carlo time, and with it the
+/// service's `Yield` verb, so cheaper sampling means changing those
+/// answers on purpose.
 pub fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Guard u1 away from zero so ln is finite.
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
