@@ -91,6 +91,26 @@ fn bench_engines(c: &mut Criterion) {
     }
     group.finish();
 
+    // A served `Yield`: the fraction of 2000 seeded samples of c880 that
+    // meet a deadline at the mean. `exact` materializes the samples and
+    // counts them; `count_within` counts on fast draws and recomputes
+    // only the samples inside the error band. Both give the same count.
+    let mut group = c.benchmark_group("yield_count");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    let c880 = benchmark("c880", &lib).expect("known benchmark");
+    let timer = MonteCarloTimer::new(&lib, &config)
+        .with_seed(2025)
+        .with_threads(1);
+    let deadline = timer.sample_parallel(&c880, 2000).moments().mean;
+    group.bench_function("exact", |b| {
+        b.iter(|| black_box(timer.sample_parallel(&c880, 2000).yield_at(deadline)));
+    });
+    group.bench_function("count_within", |b| {
+        b.iter(|| black_box(timer.count_within(&c880, 2000, deadline).fraction()));
+    });
+    group.finish();
+
     // The level-ordered propagation arena's parallel fan-out. Two
     // shapes bracket the design space:
     //

@@ -28,7 +28,7 @@ OPTIONS:
     --queue-depth N     per-shard admission queue depth [default: 64]
     --cache N           per-shard result-cache entries (0 disables) [default: 256]
     --threads N         per-shard pool width (0 = all CPUs) [default: 0]
-    --mc-samples N      Monte-Carlo sample budget [default: 2000]
+    --mc-samples N      Monte-Carlo sample budget (>= 2) [default: 2000]
     --preload A,B,..    register presets/benchmarks before serving
     -h, --help          print this help";
 
@@ -88,7 +88,11 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
                 workspace.threads = workspace.ssta.threads;
             }
             "--mc-samples" => {
-                workspace.mc_samples = parse_number(&value("--mc-samples")?, "--mc-samples")?;
+                let n: usize = parse_number(&value("--mc-samples")?, "--mc-samples")?;
+                if n < 2 {
+                    return Err(usage_error("--mc-samples must be at least 2"));
+                }
+                workspace.mc_samples = n;
             }
             "--preload" => {
                 options.preload.extend(

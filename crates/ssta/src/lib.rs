@@ -111,7 +111,9 @@ pub use engine::{EngineKind, TimingEngine, TimingReport};
 pub use fassta::Fassta;
 pub use fingerprint::{config_fingerprint, fingerprint_bytes, size_fingerprint, Fnv64};
 pub use fullssta::FullSsta;
-pub use montecarlo::{MonteCarloResult, MonteCarloTimer, DEFAULT_MC_SAMPLES, MC_CHUNK_SAMPLES};
+pub use montecarlo::{
+    MonteCarloResult, MonteCarloTimer, YieldCount, DEFAULT_MC_SAMPLES, MC_CHUNK_SAMPLES,
+};
 pub use optimize::{
     AnnealingConfig, AnnealingSizer, LagrangianConfig, LagrangianSizer, Objective, OptimizerKind,
     Sizer, SizingOutcome, SizingPass,

@@ -35,6 +35,28 @@
 //! [`SstaConfig::threads`] or [`MonteCarloTimer::with_threads`] (0 = all
 //! CPUs).
 //!
+//! # Exact samples versus the certified yield count
+//!
+//! Every sample, moment and report comes from the **exact** kernel: each
+//! gate's standard normal is [`standard_normal_sample`], the platform's
+//! `ln` and `cos` applied to two uniforms. A parametric yield needs less
+//! than the samples, only how many fall at or below a deadline, and
+//! [`MonteCarloTimer::count_within`] gets that count cheaper without
+//! changing it. It reads the same two uniforms per gate from the same
+//! chunk streams, keeps them, and turns them into normals with
+//! [`box_muller_fast`], within [`Z_ERR`] of the exact draw. A per-netlist
+//! **band** bounds how far the fast circuit delay of a sample can sit
+//! from the exact one: the longest path of `σ·Z_ERR` plus each gate's
+//! rounding slack (`2⁻⁵³` of its mean and of `σ·|z|`), plus the rounding
+//! of the path sums, which grows with depth and the delay itself. A
+//! sample whose fast delay lies farther than the band from the deadline
+//! is counted from the fast pass; one inside the band is recomputed from
+//! its kept uniforms with the exact draws and the same arithmetic in the
+//! same order (one `propagate` serves both passes). The count therefore
+//! equals the exact kernel's count of samples `≤ deadline`, for every
+//! deadline, bit for bit. Under a correlated model the count runs the
+//! exact kernel on every sample.
+//!
 //! As a [`TimingEngine`], the timer samples with a configurable count and
 //! seed ([`MonteCarloTimer::with_samples`] /
 //! [`MonteCarloTimer::with_seed`]) through the parallel path, so `analyze`
@@ -49,9 +71,12 @@ use crate::pool::ScopedPool;
 use crate::variation::VariationContext;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
-use vartol_stats::normal::standard_normal_sample;
+use vartol_stats::normal::{
+    box_muller, box_muller_fast, box_muller_uniforms, standard_normal_sample, Z_ERR,
+};
 use vartol_stats::{DiscretePdf, Moments, RunningMoments};
 
 /// Default sample count for trait-driven analyses.
@@ -78,6 +103,187 @@ pub struct MonteCarloResult {
     samples: Vec<f64>,
     moments: Moments,
     arrivals: Vec<Moments>,
+}
+
+/// How many of `samples` Monte Carlo samples meet a deadline
+/// ([`MonteCarloTimer::count_within`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct YieldCount {
+    /// Samples whose circuit delay is `≤` the deadline.
+    pub within: usize,
+    /// Samples drawn.
+    pub samples: usize,
+    /// Samples whose delay came from exact draws: those the fast pass
+    /// left inside the error band, or every sample under a correlated
+    /// model.
+    pub recomputed: usize,
+}
+
+impl YieldCount {
+    /// The parametric yield `within / samples`, equal to
+    /// [`MonteCarloResult::yield_at`] of the same run.
+    #[must_use]
+    pub fn fraction(&self) -> f64 {
+        self.within as f64 / self.samples as f64
+    }
+}
+
+/// The timing a sample walks, flattened: cell gates in topological order
+/// with delay mean and σ hoisted and fanins as node-index ranges.
+struct GateTable {
+    /// Node index of each gate.
+    node: Vec<usize>,
+    mean: Vec<f64>,
+    sigma: Vec<f64>,
+    /// Gate `k`'s fanins are `fanins[start[k]..start[k + 1]]`.
+    start: Vec<usize>,
+    fanins: Vec<usize>,
+    outputs: Vec<usize>,
+    node_count: usize,
+    /// Longest input-to-output path of the gates' error bounds, the
+    /// delay-independent part of [`GateTable::band`].
+    band_path: f64,
+    /// Most gates on one path.
+    depth: usize,
+}
+
+/// Bound on `|z|` for exact and fast draws: `√(−2 ln MIN_POSITIVE)` is
+/// 37.64, and `|cos| ≤ 1`.
+const Z_MAX: f64 = 38.0;
+
+impl GateTable {
+    fn new(netlist: &Netlist, timing: &CircuitTiming) -> Self {
+        let node_count = netlist.node_count();
+        let mut table = Self {
+            node: Vec::new(),
+            mean: Vec::new(),
+            sigma: Vec::new(),
+            start: vec![0],
+            fanins: Vec::new(),
+            outputs: netlist.outputs().iter().map(|o| o.index()).collect(),
+            node_count,
+            band_path: 0.0,
+            depth: 0,
+        };
+        // Per node: the longest path of error bounds and of gates ending
+        // there (inputs contribute neither).
+        let mut path = vec![0.0f64; node_count];
+        let mut gates = vec![0usize; node_count];
+        let unit = f64::EPSILON / 2.0;
+        for id in netlist.gate_ids() {
+            let m = timing.delay_moments(id);
+            let sigma = m.std();
+            let v = id.index();
+            let fanins = netlist.gate(id).fanins();
+            table.node.push(v);
+            table.mean.push(m.mean);
+            table.sigma.push(sigma);
+            table.fanins.extend(fanins.iter().map(|f| f.index()));
+            table.start.push(table.fanins.len());
+            // |fast − exact| of this gate's delay: σ·Z_ERR from the draw,
+            // plus each side's rounding of `mean + σ·z` (and an absolute
+            // term for subnormal products).
+            let err = sigma * Z_ERR
+                + unit * (2.0 * m.mean.abs() + 5.0 * sigma * Z_MAX)
+                + f64::MIN_POSITIVE;
+            let (p, g) = fanins.iter().fold((0.0f64, 0usize), |(p, g), f| {
+                (p.max(path[f.index()]), g.max(gates[f.index()]))
+            });
+            path[v] = p + err;
+            gates[v] = g + 1;
+        }
+        for &o in &table.outputs {
+            table.band_path = table.band_path.max(path[o]);
+            table.depth = table.depth.max(gates[o]);
+        }
+        table
+    }
+
+    fn len(&self) -> usize {
+        self.node.len()
+    }
+
+    /// One sample's longest-path analysis: gate `k`'s delay is
+    /// `max(mean + σ·deviate[k], 0)`. Writes every gate's arrival (input
+    /// arrivals stay 0) and returns the worst output arrival.
+    fn propagate(&self, deviate: &[f64], arrivals: &mut [f64]) -> f64 {
+        for (k, &v) in self.node.iter().enumerate() {
+            let delay = (self.mean[k] + self.sigma[k] * deviate[k]).max(0.0);
+            let arr_in = self.fanins[self.start[k]..self.start[k + 1]]
+                .iter()
+                .map(|&f| arrivals[f])
+                .fold(0.0f64, f64::max);
+            arrivals[v] = arr_in + delay;
+        }
+        self.outputs
+            .iter()
+            .fold(0.0f64, |worst, &o| worst.max(arrivals[o]))
+    }
+
+    /// A bound on `|fast − exact|` circuit delay of one sample whose fast
+    /// delay is `delay`, with room for the rounding of `delay ± band`:
+    /// twice the error path plus `2⁻⁵³` of both delays per path sum.
+    fn band(&self, delay: f64) -> f64 {
+        let unit = f64::EPSILON / 2.0;
+        2.0 * (self.band_path + (2 * self.depth + 2) as f64 * unit * delay.abs())
+    }
+}
+
+/// The exact per-gate deviates of one sample under a variation model,
+/// with the scratch the shared draws need.
+struct ExactDraws<'c> {
+    ctx: &'c VariationContext,
+    spatial_z: Vec<f64>,
+    field: Vec<f64>,
+}
+
+impl<'c> ExactDraws<'c> {
+    fn new(ctx: &'c VariationContext) -> Self {
+        let model = ctx.model();
+        Self {
+            ctx,
+            spatial_z: vec![0.0; ctx.spatial().map_or(0, |p| p.components())],
+            field: vec![0.0; model.spatial.as_ref().map_or(0, |g| g.cells())],
+        }
+    }
+
+    /// Fills `deviate[k]` for every gate of `table`, in draw order.
+    ///
+    /// With an empty [`VariationContext`] every gate draws one
+    /// independent standard normal (the legacy model, bit-identical).
+    /// With shared sources, each **sample** (= one manufactured die)
+    /// first draws the shared deviates — global sources, then spatial
+    /// PCA components, in that fixed order — and every gate's deviate
+    /// combines its independent local draw with the die's shared shift:
+    /// `local·ε + Σ s_g·G_g + s_sp·S(cell)`.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, table: &GateTable, deviate: &mut [f64]) {
+        if self.ctx.is_empty() {
+            for d in deviate.iter_mut() {
+                *d = standard_normal_sample(rng);
+            }
+            return;
+        }
+        let model = self.ctx.model();
+        let mut die_shift = 0.0f64;
+        for source in &model.global {
+            die_shift += source.sigma_scale * standard_normal_sample(rng);
+        }
+        if let Some(pca) = self.ctx.spatial() {
+            for z in &mut self.spatial_z {
+                *z = standard_normal_sample(rng);
+            }
+            pca.field_into(&self.spatial_z, &mut self.field);
+        }
+        let local = model.local_sigma_scale;
+        let sp_scale = model.spatial.as_ref().map_or(0.0, |g| g.sigma_scale);
+        for (d, &v) in deviate.iter_mut().zip(&table.node) {
+            let mut shift = die_shift + local * standard_normal_sample(rng);
+            if let Some(pca) = self.ctx.spatial() {
+                shift += sp_scale * self.field[pca.cell(v)];
+            }
+            *d = shift;
+        }
+    }
 }
 
 /// Summary of one sampling pass (a chunk, or a whole sequential run):
@@ -177,8 +383,7 @@ impl<'a> MonteCarloTimer<'a> {
         assert!(n >= 2, "need at least two samples");
         let timing = CircuitTiming::compute(netlist, self.library, self.config);
         let ctx = VariationContext::new(&self.config.model, netlist);
-        self.run_samples(netlist, &timing, &ctx, n, rng, false)
-            .into_result()
+        Self::run_samples(&GateTable::new(netlist, &timing), &ctx, n, rng, false).into_result()
     }
 
     /// Like [`MonteCarloTimer::sample`], but also accumulates empirical
@@ -199,8 +404,7 @@ impl<'a> MonteCarloTimer<'a> {
         assert!(n >= 2, "need at least two samples");
         let timing = CircuitTiming::compute(netlist, self.library, self.config);
         let ctx = VariationContext::new(&self.config.model, netlist);
-        self.run_samples(netlist, &timing, &ctx, n, rng, true)
-            .into_result()
+        Self::run_samples(&GateTable::new(netlist, &timing), &ctx, n, rng, true).into_result()
     }
 
     /// Samples the circuit delay distribution `n` times on the worker
@@ -245,6 +449,94 @@ impl<'a> MonteCarloTimer<'a> {
         z ^ (z >> 31)
     }
 
+    /// Counts the samples of [`MonteCarloTimer::sample_parallel`]`(netlist,
+    /// n)` whose circuit delay is `≤ deadline`, without materializing
+    /// them: the same chunk streams and uniforms, fast draws, and an
+    /// exact recompute of every sample the fast pass leaves within the
+    /// error band of the deadline (see the module docs). `within` equals
+    /// the exact count for every deadline, and so
+    /// [`YieldCount::fraction`] equals
+    /// [`MonteCarloResult::yield_at`] bit for bit, at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2` or the netlist references cells missing from the
+    /// library.
+    #[must_use]
+    pub fn count_within(&self, netlist: &Netlist, n: usize, deadline: f64) -> YieldCount {
+        assert!(n >= 2, "need at least two samples");
+        let timing = CircuitTiming::compute(netlist, self.library, self.config);
+        let table = GateTable::new(netlist, &timing);
+        let ctx = VariationContext::new(&self.config.model, netlist);
+        let pool = ScopedPool::new(self.threads);
+        let counts = pool.map(n.div_ceil(MC_CHUNK_SAMPLES), |chunk| {
+            let count = MC_CHUNK_SAMPLES.min(n - chunk * MC_CHUNK_SAMPLES);
+            let mut rng = StdRng::seed_from_u64(Self::chunk_seed(self.seed, chunk as u64));
+            Self::count_chunk(&table, &ctx, count, &mut rng, deadline)
+        });
+        counts.into_iter().fold(
+            YieldCount {
+                within: 0,
+                samples: n,
+                recomputed: 0,
+            },
+            |total, (within, recomputed)| YieldCount {
+                within: total.within + within,
+                recomputed: total.recomputed + recomputed,
+                ..total
+            },
+        )
+    }
+
+    /// One chunk of [`MonteCarloTimer::count_within`]: `(within,
+    /// recomputed)` over `count` samples.
+    fn count_chunk<R: Rng + ?Sized>(
+        table: &GateTable,
+        ctx: &VariationContext,
+        count: usize,
+        rng: &mut R,
+        deadline: f64,
+    ) -> (usize, usize) {
+        let mut arrivals = vec![0.0f64; table.node_count];
+        let mut deviate = vec![0.0f64; table.len()];
+        if !ctx.is_empty() {
+            let mut draws = ExactDraws::new(ctx);
+            let within = (0..count)
+                .filter(|_| {
+                    draws.draw(rng, table, &mut deviate);
+                    table.propagate(&deviate, &mut arrivals) <= deadline
+                })
+                .count();
+            return (within, count);
+        }
+        let mut u1 = vec![0.0f64; table.len()];
+        let mut u2 = vec![0.0f64; table.len()];
+        let (mut within, mut recomputed) = (0, 0);
+        for _ in 0..count {
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = box_muller_uniforms(rng);
+            }
+            for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
+                *d = box_muller_fast(a, b);
+            }
+            let fast = table.propagate(&deviate, &mut arrivals);
+            let band = table.band(fast);
+            if fast + band <= deadline {
+                within += 1;
+            } else if (fast - band).partial_cmp(&deadline) != Some(Ordering::Greater) {
+                // Inside the band (or not a number): redo it exactly.
+                for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
+                    *d = box_muller(a, b);
+                }
+                recomputed += 1;
+                if table.propagate(&deviate, &mut arrivals) <= deadline {
+                    within += 1;
+                }
+            }
+        }
+        (within, recomputed)
+    }
+
     /// Chunked deterministic sampling: fixed partition, per-chunk seeded
     /// streams, chunk-ordered merge.
     fn sample_chunked(
@@ -262,12 +554,13 @@ impl<'a> MonteCarloTimer<'a> {
         // the partition — and therefore the result — is still a pure
         // function of `(seed, n)`, never of the thread count.
         let ctx = VariationContext::new(&self.config.model, netlist);
+        let table = GateTable::new(netlist, timing);
         let pool = ScopedPool::new(self.threads);
         let summaries = pool.map(chunks, |chunk| {
             let lo = chunk * MC_CHUNK_SAMPLES;
             let count = MC_CHUNK_SAMPLES.min(n - lo);
             let mut rng = StdRng::seed_from_u64(Self::chunk_seed(self.seed, chunk as u64));
-            self.run_samples(netlist, timing, &ctx, count, &mut rng, track_nodes)
+            Self::run_samples(&table, &ctx, count, &mut rng, track_nodes)
         });
         summaries
             .into_iter()
@@ -275,85 +568,33 @@ impl<'a> MonteCarloTimer<'a> {
             .expect("n >= 2 yields at least one chunk")
     }
 
-    /// The sampling kernel: `count` longest-path evaluations under random
-    /// delay draws, summarized with Welford accumulators (robust where the
-    /// old `E[X²]−E[X]²` sums cancel catastrophically at large means).
-    ///
-    /// With an empty [`VariationContext`] every gate draws one
-    /// independent standard normal (the legacy model, bit-identical).
-    /// With shared sources, each **sample** (= one manufactured die)
-    /// first draws the shared deviates — global sources, then spatial
-    /// PCA components, in that fixed order — and every gate's delay
-    /// combines its independent local draw with the die's shared shift:
-    /// `nominal + σ·(local·ε + Σ s_g·G_g + s_sp·S(cell))`.
+    /// The sampling kernel: `count` longest-path evaluations under exact
+    /// random delay draws ([`ExactDraws::draw`]), summarized with Welford
+    /// accumulators (robust where the old `E[X²]−E[X]²` sums cancel
+    /// catastrophically at large means). A gate's delay is
+    /// `max(nominal + σ·deviate, 0)`.
     fn run_samples<R: Rng + ?Sized>(
-        &self,
-        netlist: &Netlist,
-        timing: &CircuitTiming,
+        table: &GateTable,
         ctx: &VariationContext,
         count: usize,
         rng: &mut R,
         track_nodes: bool,
     ) -> SampleStats {
-        let node_count = netlist.node_count();
-        let mut arrivals = vec![0.0f64; node_count];
+        let mut arrivals = vec![0.0f64; table.node_count];
+        let mut deviate = vec![0.0f64; table.len()];
+        let mut draws = ExactDraws::new(ctx);
         let mut stats = SampleStats {
             samples: Vec::with_capacity(count),
             circuit: RunningMoments::new(),
-            nodes: vec![RunningMoments::new(); if track_nodes { node_count } else { 0 }],
+            nodes: vec![RunningMoments::new(); if track_nodes { table.node_count } else { 0 }],
         };
-        let correlated = !ctx.is_empty();
-        let model = ctx.model();
-        let local = model.local_sigma_scale;
-        let sp_scale = model.spatial.as_ref().map_or(0.0, |g| g.sigma_scale);
-        let mut spatial_z = vec![0.0f64; ctx.spatial().map_or(0, |p| p.components())];
-        let mut field = vec![0.0f64; model.spatial.as_ref().map_or(0, |g| g.cells())];
-
         for _ in 0..count {
-            // Shared draws for this die, in fixed order.
-            let mut die_shift = 0.0f64;
-            if correlated {
-                for source in &model.global {
-                    die_shift += source.sigma_scale * standard_normal_sample(rng);
-                }
-                if let Some(pca) = ctx.spatial() {
-                    for z in &mut spatial_z {
-                        *z = standard_normal_sample(rng);
-                    }
-                    pca.field_into(&spatial_z, &mut field);
-                }
-            }
-            arrivals.fill(0.0);
-            let mut worst = 0.0f64;
-            for id in netlist.node_ids() {
-                let g = netlist.gate(id);
-                if g.is_input() {
-                    continue;
-                }
-                let m = timing.delay_moments(id);
-                let delay = if correlated {
-                    let mut shift = die_shift + local * standard_normal_sample(rng);
-                    if let Some(pca) = ctx.spatial() {
-                        shift += sp_scale * field[pca.cell(id.index())];
-                    }
-                    (m.mean + m.std() * shift).max(0.0)
-                } else {
-                    (m.mean + m.std() * standard_normal_sample(rng)).max(0.0)
-                };
-                let arr_in = g
-                    .fanins()
-                    .iter()
-                    .map(|f| arrivals[f.index()])
-                    .fold(0.0f64, f64::max);
-                arrivals[id.index()] = arr_in + delay;
-            }
+            draws.draw(rng, table, &mut deviate);
+            let worst = table.propagate(&deviate, &mut arrivals);
             if track_nodes {
                 for (acc, &a) in stats.nodes.iter_mut().zip(&arrivals) {
                     acc.push(a);
                 }
-            }
-            for &o in netlist.outputs() {
-                worst = worst.max(arrivals[o.index()]);
             }
             stats.circuit.push(worst);
             stats.samples.push(worst);

@@ -22,7 +22,8 @@
 //!   catastrophic cancellation of the naive `E[X²]−E[X]²` formula).
 //! * [`erf`] — the exact error function and the paper's quadratic
 //!   approximation (accurate to two decimal places, saturating at 2.6σ).
-//! * [`normal`] — normal distribution pdf/cdf/quantile/sampling.
+//! * [`normal`] — normal distribution pdf/cdf/quantile/sampling, and the
+//!   exact and fast Box–Muller transforms with their error bound.
 //! * [`montecarlo`] — Monte-Carlo estimators used as a golden reference.
 //! * [`correlation`] — correlation matrices and a PCA decomposition for
 //!   spatially-correlated variation sources; consumed by the ssta crate's

@@ -84,7 +84,8 @@ pub struct WorkspaceConfig {
     /// width.
     pub threads: usize,
     /// Monte-Carlo sample budget for [`Request::Yield`] and
-    /// [`Request::Analyze`] with [`EngineKind::MonteCarlo`].
+    /// [`Request::Analyze`] with [`EngineKind::MonteCarlo`]. Below 2,
+    /// those requests answer [`ErrorCode::InvalidParameter`].
     pub mc_samples: usize,
     /// Monte-Carlo seed (fixed so answers are reproducible).
     pub mc_seed: u64,
@@ -1101,6 +1102,24 @@ fn answer(
     entry: &mut CircuitEntry,
     request: &Request,
 ) -> Answer {
+    // A Monte-Carlo budget below two would panic inside the timer and
+    // cost the entry a session rebuild: answer a typed error instead.
+    let monte_carlo = match request {
+        Request::Yield { .. } => true,
+        Request::Analyze { kind, .. } | Request::AnalyzeUnder { kind, .. } => {
+            *kind == EngineKind::MonteCarlo
+        }
+        _ => false,
+    };
+    if monte_carlo && config.mc_samples < 2 {
+        return Answer::error(
+            ErrorCode::InvalidParameter,
+            format!(
+                "Monte-Carlo sample budget must be at least 2, got {}",
+                config.mc_samples
+            ),
+        );
+    }
     match request {
         Request::Analyze { kind, .. } => {
             let (moments, worst) = if *kind == EngineKind::FullSsta {
@@ -1199,12 +1218,13 @@ fn answer(
                     format!("yield deadline must be finite, got {deadline}"),
                 );
             }
-            let timer = MonteCarloTimer::new(library, entry.session.config())
-                .with_samples(config.mc_samples)
-                .with_seed(config.mc_seed);
-            let mc = timer.sample_parallel(entry.session.netlist(), config.mc_samples);
+            // The certified count equals the exact samples' count, so the
+            // answer is `yield_at` of the exact run, bit for bit.
+            let count = MonteCarloTimer::new(library, entry.session.config())
+                .with_seed(config.mc_seed)
+                .count_within(entry.session.netlist(), config.mc_samples, *deadline);
             Answer::Yield {
-                fraction: mc.yield_at(*deadline),
+                fraction: count.fraction(),
             }
         }
         Request::Resize { gate, size, .. } => {
@@ -2107,6 +2127,89 @@ mod tests {
         };
         assert_eq!(a.mean.to_bits(), b.mean.to_bits());
         assert_eq!(a.var.to_bits(), b.var.to_bits());
+    }
+
+    #[test]
+    fn monte_carlo_verbs_reject_a_budget_below_two_without_a_rebuild() {
+        for samples in [0, 1] {
+            let mut ws = Workspace::new(
+                Library::synthetic_90nm(),
+                WorkspaceConfig::default().with_mc_samples(samples),
+            );
+            ws.register_preset("adder_8").expect("preset");
+            // A refresh after a resize puts the session's visit meter past
+            // a full build's, so a rebuild would show as a drop.
+            let netlist = ws.netlist("adder_8").expect("registered");
+            let gate = netlist.gate_ids().next().expect("gates");
+            let resize = Request::Resize {
+                circuit: "adder_8".into(),
+                gate: netlist.gate(gate).name().to_owned(),
+                size: 2,
+            };
+            let full = Request::Analyze {
+                circuit: "adder_8".into(),
+                kind: EngineKind::FullSsta,
+            };
+            assert!(matches!(ws.query(resize).answer, Answer::Resized { .. }));
+            assert!(matches!(ws.query(full).answer, Answer::Analysis { .. }));
+            let visits = ws.entries[0].session.recompute_count();
+            let requests = [
+                Request::Yield {
+                    circuit: "adder_8".into(),
+                    deadline: 1000.0,
+                },
+                Request::Analyze {
+                    circuit: "adder_8".into(),
+                    kind: EngineKind::MonteCarlo,
+                },
+                Request::AnalyzeUnder {
+                    circuit: "adder_8".into(),
+                    kind: EngineKind::MonteCarlo,
+                    model: VariationModel::die_to_die(0.5),
+                },
+            ];
+            for request in requests {
+                let Answer::Error { code, message } = ws.query(request.clone()).answer else {
+                    panic!("{request:?} with {samples} samples must fail");
+                };
+                assert_eq!(code, ErrorCode::InvalidParameter, "{message}");
+                assert!(message.contains("at least 2"), "{message}");
+            }
+            assert_eq!(
+                ws.entries[0].session.recompute_count(),
+                visits,
+                "no rebuild"
+            );
+        }
+    }
+
+    #[test]
+    fn yield_answers_equal_the_exact_samples_fraction() {
+        let mut ws = workspace(1);
+        let config = ws.config().clone();
+        let library = ws.library();
+        let netlist = ws.netlist("cmp_8").expect("registered").clone();
+        let mc = MonteCarloTimer::new(&library, &config.ssta)
+            .with_seed(config.mc_seed)
+            .sample_parallel(&netlist, config.mc_samples);
+        let mut deadlines: Vec<f64> = mc.samples().iter().step_by(37).copied().collect();
+        deadlines.extend([0.0, mc.moments().mean, 1e9]);
+        for deadline in deadlines {
+            let Answer::Yield { fraction } = ws
+                .query(Request::Yield {
+                    circuit: "cmp_8".into(),
+                    deadline,
+                })
+                .answer
+            else {
+                panic!("yield at {deadline}");
+            };
+            assert_eq!(
+                fraction.to_bits(),
+                mc.yield_at(deadline).to_bits(),
+                "{deadline}"
+            );
+        }
     }
 
     fn sequential_workspace(threads: usize) -> Workspace {
