@@ -2,7 +2,8 @@
 //! small suite circuits, plus the deterministic baseline and the
 //! subcircuit-evaluation inner loop it amortizes (Table 1's runtime
 //! column, scaled down), alone and as one sensitivity-probe pass over a
-//! whole shipped circuit.
+//! whole shipped circuit, and the two ways a sizer can take back a
+//! rejected FULLSSTA trial: undo it or re-time the old size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -11,7 +12,7 @@ use vartol_liberty::Library;
 use vartol_netlist::generators::benchmark;
 use vartol_netlist::iscas::parse_bench;
 use vartol_netlist::{GateKind, Subcircuit};
-use vartol_ssta::{Fassta, FullSsta, SstaConfig};
+use vartol_ssta::{Fassta, FullSsta, SstaConfig, TimingSession};
 
 fn bench_sizing(c: &mut Criterion) {
     let lib = Library::synthetic_90nm();
@@ -94,6 +95,40 @@ fn bench_sizing(c: &mut Criterion) {
                 }
                 s344.set_size(g, *size);
             }
+        });
+    });
+
+    // One rejected single-gate trial on a c432 FULLSSTA session: resize,
+    // refresh, then take it back by undo or by re-timing the old size.
+    let c432 = benchmark("c432", &lib).expect("known benchmark");
+    let mut session = TimingSession::new(&lib, ssta.clone(), c432);
+    let (g, size, ladder) = session
+        .netlist()
+        .gate_ids()
+        .skip(40)
+        .find_map(|g| {
+            let gate = session.netlist().gate(g);
+            let GateKind::Cell { function, size } = *gate.kind() else {
+                return None;
+            };
+            let ladder = lib.group(function, gate.fanins().len())?.len();
+            (ladder > 1).then_some((g, size, ladder))
+        })
+        .expect("c432 has resizable gates");
+    let trial = (size + 1) % ladder;
+    group.bench_function("c432_reject_undo", |b| {
+        b.iter(|| {
+            session.resize(g, trial);
+            black_box(session.refresh_undoable());
+            session.undo();
+        });
+    });
+    group.bench_function("c432_reject_retime", |b| {
+        b.iter(|| {
+            session.resize(g, trial);
+            black_box(session.refresh());
+            session.resize(g, size);
+            session.refresh();
         });
     });
     group.finish();

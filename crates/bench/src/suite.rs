@@ -894,8 +894,9 @@ fn measure_branch_fanout(
         other => panic!("{name}: expected a what-if answer, got {other:?}"),
     }
 
-    // Recompute counts on a serial side session, one fork per pick like
-    // the workspace fan-out, so the count is the same at any pool width.
+    // Recompute counts on a serial side session, one fork per pick: each
+    // pick re-times only its own cone from the fork point, as a workspace
+    // what-if trial does, so the count is the same at any pool width.
     let mut session = TimingSession::new(library, config.ssta.clone().with_threads(1), netlist);
     session.refresh();
     let full_build = session.recompute_count();

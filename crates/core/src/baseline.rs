@@ -6,17 +6,18 @@
 //! usage of smaller devices". [`MeanDelaySizer`] reproduces that starting
 //! point: greedy critical-path sizing against nominal delays, followed by
 //! an optional area-recovery pass that downsizes gates wherever the delay
-//! target allows. Both run on a deterministic [`TimingSession`]; per-gate
-//! size trials happen on a forked branch ([`TimingSession::fork`]) so
-//! the parent stays frozen while every trial re-times only the affected
-//! fanout cone against the branch's last state, and the winning trial is
-//! committed back — the parent takes over the branch's state by move.
+//! target allows. Both run on a deterministic [`TimingSession`]; every
+//! per-gate size trial resizes the session in place and re-times only
+//! the affected fanout cone with an undoable refresh. A trial that beats
+//! the best score so far stays in place; any other is undone
+//! ([`TimingSession::undo`]), which restores the previous state without
+//! re-timing it.
 
 use std::sync::Arc;
 use std::time::Instant;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist};
-use vartol_ssta::{EngineKind, SessionBranch, SstaConfig, TimingSession};
+use vartol_ssta::{EngineKind, SstaConfig, TimingSession};
 
 /// Summary of a deterministic sizing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +87,7 @@ impl MeanDelaySizer {
         );
         let initial_delay = session.circuit_moments().mean;
 
-        let mut best_score = Self::score(&mut session);
+        let mut best_score = Self::score(&session);
         let mut passes = 0;
         for _ in 0..self.max_passes {
             passes += 1;
@@ -142,10 +143,9 @@ impl MeanDelaySizer {
 
     /// The deterministic objective: worst output delay first, then the sum
     /// of all output arrivals as a tie-breaker (so the longest path of
-    /// every output gets minimized, Design-Compiler style). Refreshes the
-    /// session (incremental) before reading.
-    fn score(session: &mut TimingSession) -> (f64, f64) {
-        session.refresh();
+    /// every output gets minimized, Design-Compiler style), read off the
+    /// session's last refresh.
+    fn score(session: &TimingSession) -> (f64, f64) {
         let total: f64 = session
             .netlist()
             .outputs()
@@ -153,17 +153,6 @@ impl MeanDelaySizer {
             .map(|&o| session.arrival(o).mean)
             .sum();
         (session.circuit_moments().mean, total)
-    }
-
-    /// The same objective read off a branch (which refreshes only the
-    /// cone of its latest resize, leaving the parent untouched). The
-    /// incremental-equals-scratch contract makes this bit-identical to
-    /// scoring the resize on the session itself.
-    fn branch_score(branch: &mut SessionBranch) -> (f64, f64) {
-        let mean = branch.refresh().mean;
-        let outputs: Vec<GateId> = branch.netlist().outputs().to_vec();
-        let total: f64 = outputs.iter().map(|&o| branch.arrival(o).mean).sum();
-        (mean, total)
     }
 
     fn better(a: (f64, f64), b: (f64, f64)) -> bool {
@@ -177,11 +166,10 @@ impl MeanDelaySizer {
         a.1 < b.1 - 1e-9
     }
 
-    /// Tries every size of `g` on one forked branch, committing the one
-    /// that minimizes the deterministic objective (the commit re-times
-    /// the winner's cone on the branch if it was not the last size tried,
-    /// then moves the branch's state into the parent). Returns true if
-    /// the size changed.
+    /// Tries every size of `g` in place, keeping the one that minimizes
+    /// the deterministic objective: a trial that beats the best score
+    /// stays, any other is undone, so the session ends on the winner with
+    /// no re-time. Returns true if the size changed.
     fn improve_gate(
         &self,
         session: &mut TimingSession,
@@ -201,27 +189,22 @@ impl MeanDelaySizer {
             return false;
         };
 
-        let mut branch = session.fork();
         let mut best_size = current;
         for size in 0..group.len() {
             if size == current {
                 continue;
             }
-            branch.resize(g, size);
-            let s = Self::branch_score(&mut branch);
+            session.resize(g, size);
+            session.refresh_undoable();
+            let s = Self::score(session);
             if Self::better(s, *best_score) {
                 *best_score = s;
                 best_size = size;
+            } else {
+                session.undo();
             }
         }
-        if best_size == current {
-            return false; // branch dropped; the parent never moved
-        }
-        branch.resize(g, best_size);
-        session
-            .commit(branch)
-            .expect("a same-circuit branch of a clean parent commits");
-        true
+        best_size != current
     }
 
     /// Downsizes gates wherever the nominal longest delay stays within
@@ -249,14 +232,13 @@ impl MeanDelaySizer {
             let mut kept = current;
             for size in (0..current).rev() {
                 session.resize(g, size);
-                if session.refresh().mean <= target_delay + 1e-9 {
+                if session.refresh_undoable().mean <= target_delay + 1e-9 {
                     kept = size;
                 } else {
+                    session.undo();
                     break;
                 }
             }
-            session.resize(g, kept);
-            session.refresh();
             if kept != current {
                 changed += 1;
             }

@@ -26,7 +26,10 @@
 //!
 //! Commits stay sequential by design: batch validation, rollback, and
 //! area recovery are incremental cone refreshes on the one authoritative
-//! [`TimingSession`], which is inherently ordered.
+//! [`TimingSession`], which is inherently ordered. Every trial that may be
+//! rejected (the batch, each fallback candidate, each downsizing step) is
+//! an undoable refresh: a rejection is [`TimingSession::undo`], which
+//! restores the pre-trial state without re-timing its cone.
 
 use crate::config::SizerConfig;
 use crate::cost::{moments_cost, subcircuit_cost};
@@ -128,9 +131,10 @@ impl StatisticalGreedy {
         let initial = session.circuit_moments();
         let initial_area = session.total_area();
 
-        // Best state seen so far (global-cost guard).
+        // Cost of the best state seen so far (global-cost guard). Every
+        // rejected trial is undone, so the session always holds that
+        // state between trials.
         let mut best_cost = moments_cost(initial, alpha);
-        let mut best_sizes = session.sizes();
 
         for pass in 0..self.config.max_passes {
             let circuit = session.circuit_moments();
@@ -180,34 +184,26 @@ impl StatisticalGreedy {
             for &(g, s) in &scheduled {
                 session.resize(g, s);
             }
-            let batch_moments = session.refresh();
+            let batch_moments = session.refresh_undoable();
             let batch_cost = moments_cost(batch_moments, alpha);
 
             let mut kept = scheduled.len();
             if self.accepts(batch_cost, best_cost, batch_moments.mean) {
                 best_cost = batch_cost;
-                best_sizes = session.sizes();
             } else {
-                session.restore_sizes(&best_sizes);
+                session.undo();
                 kept = 0;
                 for &(g, s) in &scheduled {
-                    let previous = session
-                        .netlist()
-                        .gate(g)
-                        .size()
-                        .expect("scheduled gates are cells");
                     session.resize(g, s);
-                    let candidate_moments = session.refresh();
+                    let candidate_moments = session.refresh_undoable();
                     let candidate_cost = moments_cost(candidate_moments, alpha);
                     if self.accepts(candidate_cost, best_cost, candidate_moments.mean) {
                         best_cost = candidate_cost;
-                        best_sizes = session.sizes();
                         kept += 1;
                     } else {
-                        session.resize(g, previous);
+                        session.undo();
                     }
                 }
-                session.refresh();
             }
 
             passes.push(PassStats {
@@ -222,9 +218,7 @@ impl StatisticalGreedy {
             }
         }
 
-        // Ensure the netlist carries the best state.
-        session.restore_sizes(&best_sizes);
-        let final_moments = session.refresh();
+        let final_moments = session.circuit_moments();
         let final_area = session.total_area();
         *netlist = session.into_netlist();
         OptimizationReport::new(
@@ -284,7 +278,8 @@ impl StatisticalGreedy {
     /// the global cost `μ + α·σ` stays within `cost_budget` — the
     /// statistical counterpart of the deterministic
     /// [`MeanDelaySizer::recover_area`](crate::MeanDelaySizer::recover_area).
-    /// Every trial is an incremental cone refresh, not a full re-analysis.
+    /// Every trial is an incremental cone refresh, not a full re-analysis,
+    /// and the one rejected step per gate is undone, not re-timed.
     /// Returns the number of gates downsized.
     ///
     /// # Panics
@@ -307,15 +302,14 @@ impl StatisticalGreedy {
             let mut kept = current;
             for size in (0..current).rev() {
                 session.resize(g, size);
-                let m = session.refresh();
+                let m = session.refresh_undoable();
                 if moments_cost(m, alpha) <= cost_budget + 1e-9 {
                     kept = size;
                 } else {
+                    session.undo();
                     break;
                 }
             }
-            session.resize(g, kept);
-            session.refresh();
             if kept != current {
                 changed += 1;
             }

@@ -227,8 +227,8 @@ pub enum ServeRequest {
     /// one circuit, fanned out in parallel over the shard's workspace
     /// pool — one outcome per trial, in trial order, bit-identical at
     /// every pool width. Each trial is a list of `[gate, size]` pairs
-    /// applied to a fresh branch of the circuit's current state; the
-    /// circuit itself is untouched. Cacheable.
+    /// applied to a branch at the circuit's current state, and undone
+    /// afterwards; the circuit itself is untouched. Cacheable.
     WhatIf {
         /// Target circuit.
         circuit: String,

@@ -16,6 +16,12 @@
 //!   ([`TimingSession::commit`](crate::TimingSession::commit)) — the
 //!   parent takes over the branch's sizes and evaluated state by move —
 //!   or simply dropped.
+//! * Inside a branch, a trial that may be rejected uses
+//!   [`SessionBranch::refresh_undoable`] and [`SessionBranch::undo`], the
+//!   session's undo contract: a rejected trial returns the branch to its
+//!   pre-trial state without re-timing anything. Forks serve divergent,
+//!   parallel or long-lived versions; undo serves try-then-maybe-keep on
+//!   one session or branch.
 //!
 //! # Determinism
 //!
@@ -243,6 +249,28 @@ impl SessionBranch {
     /// from-scratch session at the branch's sizes.
     pub fn refresh(&mut self) -> Moments {
         self.session.refresh()
+    }
+
+    /// [`SessionBranch::refresh`], logged so that [`SessionBranch::undo`]
+    /// can revert it (see [`TimingSession::refresh_undoable`]).
+    pub fn refresh_undoable(&mut self) -> Moments {
+        self.session.refresh_undoable()
+    }
+
+    /// Reverts the last [`SessionBranch::refresh_undoable`] with zero node
+    /// visits; `false` if there is nothing to undo (see
+    /// [`TimingSession::undo`]).
+    pub fn undo(&mut self) -> bool {
+        self.session.undo()
+    }
+
+    /// Sets every gate back to its fork-point size, marking only the
+    /// gates that differ from the branch's last refresh dirty (none, if
+    /// the branch was at its fork point when last refreshed).
+    pub fn restore_fork_point(&mut self) {
+        self.session
+            .try_restore_sizes(&self.base_sizes)
+            .expect("fork-point sizes match the branch's netlist");
     }
 
     /// Circuit output moments at the branch's sizes (refreshing first).

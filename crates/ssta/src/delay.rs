@@ -172,6 +172,27 @@ impl CircuitTiming {
         (slew_changed, delay_changed)
     }
 
+    /// One node's stored electrical values, as an undo log saves them
+    /// before [`CircuitTiming::apply_node`] overwrites them.
+    pub(crate) fn node(&self, id: GateId) -> NodeElectrical {
+        let i = id.index();
+        NodeElectrical {
+            load: self.loads[i],
+            slew: self.slews[i],
+            nominal_delay: self.nominal_delays[i],
+            delay_moments: self.delay_moments[i],
+        }
+    }
+
+    /// Writes back values saved by [`CircuitTiming::node`].
+    pub(crate) fn restore_node(&mut self, id: GateId, saved: NodeElectrical) {
+        let i = id.index();
+        self.loads[i] = saved.load;
+        self.slews[i] = saved.slew;
+        self.nominal_delays[i] = saved.nominal_delay;
+        self.delay_moments[i] = saved.delay_moments;
+    }
+
     fn load_of(netlist: &Netlist, library: &Library, config: &SstaConfig, id: GateId) -> f64 {
         let g = netlist.gate(id);
         let mut load = 0.0;

@@ -3,9 +3,10 @@
 //! Each restart is an independent Metropolis walk over the discrete
 //! size space, running on its own forked
 //! [`SessionBranch`](crate::SessionBranch): proposing a size is a
-//! private mutation, evaluating it is an incremental refresh of the
-//! moved gate's cone against the branch's last state, and the parent
-//! session stays frozen throughout. Restarts fan out over a
+//! private mutation, evaluating it is an undoable incremental refresh of
+//! the moved gate's cone against the branch's last state, a rejected
+//! move is undone without re-timing, and the parent session stays
+//! frozen throughout. Restarts fan out over a
 //! [`ScopedPool`]; each draws from its own SplitMix64 stream keyed by
 //! `(seed, restart index)`, so the walk — and therefore the whole
 //! outcome — is **bit-identical at every pool width**, and a run over
@@ -244,7 +245,7 @@ impl AnnealingSizer {
             // schedule) so the walk is a pure function of the seed.
             if proposal != current {
                 branch.resize(g, proposal);
-                let m = branch.refresh();
+                let m = branch.refresh_undoable();
                 let next_energy = energy(m, branch.total_area());
                 let delta = next_energy - current_energy;
                 let accept = delta <= 0.0 || (temp > 0.0 && rng.next_f64() < (-delta / temp).exp());
@@ -255,7 +256,7 @@ impl AnnealingSizer {
                         best_sizes = branch.sizes();
                     }
                 } else {
-                    branch.resize(g, current);
+                    branch.undo();
                 }
             }
             temp *= self.config.cooling;
@@ -282,17 +283,16 @@ impl AnnealingSizer {
                     let mut kept = current;
                     for size in (0..current).rev() {
                         branch.resize(g, size);
-                        let m = branch.refresh();
+                        let m = branch.refresh_undoable();
                         let e = energy(m, branch.total_area());
                         if e <= budget {
                             kept = size;
                             best_energy = best_energy.min(e);
                         } else {
+                            branch.undo();
                             break;
                         }
                     }
-                    branch.resize(g, kept);
-                    branch.refresh();
                     if kept != current {
                         changed = true;
                     }

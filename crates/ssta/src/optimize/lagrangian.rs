@@ -389,7 +389,7 @@ impl Sizer for LagrangianSizer {
 
         // Land on the best state seen, then return any area the
         // objective can spare: a deterministic sinks-first downsizing
-        // sweep, each trial an incremental cone refresh.
+        // sweep, each trial an undoable incremental cone refresh.
         session
             .try_restore_sizes(&best_sizes)
             .expect("best sizes came from this session");
@@ -411,15 +411,14 @@ impl Sizer for LagrangianSizer {
                     let mut kept = current;
                     for size in (0..current).rev() {
                         session.resize(g, size);
-                        let m = session.refresh();
+                        let m = session.refresh_undoable();
                         if objective.value(m) <= budget {
                             kept = size;
                         } else {
+                            session.undo();
                             break;
                         }
                     }
-                    session.resize(g, kept);
-                    session.refresh();
                     if kept != current {
                         polished += 1;
                         changed = true;

@@ -40,6 +40,19 @@
 //! serving arrivals stale with respect to a completed refresh (see the
 //! `restore_then_refresh_*` and randomized-interleaving tests below).
 //!
+//! Undo contract (for try-then-maybe-keep loops on one session):
+//! [`TimingSession::refresh_undoable`] is a `refresh` that also logs
+//! every value it overwrites and the dirty gates' previous analyzed
+//! sizes. [`TimingSession::undo`] then puts the session back exactly as
+//! it was before that refresh — sizes, propagation state, circuit
+//! summary, clean dirty set — without visiting a node
+//! ([`TimingSession::recompute_count`] does not move). The restored
+//! state is the one a re-time of the old sizes would recompute, by the
+//! incremental-equals-scratch contract above. Any later resize, restore,
+//! rebuild or commit drops the log, and so does a refresh with work to
+//! do, so `undo` returns `false` and changes nothing; plain `refresh`
+//! logs nothing. The log is bounded by one refresh's cone.
+//!
 //! # Example
 //!
 //! ```
@@ -68,7 +81,7 @@ use crate::criticality::Criticality;
 use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingReport};
 use crate::slack::StatisticalSlacks;
-use crate::state::{CircuitSummary, TimingState};
+use crate::state::{CircuitSummary, TimingState, UndoLog};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vartol_liberty::Library;
@@ -99,6 +112,18 @@ pub struct TimingSession {
     dirty: BTreeSet<usize>,
     /// Sizes as of the last refresh, for no-op resize detection.
     analyzed_sizes: Vec<usize>,
+    /// What [`TimingSession::undo`] restores, if the last refresh was
+    /// undoable and nothing has changed since.
+    undo: Option<UndoRecord>,
+}
+
+/// The pre-refresh state an undoable refresh replaced.
+#[derive(Debug, Clone)]
+struct UndoRecord {
+    state: UndoLog,
+    summary: CircuitSummary,
+    /// `(gate index, analyzed size before the refresh)`.
+    sizes: Vec<(usize, usize)>,
 }
 
 impl TimingSession {
@@ -143,6 +168,7 @@ impl TimingSession {
             summary,
             dirty: BTreeSet::new(),
             analyzed_sizes,
+            undo: None,
         }
     }
 
@@ -235,6 +261,7 @@ impl TimingSession {
     /// Propagates [`Netlist::try_set_size`] errors.
     pub fn try_resize(&mut self, id: GateId, size: usize) -> Result<(), NetlistError> {
         self.netlist.try_set_size(id, size)?;
+        self.undo = None;
         if self.analyzed_sizes[id.index()] == size {
             self.dirty.remove(&id.index());
         } else {
@@ -279,6 +306,7 @@ impl TimingSession {
     /// Propagates [`Netlist::try_restore_sizes`] errors.
     pub fn try_restore_sizes(&mut self, sizes: &[usize]) -> Result<(), NetlistError> {
         self.netlist.try_restore_sizes(sizes)?;
+        self.undo = None;
         for id in self.netlist.gate_ids() {
             let i = id.index();
             if sizes[i] == self.analyzed_sizes[i] {
@@ -301,31 +329,110 @@ impl TimingSession {
     /// moments. A no-op when nothing changed.
     pub fn refresh(&mut self) -> Moments {
         if !self.dirty.is_empty() {
-            let mut seeds: BTreeSet<usize> = BTreeSet::new();
-            for &i in &self.dirty {
-                // The resized gate's own drive and delay change, and its
-                // input capacitance changes the load (hence delay and
-                // output slew) of every fanin.
-                seeds.insert(i);
-                for &f in self.netlist.gate(GateId::from_index(i)).fanins() {
-                    seeds.insert(f.index());
-                }
-            }
-            self.state
-                .update(&self.netlist, &self.library, &self.config, seeds);
-            self.summary = self.state.circuit(&self.netlist, &self.config);
-            // Only the dirty gates can differ from the analyzed snapshot,
-            // so the bookkeeping stays proportional to the cone.
-            for &i in &self.dirty {
-                self.analyzed_sizes[i] = self
-                    .netlist
-                    .gate(GateId::from_index(i))
-                    .size()
-                    .expect("dirty nodes are cells");
-            }
-            self.dirty.clear();
+            self.propagate(false);
         }
         self.summary.moments
+    }
+
+    /// [`TimingSession::refresh`], logging what it overwrites so that
+    /// [`TimingSession::undo`] can put the pre-refresh state back (see
+    /// the module's undo contract). Same answer and same node visits as
+    /// `refresh`; a refresh with nothing to do logs nothing.
+    ///
+    /// ```
+    /// use vartol_liberty::Library;
+    /// use vartol_netlist::generators::ripple_carry_adder;
+    /// use vartol_ssta::{SstaConfig, TimingSession};
+    ///
+    /// let lib = Library::synthetic_90nm();
+    /// let mut session = TimingSession::new(&lib, SstaConfig::default(), ripple_carry_adder(8, &lib));
+    /// let before = session.refresh();
+    /// let gate = session.netlist().gate_ids().next().unwrap();
+    /// let original = session.netlist().gate(gate).size();
+    /// let visits = session.recompute_count();
+    ///
+    /// session.resize(gate, 4);
+    /// let trial = session.refresh_undoable();
+    /// assert_ne!(trial, before);
+    /// // Rejected: back to the pre-trial state without re-timing.
+    /// let trial_visits = session.recompute_count();
+    /// assert!(session.undo());
+    /// assert_eq!(session.circuit_moments(), before);
+    /// assert_eq!(session.netlist().gate(gate).size(), original);
+    /// assert!(!session.is_dirty());
+    /// assert_eq!(session.recompute_count(), trial_visits);
+    /// assert!(trial_visits > visits);
+    /// ```
+    pub fn refresh_undoable(&mut self) -> Moments {
+        if self.dirty.is_empty() {
+            self.undo = None;
+        } else {
+            self.propagate(true);
+        }
+        self.summary.moments
+    }
+
+    /// Reverts the last [`TimingSession::refresh_undoable`]: sizes,
+    /// propagation state and circuit summary return to what they were
+    /// before it, with zero node visits. Returns `false` and changes
+    /// nothing when there is no log to undo (nothing was logged, or a
+    /// resize, restore, rebuild, commit or working refresh came since).
+    pub fn undo(&mut self) -> bool {
+        let Some(record) = self.undo.take() else {
+            return false;
+        };
+        self.state.undo(record.state);
+        self.summary = record.summary;
+        for (i, size) in record.sizes {
+            self.netlist.set_size(GateId::from_index(i), size);
+            self.analyzed_sizes[i] = size;
+        }
+        true
+    }
+
+    /// Re-times the cone of the dirty gates, logging the overwritten
+    /// state for [`TimingSession::undo`] when `undoable`.
+    fn propagate(&mut self, undoable: bool) {
+        let mut seeds: BTreeSet<usize> = BTreeSet::new();
+        for &i in &self.dirty {
+            // The resized gate's own drive and delay change, and its
+            // input capacitance changes the load (hence delay and output
+            // slew) of every fanin.
+            seeds.insert(i);
+            for &f in self.netlist.gate(GateId::from_index(i)).fanins() {
+                seeds.insert(f.index());
+            }
+        }
+        let mut log = undoable.then(UndoLog::default);
+        self.state.update(
+            &self.netlist,
+            &self.library,
+            &self.config,
+            seeds,
+            log.as_mut(),
+        );
+        let fresh = self.state.circuit(&self.netlist, &self.config);
+        let summary = std::mem::replace(&mut self.summary, fresh);
+        // Only the dirty gates can differ from the analyzed snapshot, so
+        // the bookkeeping stays proportional to the cone.
+        let mut sizes = Vec::new();
+        for &i in &self.dirty {
+            let size = self
+                .netlist
+                .gate(GateId::from_index(i))
+                .size()
+                .expect("dirty nodes are cells");
+            let old = std::mem::replace(&mut self.analyzed_sizes[i], size);
+            if undoable {
+                sizes.push((i, old));
+            }
+        }
+        self.dirty.clear();
+        self.undo = log.map(|state| UndoRecord {
+            state,
+            summary,
+            sizes,
+        });
     }
 
     /// Discards the incremental analysis state and rebuilds it from
@@ -339,6 +446,7 @@ impl TimingSession {
         self.summary = self.state.circuit(&self.netlist, &self.config);
         self.analyzed_sizes = self.netlist.sizes();
         self.dirty.clear();
+        self.undo = None;
     }
 
     /// Circuit output moments as of the last refresh.
@@ -441,28 +549,18 @@ impl TimingSession {
         );
         let mut session = self.clone();
         session.state.visits = 0;
+        session.undo = None;
         SessionBranch::new(session)
     }
 
-    /// Commits a branch back into this session: the branch is refreshed
-    /// if it has pending resizes, then the session takes over its sizes
-    /// and propagation state by move, without recomputing anything itself
-    /// ([`TimingSession::recompute_count`] is unchanged), and returns the
-    /// committed circuit moments. The result is bit-identical to applying
-    /// the branch's resizes directly and refreshing.
-    ///
-    /// Consumes the branch; sibling branches forked from the same state
-    /// stay valid for reads, but committing them afterwards fails with
-    /// [`BranchError::BaseMismatch`] because their fork point no longer
-    /// matches the parent.
+    /// Checks whether `branch` could be committed into this session,
+    /// without touching either: the rule [`TimingSession::commit`]
+    /// applies, for callers that must keep a rejected branch.
     ///
     /// # Errors
     ///
-    /// [`BranchError::ParentDirty`] when resizes are pending here;
-    /// [`BranchError::BaseMismatch`] when this session's sizes changed
-    /// since the fork; [`BranchError::CircuitMismatch`] when the branch
-    /// belongs to a different circuit, engine kind, or configuration.
-    pub fn commit(&mut self, branch: SessionBranch) -> Result<Moments, BranchError> {
+    /// As [`TimingSession::commit`].
+    pub fn check_commit(&self, branch: &SessionBranch) -> Result<(), BranchError> {
         if self.is_dirty() {
             return Err(BranchError::ParentDirty);
         }
@@ -480,6 +578,31 @@ impl TimingSession {
         {
             return Err(BranchError::CircuitMismatch);
         }
+        Ok(())
+    }
+
+    /// Commits a branch back into this session: the branch is refreshed
+    /// if it has pending resizes, then the session takes over its sizes
+    /// and propagation state by move, without recomputing anything itself
+    /// ([`TimingSession::recompute_count`] is unchanged), and returns the
+    /// committed circuit moments. The result is bit-identical to applying
+    /// the branch's resizes directly and refreshing.
+    ///
+    /// Consumes the branch; sibling branches forked from the same state
+    /// stay valid for reads, but committing them afterwards fails with
+    /// [`BranchError::BaseMismatch`] because their fork point no longer
+    /// matches the parent. A rejected branch is dropped with the call;
+    /// callers that must keep it check [`TimingSession::check_commit`]
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// [`BranchError::ParentDirty`] when resizes are pending here;
+    /// [`BranchError::BaseMismatch`] when this session's sizes changed
+    /// since the fork; [`BranchError::CircuitMismatch`] when the branch
+    /// belongs to a different circuit, engine kind, or configuration.
+    pub fn commit(&mut self, branch: SessionBranch) -> Result<Moments, BranchError> {
+        self.check_commit(&branch)?;
         let mut branch = branch.into_session();
         branch.refresh();
         // Keep the parent's own cost meter: the branch's visits were
@@ -489,6 +612,7 @@ impl TimingSession {
         self.state = branch.state;
         self.summary = branch.summary;
         self.analyzed_sizes = branch.analyzed_sizes;
+        self.undo = None;
         Ok(self.summary.moments)
     }
 }

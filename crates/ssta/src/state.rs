@@ -65,9 +65,18 @@
 //! is IEEE-bit-identical to the pre-arena code. An incremental update
 //! visits each frontier node once and refreshes all lanes for it, so a
 //! resize still only recomputes the affected fanout cone.
+//!
+//! # Undo
+//!
+//! An update can log every value it overwrites into an [`UndoLog`]:
+//! electrical values, each lane's moments, PDFs and bucket vectors (moved
+//! out, never cloned) and the unconditional mirror.
+//! [`TimingState::undo`] writes them back, so a rejected trial returns to
+//! the exact pre-update state without visiting a node. An update visits
+//! each node at most once, so the log is bounded by the update's cone.
 
 use crate::config::{CorrelationMode, SstaConfig};
-use crate::delay::CircuitTiming;
+use crate::delay::{CircuitTiming, NodeElectrical};
 use crate::engine::{EngineKind, TimingReport};
 use crate::pool::ScopedPool;
 use crate::variation::{condition_moments, mix_conditional_moments};
@@ -270,26 +279,57 @@ impl LaneArena {
     /// Writes one `(lane, slot)` kernel result and reports whether
     /// anything observable downstream changed, using the exact legacy
     /// comparisons (`PartialEq` on moments, PDFs, and bucket vectors).
-    fn store(&mut self, kind: EngineKind, lane: usize, slot: usize, value: LaneValue) -> bool {
+    /// The replaced values move into `log` when one is given.
+    fn store(
+        &mut self,
+        kind: EngineKind,
+        lane: usize,
+        slot: usize,
+        value: LaneValue,
+        log: Option<&mut Vec<(usize, LaneValue)>>,
+    ) -> bool {
         let i = self.idx(lane, slot);
-        match kind {
+        let (changed, old) = match kind {
             EngineKind::Dsta | EngineKind::Fassta => {
                 let changed = value.moments != self.arrivals[i];
-                self.arrivals[i] = value.moments;
-                changed
+                let old = LaneValue {
+                    moments: std::mem::replace(&mut self.arrivals[i], value.moments),
+                    pdf: None,
+                    contrib: Vec::new(),
+                };
+                (changed, old)
             }
             EngineKind::FullSsta => {
                 let pdf = value.pdf.expect("pdf kernels always produce a pdf");
                 let track = self.track();
                 let changed = pdf != self.pdfs[i] || (track && value.contrib != self.contribs[i]);
-                self.arrivals[i] = value.moments;
-                self.pdfs[i] = pdf;
-                if track {
-                    self.contribs[i] = value.contrib;
-                }
-                changed
+                let old = LaneValue {
+                    moments: std::mem::replace(&mut self.arrivals[i], value.moments),
+                    pdf: Some(std::mem::replace(&mut self.pdfs[i], pdf)),
+                    contrib: if track {
+                        std::mem::replace(&mut self.contribs[i], value.contrib)
+                    } else {
+                        Vec::new()
+                    },
+                };
+                (changed, old)
             }
             EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
+        };
+        if let Some(log) = log {
+            log.push((i, old));
+        }
+        changed
+    }
+
+    /// Writes back one entry saved by [`LaneArena::store`].
+    fn restore(&mut self, i: usize, old: LaneValue) {
+        self.arrivals[i] = old.moments;
+        if let Some(pdf) = old.pdf {
+            self.pdfs[i] = pdf;
+        }
+        if self.track() {
+            self.contribs[i] = old.contrib;
         }
     }
 }
@@ -327,12 +367,25 @@ impl<'a> LaneView<'a> {
 
 /// One `(node, lane)` kernel result, produced by the pure compute phase
 /// and written back by [`LaneArena::store`] in the join phase.
+#[derive(Debug, Clone)]
 struct LaneValue {
     moments: Moments,
     /// `Some` for `FullSsta` kernels only.
     pdf: Option<DiscretePdf>,
     /// Empty unless tracking level buckets.
     contrib: Vec<f64>,
+}
+
+/// The values one logged [`TimingState::update`] overwrote, for
+/// [`TimingState::undo`] (see the [module docs](self#undo)).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UndoLog {
+    /// Node index → electrical values before the update.
+    electrical: Vec<(u32, NodeElectrical)>,
+    /// Arena index → lane values before the update.
+    lanes: Vec<(usize, LaneValue)>,
+    /// Node index → unconditional mirror entry before the update.
+    mirror: Vec<(u32, Moments)>,
 }
 
 /// Per-node propagation state for one engine flavor.
@@ -390,13 +443,14 @@ impl TimingState {
                 config.model.conditioned_residual_fraction()
             },
         };
-        state.update(netlist, library, config, (0..n).collect());
+        state.update(netlist, library, config, (0..n).collect(), None);
         state
     }
 
     /// Propagates a seed set level by level, recomputing electrical and
     /// arrival state and chasing changes into the fanout cone. Returns
-    /// the number of nodes visited.
+    /// the number of nodes visited. With a `log`, every overwritten value
+    /// is saved there for [`TimingState::undo`].
     ///
     /// Each level runs compute (parallel when wide, inline when narrow)
     /// then a serial node-ordered join; see the module docs for why the
@@ -408,6 +462,7 @@ impl TimingState {
         library: &Library,
         config: &SstaConfig,
         queue: BTreeSet<usize>,
+        mut log: Option<&mut UndoLog>,
     ) -> u64 {
         let pool = ScopedPool::new(config.threads);
         let levels = self.schedule.level_count();
@@ -443,6 +498,9 @@ impl TimingState {
             let mut elec_changed = Vec::with_capacity(nodes.len());
             for (k, fresh) in electrical.into_iter().enumerate() {
                 let id = GateId::from_index(nodes[k] as usize);
+                if let Some(log) = log.as_deref_mut() {
+                    log.electrical.push((nodes[k], self.timing.node(id)));
+                }
                 let (slew_changed, delay_changed) = self.timing.apply_node(netlist, id, fresh);
                 elec_changed.push(slew_changed || delay_changed);
             }
@@ -493,7 +551,8 @@ impl TimingState {
             for (t, value) in values.into_iter().enumerate() {
                 let (lane, k) = (t / m, t % m);
                 let slot = self.schedule.slot(GateId::from_index(gates[k].0 as usize));
-                item_changed[t] = self.arena.store(kind, lane, slot, value);
+                let lanes_log = log.as_deref_mut().map(|l| &mut l.lanes);
+                item_changed[t] = self.arena.store(kind, lane, slot, value, lanes_log);
             }
             for (k, &(i, electrical)) in gates.iter().enumerate() {
                 let id = GateId::from_index(i as usize);
@@ -501,6 +560,9 @@ impl TimingState {
                 let mut changed = electrical;
                 for lane in 0..lanes {
                     changed |= item_changed[lane * m + k];
+                }
+                if let Some(log) = log.as_deref_mut() {
+                    log.mirror.push((i, self.arrivals[i as usize]));
                 }
                 if self.arena.conditioned {
                     let mixed = mix_conditional_moments((0..lanes).map(|lane| {
@@ -524,6 +586,22 @@ impl TimingState {
         }
         self.visits += visited;
         visited
+    }
+
+    /// Writes back every value a logged [`TimingState::update`]
+    /// overwrote, newest first. Nothing is recomputed, so `visits` does
+    /// not move.
+    pub fn undo(&mut self, log: UndoLog) {
+        for (i, saved) in log.electrical.into_iter().rev() {
+            self.timing
+                .restore_node(GateId::from_index(i as usize), saved);
+        }
+        for (i, old) in log.lanes.into_iter().rev() {
+            self.arena.restore(i, old);
+        }
+        for (i, m) in log.mirror.into_iter().rev() {
+            self.arrivals[i as usize] = m;
+        }
     }
 
     /// Reduces the primary outputs into the circuit-level RV and picks

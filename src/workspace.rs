@@ -432,8 +432,8 @@ pub enum Request {
     /// Evaluate N independent what-if trials as anonymous branches of
     /// one circuit, fanned out in parallel over the workspace pool —
     /// answers in trial order, bit-identical at every pool width. Each
-    /// trial forks its own branch, so it re-times only its own resizes;
-    /// the circuit is left untouched.
+    /// worker forks one branch and undoes every trial on it, so a trial
+    /// re-times only its own resizes; the circuit is left untouched.
     WhatIfBatch {
         /// Target circuit name.
         circuit: String,
@@ -1295,23 +1295,24 @@ fn answer(
             let Some(b) = entry.branches.get(branch) else {
                 return unknown_branch(&entry.name, branch);
             };
-            // Commit a clone so a rejected commit leaves the branch
-            // readable. The clone copies the branch's session state once;
-            // the commit then moves that copy in.
-            match entry.session.commit(b.clone()) {
-                Ok(moments) => {
-                    entry.branches.remove(branch);
-                    entry.committed += 1;
-                    Answer::Committed {
-                        branch: branch.clone(),
-                        moments,
-                        area: entry.session.total_area(),
-                    }
-                }
-                Err(e) => Answer::error(
+            // Check the commit rule first, so a rejected commit leaves the
+            // branch in place and readable; an accepted one moves it in.
+            if let Err(e) = entry.session.check_commit(b) {
+                return Answer::error(
                     ErrorCode::BranchConflict,
                     format!("cannot commit branch `{branch}`: {e}"),
-                ),
+                );
+            }
+            let b = entry.branches.remove(branch).expect("present above");
+            let moments = entry
+                .session
+                .commit(b)
+                .expect("check_commit accepted this branch");
+            entry.committed += 1;
+            Answer::Committed {
+                branch: branch.clone(),
+                moments,
+                area: entry.session.total_area(),
             }
         }
         Request::DropBranch { branch, .. } => {
@@ -1327,14 +1328,30 @@ fn answer(
             entry.session.refresh();
             let session = &entry.session;
             let name = entry.name.as_str();
-            // One fork per trial (a worker's reused branch would re-time
-            // the previous trial's cone too), outcomes in trial order —
-            // the same discipline as the parallel sizer, so the answers
-            // are bit-identical at every pool width.
+            // One fork per worker; every trial is undone on it, so each
+            // trial starts from the fork point exactly and re-times only
+            // its own cone. Outcomes come back in trial order, so the
+            // answers are bit-identical at every pool width.
             let pool = ScopedPool::new(config.threads);
-            let outcomes = pool.map(trials.len(), |i| {
-                what_if_trial(library, name, session.fork(), &trials[i], i)
-            });
+            let outcomes = pool.map_init(
+                trials.len(),
+                || session.fork(),
+                |branch, i| {
+                    let answer = what_if_trial(library, name, branch, &trials[i], i);
+                    if matches!(
+                        answer,
+                        Answer::Error {
+                            code: ErrorCode::Panic,
+                            ..
+                        }
+                    ) {
+                        // The panicked refresh may have left the branch
+                        // half-updated: fork afresh for the next trial.
+                        *branch = session.fork();
+                    }
+                    answer
+                },
+            );
             Answer::WhatIf { outcomes }
         }
         Request::Size {
@@ -1610,29 +1627,39 @@ fn outcome_to_report(outcome: SizingOutcome) -> OptimizationReport {
     )
 }
 
-/// Evaluates one [`WhatIfTrial`] on its own fresh branch: applies the
-/// trial's resizes (validated like [`Request::Resize`]) and refreshes
-/// their cone. A validation failure or panic answers [`Answer::Error`]
-/// for this trial only; the branch is dropped either way.
+/// Evaluates one [`WhatIfTrial`] on a worker's branch, which sits at its
+/// fork point: applies the trial's resizes (validated like
+/// [`Request::Resize`]) and refreshes their cone. A validation failure or
+/// panic answers [`Answer::Error`] for this trial only. The branch is
+/// left at its fork point again: a trial that fails validation part-way
+/// restores the fork-point sizes, and an evaluated one is undone. After a
+/// panic ([`ErrorCode::Panic`]) the branch may be half-updated, and the
+/// caller must fork a fresh one.
 fn what_if_trial(
     library: &Library,
     circuit: &str,
-    mut branch: SessionBranch,
+    branch: &mut SessionBranch,
     trial: &WhatIfTrial,
     index: usize,
 ) -> Answer {
     for r in &trial.resizes {
-        let id = match validate_resize(library, circuit, branch.netlist(), &r.gate, r.size) {
-            Ok(id) => id,
-            Err(a) => return a,
+        let rejected = match validate_resize(library, circuit, branch.netlist(), &r.gate, r.size) {
+            Ok(id) => branch
+                .try_resize(id, r.size)
+                .err()
+                .map(|e| Answer::error(ErrorCode::InvalidNetlist, e.to_string())),
+            Err(a) => Some(a),
         };
-        if let Err(e) = branch.try_resize(id, r.size) {
-            return Answer::error(ErrorCode::InvalidNetlist, e.to_string());
+        if let Some(answer) = rejected {
+            branch.restore_fork_point();
+            return answer;
         }
     }
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let moments = branch.refresh();
-        (moments, branch.total_area())
+        let moments = branch.refresh_undoable();
+        let area = branch.total_area();
+        branch.undo();
+        (moments, area)
     }));
     match result {
         Ok((moments, area)) => Answer::BranchAnalysis {
@@ -2127,6 +2154,113 @@ mod tests {
         };
         assert_eq!(a.mean.to_bits(), b.mean.to_bits());
         assert_eq!(a.var.to_bits(), b.var.to_bits());
+    }
+
+    #[test]
+    fn rejected_commit_leaves_the_branch_intact_and_readable() {
+        let mut ws = workspace(1);
+        let gate = first_gate(&ws, "adder_8");
+        for branch in ["a", "b"] {
+            ws.query(Request::Fork {
+                circuit: "adder_8".into(),
+                branch: branch.into(),
+            });
+            ws.query(Request::BranchResize {
+                circuit: "adder_8".into(),
+                branch: branch.into(),
+                gate: gate.clone(),
+                size: if branch == "a" { 4 } else { 3 },
+            });
+        }
+        let analyze_b = Request::BranchAnalyze {
+            circuit: "adder_8".into(),
+            branch: "b".into(),
+        };
+        let before = ws.query(analyze_b.clone()).answer;
+        assert!(
+            matches!(before, Answer::BranchAnalysis { .. }),
+            "{before:?}"
+        );
+        let commit = |branch: &str| Request::Commit {
+            circuit: "adder_8".into(),
+            branch: branch.into(),
+        };
+        assert!(matches!(
+            ws.query(commit("a")).answer,
+            Answer::Committed { .. }
+        ));
+        let Answer::Error { code, .. } = ws.query(commit("b")).answer else {
+            panic!("a stale sibling must not commit");
+        };
+        assert_eq!(code, ErrorCode::BranchConflict);
+        // The rejected branch is still registered, uncounted, and answers
+        // exactly what it answered before the attempt.
+        assert_eq!(ws.branch_names("adder_8").unwrap(), vec!["b"]);
+        assert_eq!(ws.branch_counters(), (1, 1, 0));
+        assert_eq!(ws.query(analyze_b).answer, before);
+    }
+
+    #[test]
+    fn what_if_trials_on_a_reused_worker_branch_answer_like_fresh_forks() {
+        // One worker runs every trial on the same branch, so a trial that
+        // fails part-way or is undone must leave nothing for the next.
+        let probe = workspace(1);
+        let netlist = probe.netlist("adder_8").expect("registered");
+        let names: Vec<String> = netlist
+            .gate_ids()
+            .take(3)
+            .map(|g| netlist.gate(g).name().to_owned())
+            .collect();
+        let resize = |gate: &String, size| GateResize {
+            gate: gate.clone(),
+            size,
+        };
+        let trials = vec![
+            WhatIfTrial {
+                resizes: vec![resize(&names[0], 4), resize(&"ghost".to_owned(), 1)],
+            },
+            WhatIfTrial { resizes: vec![] },
+            WhatIfTrial {
+                resizes: vec![resize(&names[0], 4)],
+            },
+            WhatIfTrial {
+                resizes: vec![resize(&names[1], 3), resize(&names[2], 99)],
+            },
+            WhatIfTrial {
+                resizes: vec![resize(&names[1], 3), resize(&names[0], 2)],
+            },
+            WhatIfTrial { resizes: vec![] },
+        ];
+        let batch = |trials: Vec<WhatIfTrial>| Request::WhatIfBatch {
+            circuit: "adder_8".into(),
+            trials,
+        };
+        let Answer::WhatIf { outcomes } = workspace(1).query(batch(trials.clone())).answer else {
+            panic!("a what-if batch answers WhatIf");
+        };
+        // A trial's answer up to its name, as bits.
+        let bits = |a: &Answer| match a {
+            Answer::BranchAnalysis { moments, area, .. } => Ok((
+                moments.mean.to_bits(),
+                moments.var.to_bits(),
+                area.to_bits(),
+            )),
+            other => Err(other.clone()),
+        };
+        for (i, trial) in trials.into_iter().enumerate() {
+            let Answer::WhatIf { outcomes: alone } = workspace(1).query(batch(vec![trial])).answer
+            else {
+                panic!("a what-if batch answers WhatIf");
+            };
+            assert_eq!(bits(&outcomes[i]), bits(&alone[0]), "trial {i}");
+        }
+        assert!(bits(&outcomes[0]).is_err() && bits(&outcomes[3]).is_err());
+        assert!(bits(&outcomes[4]).is_ok());
+        assert_eq!(
+            bits(&outcomes[1]),
+            bits(&outcomes[5]),
+            "undone trials leave the fork point"
+        );
     }
 
     #[test]
