@@ -10,7 +10,8 @@
 //! and store these values for use in the fast timing engine (FASSTA)."*
 //!
 //! With [`CorrelationMode::LevelBuckets`](crate::CorrelationMode) each node
-//! also carries a vector of per-level variance contributions; the
+//! also carries a vector of per-level variance contributions up to its
+//! own level (`state.rs` explains why higher levels need no entry); the
 //! correlation of two arrivals at a max is estimated from the bucket-wise
 //! overlap of those vectors (shared path prefixes accumulate identical
 //! bucket entries), the max *moments* come from Clark's correlated

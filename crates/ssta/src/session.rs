@@ -231,6 +231,12 @@ impl TimingSession {
         self.state.schedule.level_count()
     }
 
+    /// The propagation state, for the arena's own layout checks.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> &TimingState {
+        &self.state
+    }
+
     /// Widest topological level: the per-level parallelism ceiling of
     /// one propagation (levels below the spawn-amortization threshold
     /// run inline regardless of [`crate::SstaConfig::threads`]).
@@ -488,10 +494,11 @@ impl TimingSession {
     }
 
     /// Packages the incremental state as a [`TimingReport`] (refreshing
-    /// first if needed).
+    /// first if needed), cloning only what the report holds: arrivals,
+    /// electrical snapshot, circuit summary and node-order PDFs.
     pub fn current_report(&mut self) -> TimingReport {
         self.refresh();
-        self.state.to_report(&self.netlist, &self.config)
+        self.state.report(&self.summary, &self.config)
     }
 
     /// Runs any engine from scratch over the netlist's current sizes —

@@ -66,6 +66,24 @@
 //! visits each frontier node once and refreshes all lanes for it, so a
 //! resize still only recomputes the affected fanout cone.
 //!
+//! # Level-prefix buckets
+//!
+//! Under [`CorrelationMode::LevelBuckets`] each `(lane, node)` carries a
+//! per-level variance vector for the FULLSSTA overlap correlation. A
+//! node at level `L` stores exactly `L + 1` entries (levels `0..=L`), in
+//! one allocation of exactly that capacity, instead of one entry per
+//! circuit level. The answers are those of the full-length layout bit
+//! for bit, because every entry above a node's level would be `+0.0`
+//! there: inputs start at `+0.0`, a blend `t·0 + (1−t)·0` with
+//! `t ∈ [0, 1]` stays `+0.0`, and a node adds its delay variance only at
+//! its own level. So [`correlated_max`] blends vectors of unequal length
+//! by feeding a literal `0.0` for the shorter side into the same
+//! expression, and `overlap_correlation` sums its bucket-wise minimum
+//! over the common prefix only: each skipped term is `min(x, +0.0) =
+//! +0.0`, and a non-empty sum of such minima is never `-0.0`. The join's
+//! change comparison still compares vectors of equal length (one node's
+//! old and new vector).
+//!
 //! # Undo
 //!
 //! An update can log every value it overwrites into an [`UndoLog`]:
@@ -186,7 +204,8 @@ impl LevelSchedule {
 
 /// Struct-of-arrays arrival storage: per lane, flat slot-indexed arrays
 /// of moments (all flavors), PDFs (`FullSsta`), and per-level variance
-/// buckets (`FullSsta` + [`CorrelationMode::LevelBuckets`]).
+/// buckets (`FullSsta` + [`CorrelationMode::LevelBuckets`]; see the
+/// [module docs](self#level-prefix-buckets) for their layout).
 ///
 /// Laneless propagation is lane 0 with `shift = 0, weight = 1` — same
 /// storage, same kernels, bit-identical arithmetic to the pre-arena
@@ -202,8 +221,11 @@ pub(crate) struct LaneArena {
     arrivals: Vec<Moments>,
     /// `lane * nodes + slot` → arrival PDF; empty unless `FullSsta`.
     pdfs: Vec<DiscretePdf>,
-    /// `lane * nodes + slot` → per-level variance contributions; empty
-    /// unless tracking level buckets.
+    /// `lane * nodes + slot` → per-level variance contributions of
+    /// levels `0..=level` of the slot's node: exactly `level + 1`
+    /// entries, allocated at exactly that capacity. Higher levels are
+    /// implicitly `+0.0` (module docs). Empty unless tracking level
+    /// buckets.
     contribs: Vec<Vec<f64>>,
     /// Whether the lanes are real Gauss–Hermite conditioning lanes
     /// (true) or the single implicit laneless lane (false) — picks the
@@ -212,7 +234,8 @@ pub(crate) struct LaneArena {
 }
 
 impl LaneArena {
-    fn build(kind: EngineKind, config: &SstaConfig, nodes: usize, buckets: usize) -> Self {
+    fn build(kind: EngineKind, config: &SstaConfig, schedule: &LevelSchedule) -> Self {
+        let nodes = schedule.order.len();
         let track =
             kind == EngineKind::FullSsta && config.correlation == CorrelationMode::LevelBuckets;
         let spec = config.model.conditioning_lanes();
@@ -234,7 +257,10 @@ impl LaneArena {
                 Vec::new()
             },
             contribs: if track {
-                vec![vec![0.0; buckets]; lanes * nodes]
+                (0..lanes)
+                    .flat_map(|_| &schedule.order)
+                    .map(|&node| vec![0.0; schedule.level_of[node as usize] + 1])
+                    .collect()
             } else {
                 Vec::new()
             },
@@ -422,7 +448,7 @@ impl TimingState {
         );
         let n = netlist.node_count();
         let schedule = LevelSchedule::build(netlist);
-        let arena = LaneArena::build(kind, config, n, schedule.level_count());
+        let arena = LaneArena::build(kind, config, &schedule);
         let mut state = Self {
             kind,
             timing: CircuitTiming::empty(netlist, config),
@@ -665,6 +691,7 @@ impl TimingState {
                             n,
                             track,
                             damp,
+                            self.schedule.level_count(),
                         )
                         .expect("netlists have at least one output")
                         .0
@@ -724,6 +751,7 @@ impl TimingState {
                     n,
                     track,
                     1.0,
+                    self.schedule.level_count(),
                 )
                 .expect("netlists have at least one output")
                 .0
@@ -747,42 +775,56 @@ impl TimingState {
     }
 
     /// Node-indexed **unconditional** arrival PDFs, materialized from the
-    /// arena at report time: laneless, lane 0 permuted back to node
-    /// order; with lanes, the weighted per-node lane mixture. Mixing at
-    /// report time instead of per visit is observationally identical —
-    /// the mixture depends only on the final lane PDFs, and the legacy
-    /// per-visit mixture never fed the change detection.
+    /// arena at report time: laneless, lane 0 in node order; with lanes,
+    /// the weighted per-node lane mixture. Mixing at report time instead
+    /// of per visit is observationally identical — the mixture depends
+    /// only on the final lane PDFs, and the legacy per-visit mixture
+    /// never fed the change detection.
     fn report_pdfs(&self, config: &SstaConfig) -> Vec<DiscretePdf> {
-        let n = self.arena.nodes;
-        let mut out = vec![DiscretePdf::deterministic(0.0); n];
-        if !self.arena.conditioned {
-            for (&node, pdf) in self.schedule.order.iter().zip(&self.arena.pdfs) {
-                out[node as usize] = pdf.clone();
-            }
-            return out;
-        }
         let lanes = self.arena.lanes();
-        for (slot, &node) in self.schedule.order.iter().enumerate() {
-            out[node as usize] = mix_lane_pdfs(
-                (0..lanes).map(|lane| {
-                    (
-                        self.arena.weights[lane],
-                        &self.arena.pdfs[self.arena.idx(lane, slot)],
-                    )
-                }),
-                config.pdf_samples,
-            );
-        }
-        out
+        (0..self.arena.nodes)
+            .map(|node| {
+                let slot = self.schedule.slot_of[node] as usize;
+                if !self.arena.conditioned {
+                    return self.arena.pdfs[slot].clone();
+                }
+                mix_lane_pdfs(
+                    (0..lanes).map(|lane| {
+                        (
+                            self.arena.weights[lane],
+                            &self.arena.pdfs[self.arena.idx(lane, slot)],
+                        )
+                    }),
+                    config.pdf_samples,
+                )
+            })
+            .collect()
     }
 
-    /// Packages the state as a [`TimingReport`], consuming it.
-    pub fn into_report(self, netlist: &Netlist, config: &SstaConfig) -> TimingReport {
+    /// Packages the state as a [`TimingReport`], consuming it: the
+    /// buckets are dropped once the circuit summary is reduced, and the
+    /// laneless slot-ordered PDFs are permuted into node order in place
+    /// (cycle-following swaps) instead of cloned.
+    pub fn into_report(mut self, netlist: &Netlist, config: &SstaConfig) -> TimingReport {
         let summary = self.circuit(netlist, config);
-        let pdfs = if self.kind == EngineKind::FullSsta {
-            Some(self.report_pdfs(config))
-        } else {
-            None
+        self.arena.contribs = Vec::new();
+        let pdfs = match self.kind {
+            EngineKind::FullSsta if self.arena.conditioned => Some(self.report_pdfs(config)),
+            EngineKind::FullSsta => {
+                let mut pdfs = std::mem::take(&mut self.arena.pdfs);
+                // `dest[s]` is the node whose PDF sits in slot `s`; each
+                // swap puts one PDF at its node index for good.
+                let mut dest = std::mem::take(&mut self.schedule.order);
+                for s in 0..dest.len() {
+                    while dest[s] as usize != s {
+                        let d = dest[s] as usize;
+                        pdfs.swap(s, d);
+                        dest.swap(s, d);
+                    }
+                }
+                Some(pdfs)
+            }
+            _ => None,
         };
         TimingReport {
             kind: self.kind,
@@ -796,9 +838,21 @@ impl TimingState {
         }
     }
 
-    /// Packages the state as a [`TimingReport`] without consuming it.
-    pub fn to_report(&self, netlist: &Netlist, config: &SstaConfig) -> TimingReport {
-        self.clone().into_report(netlist, config)
+    /// Packages the state as a [`TimingReport`] without consuming it,
+    /// given its circuit summary (as [`TimingState::circuit`] returns
+    /// it): clones only what the report holds.
+    pub fn report(&self, summary: &CircuitSummary, config: &SstaConfig) -> TimingReport {
+        let pdfs = (self.kind == EngineKind::FullSsta).then(|| self.report_pdfs(config));
+        TimingReport {
+            kind: self.kind,
+            arrivals: self.arrivals.clone(),
+            pdfs,
+            circuit: summary.moments,
+            circuit_pdf: summary.pdf.clone(),
+            worst_output: summary.worst_output,
+            timing: self.timing.clone(),
+            samples: None,
+        }
     }
 }
 
@@ -879,23 +933,35 @@ fn lane_pdf(
     let n = config.pdf_samples;
     let track = view.arena.track();
     let damp = view.arena.damp();
-    let acc = reduce_correlated_outputs(view, g.fanins().iter().copied(), n, track, damp);
+    let level = schedule.level(id);
+    let acc =
+        reduce_correlated_outputs(view, g.fanins().iter().copied(), n, track, damp, level + 1);
     let (arrival, v) = acc.unwrap_or_else(|| {
         (
             Cow::Owned(DiscretePdf::deterministic(0.0)),
-            if track {
-                Cow::Owned(vec![0.0; schedule.level_count()])
-            } else {
-                Cow::Borrowed(&[])
-            },
+            Cow::Borrowed(&[]),
         )
     });
-    let mut v = v.into_owned();
+    // Fanins sit at lower levels, so their vectors (and a blend of them,
+    // already `level + 1` long) fit; one exact-capacity allocation.
+    let mut v = if track {
+        match v {
+            Cow::Owned(v) => v,
+            Cow::Borrowed(v) => {
+                let mut own = Vec::with_capacity(level + 1);
+                own.extend_from_slice(v);
+                own.resize(level + 1, 0.0);
+                own
+            }
+        }
+    } else {
+        Vec::new()
+    };
     let delay_m = condition_moments(timing.delay_moments(id), view.shift(), resid);
     let delay = DiscretePdf::from_moments(delay_m, n);
     let pdf = arrival.add_rebinned(&delay, n);
     if track {
-        v[schedule.level(id)] += delay_m.var;
+        v[level] += delay_m.var;
     }
     LaneValue {
         moments: pdf.moments(),
@@ -908,12 +974,15 @@ fn lane_pdf(
 /// [`correlated_max`] — the one reduction both node propagation and the
 /// circuit-level output RV use, reading one lane of the arena. A single
 /// id comes back borrowed: nothing is copied until a max needs it.
+/// Blended vectors are `len` entries long, which must cover every id's
+/// vector.
 fn reduce_correlated_outputs<'a>(
     view: &LaneView<'a>,
     mut ids: impl Iterator<Item = GateId>,
     n: usize,
     track: bool,
     damp: f64,
+    len: usize,
 ) -> Option<(Cow<'a, DiscretePdf>, Cow<'a, [f64]>)> {
     let contrib = |id| if track { view.contrib(id) } else { &[] };
     let first = ids.next()?;
@@ -922,7 +991,14 @@ fn reduce_correlated_outputs<'a>(
         Cow::Borrowed(contrib(first)),
     );
     for id in ids {
-        let (pdf, v) = correlated_max(&acc.0, &acc.1, view.pdf(id), contrib(id), n, track, damp);
+        let (pdf, v) = correlated_max(
+            (&acc.0, &acc.1),
+            (view.pdf(id), contrib(id)),
+            n,
+            track,
+            damp,
+            len,
+        );
         acc = (Cow::Owned(pdf), Cow::Owned(v));
     }
     Some(acc)
@@ -959,16 +1035,16 @@ fn mix_lane_pdfs<'a>(lanes: impl Iterator<Item = (f64, &'a DiscretePdf)>, n: usi
 pub(crate) const CONDITIONED_OVERLAP_DAMPING: f64 = 0.5;
 
 /// One pairwise PDF max with optional correlation handling; returns the
-/// result PDF and the blended per-level contribution vector (the FULLSSTA
-/// kernel, shared by from-scratch and incremental analysis).
-pub(crate) fn correlated_max(
-    a: &DiscretePdf,
-    av: &[f64],
-    b: &DiscretePdf,
-    bv: &[f64],
+/// result PDF and the blended per-level contribution vector, `len`
+/// entries long (the FULLSSTA kernel, shared by from-scratch and
+/// incremental analysis).
+fn correlated_max(
+    (a, av): (&DiscretePdf, &[f64]),
+    (b, bv): (&DiscretePdf, &[f64]),
     n: usize,
     track: bool,
     damp: f64,
+    len: usize,
 ) -> (DiscretePdf, Vec<f64>) {
     if !track {
         return (a.max_rebinned(b, n), Vec::new());
@@ -979,17 +1055,29 @@ pub(crate) fn correlated_max(
     let cm = clark_max_correlated(ma, mb, rho);
     let shape = a.max(b);
     let pdf = shape.with_moments(cm.max, n).rebin(n);
-    let t = cm.tightness_a;
-    let v = av
-        .iter()
-        .zip(bv)
-        .map(|(x, y)| t * x + (1.0 - t) * y)
-        .collect();
-    (pdf, v)
+    (pdf, blend(av, bv, cm.tightness_a, len))
+}
+
+/// The tightness-weighted blend `t·a + (1−t)·b` of two prefix vectors,
+/// `len` (≥ both lengths) entries long at exactly that capacity. A level
+/// past a vector's end is its implicit `+0.0`, fed into the same
+/// expression, so the entries equal the full-length blend's bit for bit.
+fn blend(av: &[f64], bv: &[f64], t: f64, len: usize) -> Vec<f64> {
+    debug_assert!(av.len() <= len && bv.len() <= len);
+    let mix = |x: f64, y: f64| t * x + (1.0 - t) * y;
+    let common = av.len().min(bv.len());
+    let mut v = Vec::with_capacity(len);
+    v.extend(av.iter().zip(bv).map(|(&x, &y)| mix(x, y)));
+    v.extend(av[common..].iter().map(|&x| mix(x, 0.0)));
+    v.extend(bv[common..].iter().map(|&y| mix(0.0, y)));
+    v.resize(len, mix(0.0, 0.0));
+    v
 }
 
 /// Correlation estimate from shared per-level variance: the bucket-wise
-/// minimum approximates the variance of the common path prefix.
+/// minimum approximates the variance of the common path prefix. Summing
+/// the common prefix only is exact: each skipped term is
+/// `min(x, +0.0) = +0.0`, and the non-empty prefix sum is never `-0.0`.
 fn overlap_correlation(av: &[f64], bv: &[f64], var_a: f64, var_b: f64, damp: f64) -> f64 {
     if var_a <= 1e-12 || var_b <= 1e-12 {
         return 0.0;
@@ -1084,6 +1172,144 @@ mod tests {
             "max level width {} should fan out",
             s.max_width()
         );
+    }
+
+    /// The full-length blend of [`correlated_max`] before buckets became
+    /// level prefixes, verbatim.
+    fn full_length_blend(av: &[f64], bv: &[f64], t: f64) -> Vec<f64> {
+        av.iter()
+            .zip(bv)
+            .map(|(x, y)| t * x + (1.0 - t) * y)
+            .collect()
+    }
+
+    /// The full-length [`overlap_correlation`] before buckets became level
+    /// prefixes, verbatim.
+    fn full_length_overlap(av: &[f64], bv: &[f64], var_a: f64, var_b: f64, damp: f64) -> f64 {
+        if var_a <= 1e-12 || var_b <= 1e-12 {
+            return 0.0;
+        }
+        let shared: f64 = av.iter().zip(bv).map(|(x, y)| x.min(*y)).sum();
+        (damp * shared / (var_a * var_b).sqrt()).clamp(0.0, 1.0)
+    }
+
+    /// A prefix vector in the full-length layout: `+0.0` above its end.
+    fn full_length(v: &[f64], depth: usize) -> Vec<f64> {
+        let mut full = v.to_vec();
+        full.resize(depth, 0.0);
+        full
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn prefix_blend_and_overlap_equal_the_full_length_forms_bit_for_bit() {
+        const DEPTH: usize = 7;
+        let vectors: [&[f64]; 7] = [
+            &[0.0],
+            &[3.25],
+            &[0.0, 0.0, 2.5],
+            &[1.5, 0.0, 4.0],
+            &[0.125, 7.0, 0.0, 1.0 / 3.0, 0.0],
+            &[2.0, 0.5, 0.0, 0.0, 6.0, 0.0],
+            &[1e-9, 0.0, 3.0, 1e3, 0.0, 5.5, 0.75],
+        ];
+        let tightness = [0.0, 1.0, 0.5, 0.25, 0.731_058_578_630_004_9, 1e-17];
+        let mut unequal = 0;
+        for av in vectors {
+            for bv in vectors {
+                unequal += usize::from(av.len() != bv.len());
+                let (fa, fb) = (full_length(av, DEPTH), full_length(bv, DEPTH));
+                let len = av.len().max(bv.len());
+                for t in tightness {
+                    let full = full_length_blend(&fa, &fb, t);
+                    let prefix = blend(av, bv, t, len);
+                    assert_eq!(prefix.len(), len);
+                    assert_eq!(prefix.capacity(), len, "exact capacity");
+                    assert_eq!(
+                        bits(&full_length(&prefix, DEPTH)),
+                        bits(&full),
+                        "{av:?} {bv:?} t={t}"
+                    );
+                    assert_eq!(
+                        bits(&blend(av, bv, t, DEPTH)),
+                        bits(&full),
+                        "{av:?} {bv:?} t={t}"
+                    );
+                }
+                for (var_a, var_b, damp) in [(40.0, 55.0, 1.0), (1e3, 2.5e3, 0.5), (0.0, 9.0, 1.0)]
+                {
+                    assert_eq!(
+                        overlap_correlation(av, bv, var_a, var_b, damp).to_bits(),
+                        full_length_overlap(&fa, &fb, var_a, var_b, damp).to_bits(),
+                        "{av:?} {bv:?}"
+                    );
+                }
+            }
+        }
+        assert!(unequal > 0);
+    }
+
+    /// Asserts that every stored bucket vector holds exactly `level + 1`
+    /// entries at exactly that capacity; returns the total entry count.
+    fn checked_bucket_entries(state: &TimingState) -> usize {
+        let arena = &state.arena;
+        for (i, v) in arena.contribs.iter().enumerate() {
+            let node = state.schedule.order[i % arena.nodes] as usize;
+            let want = state.schedule.level_of[node] + 1;
+            assert_eq!((v.len(), v.capacity()), (want, want), "node {node}");
+        }
+        arena.contribs.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn bucket_vectors_stay_level_prefixes_through_a_session_history() {
+        let lib = Library::synthetic_90nm();
+        let n = random_dag(
+            RandomDagConfig {
+                inputs: 12,
+                gates: 200,
+                window: 24,
+            },
+            0xB0C4,
+            &lib,
+        );
+        let prefix_entries: usize = n.levels().iter().map(|l| l + 1).sum();
+        let gates: Vec<GateId> = n.gate_ids().collect();
+        for config in [
+            SstaConfig::default(),
+            SstaConfig::default().with_model(crate::VariationModel::die_to_die(0.5)),
+        ] {
+            let mut session = crate::TimingSession::new(&lib, config, n.clone());
+            let lanes = session.state().arena.lanes();
+            assert_eq!(lanes > 1, !session.config().model.is_empty());
+            let want = lanes * prefix_entries;
+            assert_eq!(checked_bucket_entries(session.state()), want, "full build");
+            session.resize(gates[5], 3);
+            session.refresh();
+            assert_eq!(checked_bucket_entries(session.state()), want, "refresh");
+            session.resize(gates[40], 2);
+            session.resize(gates[7], 4);
+            session.refresh_undoable();
+            assert_eq!(
+                checked_bucket_entries(session.state()),
+                want,
+                "undoable refresh"
+            );
+            assert!(session.undo());
+            assert_eq!(checked_bucket_entries(session.state()), want, "undo");
+            let mut branch = session.fork();
+            branch.resize(gates[11], 5);
+            branch.resize(gates[150], 1);
+            session.commit(branch).expect("commits");
+            assert_eq!(
+                checked_bucket_entries(session.state()),
+                want,
+                "fork + commit"
+            );
+        }
     }
 
     #[test]
