@@ -68,11 +68,6 @@ pub enum NetlistError {
         /// Which invariant failed.
         message: String,
     },
-    /// A structural net is read by a pin or output port but nothing
-    /// drives it.
-    UndrivenNet(String),
-    /// A structural net is driven by more than one source.
-    MultiplyDrivenNet(String),
 }
 
 impl std::fmt::Display for NetlistError {
@@ -119,10 +114,6 @@ impl std::fmt::Display for NetlistError {
             }
             Self::BadRegister { register, message } => {
                 write!(f, "register `{register}`: {message}")
-            }
-            Self::UndrivenNet(n) => write!(f, "net `{n}` is read but never driven"),
-            Self::MultiplyDrivenNet(n) => {
-                write!(f, "net `{n}` has more than one driver")
             }
         }
     }

@@ -9,8 +9,6 @@
 //! * [`iscas`] — reader/writer for the ISCAS-85/89 `.bench` format
 //!   (including `DFF` register cuts), so real benchmark files can be used
 //!   where available.
-//! * [`edif`] — reader for an EDIF-lite structural dialect: cell
-//!   instances joined by nets, hierarchy flattened onto [`Netlist`].
 //! * [`sim`] — boolean simulation, used to verify that generated circuits
 //!   compute what they claim (adders add, multipliers multiply).
 //! * [`subcircuit`] — extraction of the k-level transitive fanin/fanout
@@ -39,7 +37,6 @@
 //! ```
 
 pub mod builder;
-pub mod edif;
 pub mod error;
 pub mod generators;
 pub mod graph;

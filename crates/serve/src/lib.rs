@@ -16,7 +16,8 @@
 //!   with immediate [`ServeResponse::Busy`] rejection above the
 //!   configured depth, and a per-shard LRU [`cache::ResultCache`] keyed
 //!   by `(circuit, size-vector fingerprint, model fingerprint, request
-//!   fingerprint)` that `Resize`/`Size` invalidate per circuit.
+//!   fingerprint)` that `Resize`/`Size`/`Commit`/`SetClock` invalidate
+//!   per circuit.
 //! * [`server`] — the transports: a `std::net` TCP listener and a
 //!   stdin/stdout REPL sharing one [`serve_lines`] loop, so a script
 //!   piped locally and a socket client see byte-identical frames. Long

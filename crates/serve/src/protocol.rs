@@ -59,15 +59,19 @@ use crate::json;
 /// Version 2 added the branch verbs ([`ServeRequest::Fork`] and
 /// friends), the typed error payload (`code` + `message`), and the
 /// branch counters in [`ShardStats`]. Version 3 added the sequential
-/// verbs: [`ServeRequest::RegisterSequential`] (EDIF-lite or `.bench`
-/// text with `DFF` statements), [`ServeRequest::SetClock`], and the
-/// clocked queries [`ServeRequest::GroupSlack`], [`ServeRequest::Wns`],
-/// and [`ServeRequest::Tns`]. Version 4 added the optimizer selector:
+/// verbs: `RegisterSequential` (`.bench` text with `DFF` statements),
+/// [`ServeRequest::SetClock`], and the clocked queries
+/// [`ServeRequest::GroupSlack`], [`ServeRequest::Wns`], and
+/// [`ServeRequest::Tns`]. Version 4 added the optimizer selector:
 /// [`ServeRequest::Size`] takes optional `optimizer` (`greedy`,
 /// `mean_delay`, `lagrangian`, `annealing`) and `yield_deadline`
 /// fields, and [`ServeResponse::Sized`] names the optimizer that ran.
+/// Version 5 removed EDIF input and folded `RegisterSequential` into
+/// [`ServeRequest::Register`]: an old `RegisterSequential` line with
+/// `.bench` text decodes to `Register`, and one with a non-null `edif`
+/// is a `bad-request`.
 /// Reported in [`ServiceStats::protocol`].
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// One request line. Mirrors [`vartol::workspace::Request`] — every
 /// query the `Workspace` answers is addressable over the wire — plus
@@ -77,7 +81,10 @@ pub const PROTOCOL_VERSION: u32 = 4;
 pub enum ServeRequest {
     /// Register a circuit on its shard: exactly one of `preset` (a
     /// [`vartol::netlist::generators::presets`] name) or `bench`
-    /// (inline ISCAS-85 `.bench` text) must be given.
+    /// (inline ISCAS-85/89 `.bench` text; `DFF` statements make it
+    /// sequential) must be given. The answer reports the register
+    /// count. Protocol-v4 `RegisterSequential` lines decode to this
+    /// verb.
     Register {
         /// Name to register under (and to address later requests to).
         circuit: String,
@@ -235,20 +242,6 @@ pub enum ServeRequest {
         /// The divergent trials, each a list of `[gate, size]` pairs.
         trials: Vec<Vec<(String, usize)>>,
     },
-    /// Register a sequential circuit from structural source text:
-    /// exactly one of `edif` (EDIF-lite, see [`vartol::netlist::edif`])
-    /// or `bench` (ISCAS-89-style `.bench` with `DFF` statements) must
-    /// be given. Purely combinational sources register fine too — this
-    /// verb differs from [`ServeRequest::Register`] only in accepting
-    /// the EDIF front end and reporting the register count.
-    RegisterSequential {
-        /// Name to register under (and to address later requests to).
-        circuit: String,
-        /// Inline EDIF-lite netlist text, if registering EDIF.
-        edif: Option<String>,
-        /// Inline `.bench` netlist text, if registering parsed text.
-        bench: Option<String>,
-    },
     /// Constrain a circuit under a clock; persists and replaces any
     /// earlier constraint. Required before the clocked queries. Like
     /// `Resize`, this invalidates the circuit's cache entries (the
@@ -309,7 +302,6 @@ impl ServeRequest {
             | Self::Commit { circuit, .. }
             | Self::DropBranch { circuit, .. }
             | Self::WhatIf { circuit, .. }
-            | Self::RegisterSequential { circuit, .. }
             | Self::SetClock { circuit, .. }
             | Self::GroupSlack { circuit, .. }
             | Self::Wns { circuit, .. }
@@ -338,6 +330,17 @@ impl ServeRequest {
                 | Self::GroupSlack { .. }
                 | Self::Wns { .. }
                 | Self::Tns { .. }
+        )
+    }
+
+    /// Whether a successful answer changes the circuit's sizes or clock,
+    /// so its cached answers must be invalidated — the twin of
+    /// [`Self::cacheable`].
+    #[must_use]
+    pub fn mutates(&self) -> bool {
+        matches!(
+            self,
+            Self::Resize { .. } | Self::Size { .. } | Self::Commit { .. } | Self::SetClock { .. }
         )
     }
 
@@ -376,7 +379,8 @@ pub struct ShardStats {
     pub cache_misses: u64,
     /// Entries evicted by the LRU policy.
     pub cache_evictions: u64,
-    /// Entries dropped by `Resize`/`Size`/`Commit` invalidation.
+    /// Entries dropped by `Resize`/`Size`/`Commit`/`SetClock`
+    /// invalidation.
     pub cache_invalidations: u64,
     /// Live (uncommitted, undropped) branches across this shard's
     /// circuits.
@@ -464,19 +468,31 @@ pub enum ServeResponse {
     },
     /// Acknowledgement of [`ServeRequest::Shutdown`].
     ShuttingDown,
-    /// A streamed optimizer pass (non-terminal: `done` is `false`).
+    /// A streamed optimizer pass row (non-terminal: `done` is
+    /// `false`), passed through from the optimizer's report as is, so
+    /// its meaning depends on the optimizer:
+    ///
+    /// * `greedy` — one frame per pass; `pass` is 0-based and the
+    ///   moments and area are taken at the start of the pass.
+    /// * `lagrangian` — one frame per outer iteration, plus one for the
+    ///   final polish sweep if it moved gates; `pass` is 1-based and the
+    ///   moments and area are taken at the end of the iteration.
+    /// * `annealing` — one frame per restart; `pass` is 1-based and the
+    ///   moments and area are those of the restart's end state.
+    /// * `mean_delay` — a single frame whose `pass` is the total pass
+    ///   count, with the final moments and area and `resized` 0.
     Progress {
         /// Circuit being sized.
         circuit: String,
-        /// 0-based pass index.
+        /// Pass index (see above for its base).
         pass: usize,
-        /// Circuit mean (ps) at the start of the pass.
+        /// Circuit mean (ps) recorded for the pass.
         mu: f64,
-        /// Circuit σ (ps) at the start of the pass.
+        /// Circuit σ (ps) recorded for the pass.
         sigma: f64,
-        /// Total area at the start of the pass.
+        /// Total area recorded for the pass.
         area: f64,
-        /// Gates resized in this pass.
+        /// Gates resized in the pass (0 for `mean_delay`).
         resized: usize,
     },
     /// Answer to [`ServeRequest::Analyze`] / `AnalyzeUnder`.
@@ -525,7 +541,8 @@ pub enum ServeResponse {
         /// Total area after the resize.
         area: f64,
     },
-    /// Final answer to [`ServeRequest::Size`].
+    /// Final answer to [`ServeRequest::Size`], after one
+    /// [`ServeResponse::Progress`] frame per pass row.
     Sized {
         /// Circuit mean after sizing (ps).
         mu: f64,
@@ -533,9 +550,12 @@ pub enum ServeResponse {
         sigma: f64,
         /// Total area after sizing.
         area: f64,
-        /// Optimizer passes executed.
+        /// Pass rows reported — the number of `Progress` frames sent
+        /// (1 for `mean_delay`, whatever its pass count).
         passes: usize,
-        /// Gates moved to a new size across all kept passes.
+        /// Sum of the pass rows' `resized` counts. It includes gates
+        /// moved in passes the optimizer later discarded, and
+        /// `mean_delay` reports 0 even when gates moved.
         resized: usize,
         /// Wire name of the optimizer that ran.
         optimizer: String,
@@ -807,11 +827,7 @@ fn decode_request(value: &Value) -> Result<ServeRequest, String> {
                     circuit: f.string("circuit")?,
                     trials: f.trials("trials")?,
                 },
-                "RegisterSequential" => ServeRequest::RegisterSequential {
-                    circuit: f.string("circuit")?,
-                    edif: f.opt_string("edif")?,
-                    bench: f.opt_string("bench")?,
-                },
+                "RegisterSequential" => return decode_register_sequential(&f),
                 "SetClock" => ServeRequest::SetClock {
                     circuit: f.string("circuit")?,
                     period: f.number("period")?,
@@ -838,6 +854,27 @@ fn decode_request(value: &Value) -> Result<ServeRequest, String> {
             "a request must be a string or object, got {other:?}"
         )),
     }
+}
+
+/// Decodes a protocol-v4 `RegisterSequential` line as the
+/// [`ServeRequest::Register`] it always was, apart from EDIF input,
+/// which protocol v5 removed. The old verb's fields stay exactly as
+/// strict: `preset` is still an unknown field here.
+fn decode_register_sequential(f: &Fields<'_>) -> Result<ServeRequest, String> {
+    let circuit = f.string("circuit")?;
+    let edif = f.opt_string("edif")?;
+    let bench = f.opt_string("bench")?;
+    f.reject_fields_outside(|name| matches!(name, "circuit" | "edif" | "bench"))?;
+    if edif.is_some() {
+        return Err("EDIF input was removed in protocol v5; \
+                    register `.bench` text with `Register` instead"
+            .to_owned());
+    }
+    Ok(ServeRequest::Register {
+        circuit,
+        preset: None,
+        bench,
+    })
 }
 
 /// Strict field accessor over one variant body: every lookup is typed,
@@ -988,12 +1025,15 @@ impl<'a> Fields<'a> {
         let Some(Value::Object(known)) = tagged.first().map(|(_, v)| v) else {
             return Ok(());
         };
-        for (name, _) in self.fields {
-            if !known.iter().any(|(n, _)| n == name) {
-                return Err(format!("`{}` has unknown field `{name}`", self.tag));
-            }
+        self.reject_fields_outside(|name| known.iter().any(|(n, _)| n == name))
+    }
+
+    /// Rejects the first field whose name `known` does not accept.
+    fn reject_fields_outside(&self, known: impl Fn(&str) -> bool) -> Result<(), String> {
+        match self.fields.iter().find(|(name, _)| !known(name)) {
+            Some((name, _)) => Err(format!("`{}` has unknown field `{name}`", self.tag)),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -1112,16 +1152,6 @@ mod tests {
                 circuit: "c17".into(),
                 trials: vec![],
             },
-            ServeRequest::RegisterSequential {
-                circuit: "s27".into(),
-                edif: None,
-                bench: Some("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n".into()),
-            },
-            ServeRequest::RegisterSequential {
-                circuit: "toggler".into(),
-                edif: Some("(edif t (cell t (interface (output q))))".into()),
-                bench: None,
-            },
             ServeRequest::SetClock {
                 circuit: "s27".into(),
                 period: 750.0,
@@ -1162,6 +1192,46 @@ mod tests {
                 yield_deadline: None,
             }
         );
+    }
+
+    #[test]
+    fn a_v4_register_sequential_line_decodes_to_register() {
+        // Protocol v5 folded the verb into `Register`: a `.bench` line
+        // decodes the same with a null `edif` and without one.
+        let expected = ServeRequest::Register {
+            circuit: "s27".into(),
+            preset: None,
+            bench: Some("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n".into()),
+        };
+        for line in [
+            r#"{"RegisterSequential":{"circuit":"s27","edif":null,"bench":"INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n"}}"#,
+            r#"{"RegisterSequential":{"circuit":"s27","bench":"INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n"}}"#,
+        ] {
+            assert_eq!(
+                ServeRequest::from_line(line).expect("v4 line decodes"),
+                expected,
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_v4_edif_line_fails_to_decode_naming_the_way_in() {
+        let line = r#"{"RegisterSequential":{"circuit":"t","edif":"(edif t (cell t (interface (output q))))","bench":null}}"#;
+        let err = ServeRequest::from_line(line).expect_err("EDIF input is gone");
+        assert!(err.contains("EDIF input was removed"), "{err}");
+        assert!(err.contains("`.bench` text"), "{err}");
+    }
+
+    #[test]
+    fn a_v4_register_sequential_line_still_rejects_preset() {
+        for line in [
+            r#"{"RegisterSequential":{"circuit":"x","preset":"adder_8","edif":null,"bench":null}}"#,
+            r#"{"RegisterSequential":{"circuit":"x","preset":"adder_8"}}"#,
+        ] {
+            let err = ServeRequest::from_line(line).expect_err(line);
+            assert_eq!(err, "`RegisterSequential` has unknown field `preset`");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use vartol::liberty::Library;
 use vartol::netlist::generators::{benchmark, preset};
 use vartol::ssta::{
     config_fingerprint, fingerprint_bytes, size_fingerprint, Fnv64, OptimizerKind, ScopedPool,
-    VariationModel,
+    SstaConfig, VariationModel,
 };
 use vartol::workspace::{
     Answer, ErrorCode, GateResize, Request, WhatIfTrial, Workspace, WorkspaceConfig,
@@ -459,9 +459,14 @@ struct ShardState {
 }
 
 impl ShardState {
+    /// Answers one request. The four service verbs have their own arms;
+    /// every other verb takes the same path: cache lookup if it is
+    /// cacheable, lowering onto the `Workspace` request, the query,
+    /// invalidation of the circuit's cache entries if it mutated, and
+    /// one lifting of the answer onto the wire.
     fn handle(&mut self, request: ServeRequest, reply: &Sender<Frame>) {
         let start = Instant::now();
-        let send = |payload: ServeResponse| {
+        let mut send = |payload: ServeResponse| {
             // A send failure just means the client hung up; the worker
             // keeps serving its queue.
             let _ = reply.send(Frame::new(payload, wall_us(start)));
@@ -482,109 +487,7 @@ impl ShardState {
                 },
             }),
             ServeRequest::Shutdown => send(ServeResponse::ShuttingDown),
-            ServeRequest::Size {
-                circuit,
-                alpha,
-                max_passes,
-                optimizer,
-                yield_deadline,
-            } => self.size(
-                &circuit,
-                alpha,
-                max_passes,
-                optimizer.as_deref(),
-                yield_deadline,
-                reply,
-                start,
-            ),
-            ServeRequest::Resize {
-                circuit,
-                gate,
-                size,
-            } => {
-                let answer = self
-                    .workspace
-                    .query(Request::Resize {
-                        circuit: circuit.clone(),
-                        gate,
-                        size,
-                    })
-                    .answer;
-                if !matches!(answer, Answer::Error { .. }) {
-                    self.cache.invalidate_circuit(&circuit);
-                }
-                send(answer_payload(answer));
-            }
-            ServeRequest::Fork { circuit, branch } => send(answer_payload(
-                self.workspace
-                    .query(Request::Fork { circuit, branch })
-                    .answer,
-            )),
-            ServeRequest::BranchResize {
-                circuit,
-                branch,
-                gate,
-                size,
-            } => send(answer_payload(
-                self.workspace
-                    .query(Request::BranchResize {
-                        circuit,
-                        branch,
-                        gate,
-                        size,
-                    })
-                    .answer,
-            )),
-            ServeRequest::Commit { circuit, branch } => {
-                // A successful commit mutates the circuit's sizes; drop
-                // its session-keyed cache entries like `Resize` does.
-                // Sibling branches' cached answers stay valid — they
-                // are keyed by the branch's own size fingerprint and
-                // never depend on the parent.
-                let answer = self
-                    .workspace
-                    .query(Request::Commit {
-                        circuit: circuit.clone(),
-                        branch,
-                    })
-                    .answer;
-                if !matches!(answer, Answer::Error { .. }) {
-                    self.cache.invalidate_circuit(&circuit);
-                }
-                send(answer_payload(answer));
-            }
-            ServeRequest::DropBranch { circuit, branch } => send(answer_payload(
-                self.workspace
-                    .query(Request::DropBranch { circuit, branch })
-                    .answer,
-            )),
-            ServeRequest::RegisterSequential {
-                circuit,
-                edif,
-                bench,
-            } => send(self.register_sequential(&circuit, edif.as_deref(), bench.as_deref())),
-            ServeRequest::SetClock {
-                circuit,
-                period,
-                uncertainty,
-            } => {
-                // The clock is not part of the cache key, so cached
-                // sequential answers under the old constraint must go —
-                // the same discipline as `Resize`.
-                let answer = self
-                    .workspace
-                    .query(Request::SetClock {
-                        circuit: circuit.clone(),
-                        period,
-                        uncertainty,
-                    })
-                    .answer;
-                if !matches!(answer, Answer::Error { .. }) {
-                    self.cache.invalidate_circuit(&circuit);
-                }
-                send(answer_payload(answer));
-            }
-            cacheable => send(self.query_cached(cacheable)),
+            request => self.query(request, &mut send),
         }
     }
 
@@ -610,34 +513,9 @@ impl ShardState {
             (None, Some(text)) => self.workspace.register_bench_str(circuit, text),
             _ => return ServeResponse::error("Register needs exactly one of `preset` or `bench`"),
         };
-        match result {
-            Ok(()) => self.registered(circuit),
-            Err(e) => ServeResponse::error_with(e.code().as_str(), e.to_string()),
+        if let Err(e) = result {
+            return ServeResponse::error_with(e.code().as_str(), e.to_string());
         }
-    }
-
-    fn register_sequential(
-        &mut self,
-        circuit: &str,
-        edif: Option<&str>,
-        bench: Option<&str>,
-    ) -> ServeResponse {
-        let result = match (edif, bench) {
-            (Some(text), None) => self.workspace.register_edif_str(circuit, text),
-            (None, Some(text)) => self.workspace.register_bench_str(circuit, text),
-            _ => {
-                return ServeResponse::error(
-                    "RegisterSequential needs exactly one of `edif` or `bench`",
-                )
-            }
-        };
-        match result {
-            Ok(()) => self.registered(circuit),
-            Err(e) => ServeResponse::error_with(e.code().as_str(), e.to_string()),
-        }
-    }
-
-    fn registered(&self, circuit: &str) -> ServeResponse {
         let netlist = self.workspace.netlist(circuit).expect("just registered");
         ServeResponse::Registered {
             circuit: circuit.to_owned(),
@@ -647,143 +525,61 @@ impl ShardState {
         }
     }
 
-    /// Answers a cacheable request: look up by `(circuit, sizes,
-    /// config, request)`, forward to the workspace on a miss, and store
-    /// every non-error answer.
+    /// Answers a workspace verb, sending its payloads through `send`.
     ///
-    /// A `BranchAnalyze` keys on the **branch's** size fingerprint, not
+    /// A cacheable request is looked up by `(circuit, sizes, config,
+    /// request)` first, and every non-error answer to it is stored. A
+    /// `BranchAnalyze` keys on the **branch's** size fingerprint, not
     /// the session's: a branch answer is a pure function of the
     /// branch's own sizes, so a commit on the parent can never make a
     /// sibling's cached answer stale (the serve-level face of the
     /// session's fork-cache invalidation). A `WhatIf` keys on the
     /// session's sizes — its trials diverge *from* them.
-    fn query_cached(&mut self, request: ServeRequest) -> ServeResponse {
-        debug_assert!(request.cacheable());
-        let key = request.circuit().and_then(|name| {
-            let size_fp = match &request {
-                ServeRequest::BranchAnalyze { circuit, branch } => {
-                    self.workspace.branch_fingerprint(circuit, branch)?
-                }
-                _ => size_fingerprint(&self.workspace.netlist(name)?.sizes()),
-            };
-            Some(CacheKey {
-                circuit: name.to_owned(),
-                size_fp,
-                config_fp: self.config_fp,
-                query_fp: fingerprint_bytes(request.to_line().as_bytes()),
-            })
-        });
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.get(key) {
-                return hit;
-            }
+    ///
+    /// A mutating request that succeeds drops all of the circuit's
+    /// entries (the clock is not part of the key, hence `SetClock`).
+    fn query(&mut self, request: ServeRequest, send: &mut dyn FnMut(ServeResponse)) {
+        let key = request
+            .cacheable()
+            .then(|| self.cache_key(&request))
+            .flatten();
+        if let Some(hit) = key.as_ref().and_then(|key| self.cache.get(key)) {
+            return send(hit);
         }
-        let forwarded = match to_workspace_request(request) {
-            Ok(r) => r,
-            Err(payload) => return payload,
+        let circuit = request.circuit().unwrap_or_default().to_owned();
+        let mutates = request.mutates();
+        let forwarded = match to_workspace_request(request, &self.workspace.config().ssta) {
+            Ok(forwarded) => forwarded,
+            Err(payload) => return send(payload),
         };
-        let payload = answer_payload(self.workspace.query(forwarded).answer);
-        if let (Some(key), false) = (key, matches!(payload, ServeResponse::Error { .. })) {
+        let answer = self.workspace.query(forwarded).answer;
+        let failed = matches!(answer, Answer::Error { .. });
+        if mutates && !failed {
+            self.cache.invalidate_circuit(&circuit);
+        }
+        let payload = answer_payload(&circuit, answer, send);
+        if let (Some(key), false) = (key, failed) {
             self.cache.insert(key, payload.clone());
         }
-        payload
+        send(payload);
     }
 
-    /// Runs a full sizing pass, streaming one progress frame per
-    /// optimizer pass (one per restart for the annealing optimizer)
-    /// before the terminal answer, then invalidates the circuit's cache
-    /// entries (its sizes changed).
-    #[allow(clippy::too_many_arguments)]
-    fn size(
-        &mut self,
-        circuit: &str,
-        alpha: f64,
-        max_passes: Option<usize>,
-        optimizer: Option<&str>,
-        yield_deadline: Option<f64>,
-        reply: &Sender<Frame>,
-        start: Instant,
-    ) {
-        let optimizer = match optimizer {
-            None => OptimizerKind::Greedy,
-            Some(name) => match OptimizerKind::parse(name) {
-                Some(kind) => kind,
-                None => {
-                    let _ = reply.send(Frame::new(
-                        ServeResponse::error_with(
-                            ErrorCode::InvalidParameter.as_str(),
-                            format!(
-                                "unknown optimizer `{name}`; expected one of \
-                                 greedy, mean_delay, lagrangian, annealing"
-                            ),
-                        ),
-                        wall_us(start),
-                    ));
-                    return;
-                }
-            },
+    /// The cache key of a cacheable request, or `None` when its circuit
+    /// (or branch) is unknown — such a request is answered uncached.
+    fn cache_key(&self, request: &ServeRequest) -> Option<CacheKey> {
+        let name = request.circuit()?;
+        let size_fp = match request {
+            ServeRequest::BranchAnalyze { circuit, branch } => {
+                self.workspace.branch_fingerprint(circuit, branch)?
+            }
+            _ => size_fingerprint(&self.workspace.netlist(name)?.sizes()),
         };
-        if !(alpha.is_finite() && alpha >= 0.0) {
-            let _ = reply.send(Frame::new(
-                ServeResponse::error_with(
-                    ErrorCode::InvalidParameter.as_str(),
-                    format!("alpha must be finite and >= 0, got {alpha}"),
-                ),
-                wall_us(start),
-            ));
-            return;
-        }
-        let mut config =
-            SizerConfig::with_alpha(alpha).with_ssta(self.workspace.config().ssta.clone());
-        if let Some(passes) = max_passes {
-            config = config.with_max_passes(passes);
-        }
-        let answer = self
-            .workspace
-            .query(Request::Size {
-                circuit: circuit.to_owned(),
-                config,
-                optimizer,
-                yield_deadline,
-            })
-            .answer;
-        match answer {
-            Answer::Sized {
-                report,
-                area,
-                optimizer,
-            } => {
-                self.cache.invalidate_circuit(circuit);
-                for pass in report.passes() {
-                    let _ = reply.send(Frame::new(
-                        ServeResponse::Progress {
-                            circuit: circuit.to_owned(),
-                            pass: pass.pass,
-                            mu: pass.circuit.mean,
-                            sigma: pass.circuit.std(),
-                            area: pass.area,
-                            resized: pass.resized,
-                        },
-                        wall_us(start),
-                    ));
-                }
-                let final_moments = report.final_moments();
-                let _ = reply.send(Frame::new(
-                    ServeResponse::Sized {
-                        mu: final_moments.mean,
-                        sigma: final_moments.std(),
-                        area,
-                        passes: report.passes().len(),
-                        resized: report.passes().iter().map(|p| p.resized).sum(),
-                        optimizer: optimizer.to_string(),
-                    },
-                    wall_us(start),
-                ));
-            }
-            other => {
-                let _ = reply.send(Frame::new(answer_payload(other), wall_us(start)));
-            }
-        }
+        Some(CacheKey {
+            circuit: name.to_owned(),
+            size_fp,
+            config_fp: self.config_fp,
+            query_fp: fingerprint_bytes(request.to_line().as_bytes()),
+        })
     }
 
     fn stats_row(&self) -> ShardStats {
@@ -813,10 +609,14 @@ impl ShardState {
     }
 }
 
-/// Lowers a cacheable wire request onto the `Workspace` request it
-/// forwards to, validating wire-level parameters that the library-level
-/// constructors would panic on.
-fn to_workspace_request(request: ServeRequest) -> Result<Request, ServeResponse> {
+/// Lowers a wire request onto the `Workspace` request it forwards to,
+/// validating wire-level parameters that the library-level constructors
+/// would panic on or that only the wire spells as text. `ssta` is the
+/// shard's engine configuration, which a `Size` run's sizer inherits.
+fn to_workspace_request(
+    request: ServeRequest,
+    ssta: &SstaConfig,
+) -> Result<Request, ServeResponse> {
     Ok(match request {
         ServeRequest::Analyze { circuit, kind } => Request::Analyze { circuit, kind },
         ServeRequest::AnalyzeUnder {
@@ -848,9 +648,77 @@ fn to_workspace_request(request: ServeRequest) -> Result<Request, ServeResponse>
         },
         ServeRequest::Criticality { circuit, top } => Request::Criticality { circuit, top },
         ServeRequest::Yield { circuit, deadline } => Request::Yield { circuit, deadline },
+        ServeRequest::Resize {
+            circuit,
+            gate,
+            size,
+        } => Request::Resize {
+            circuit,
+            gate,
+            size,
+        },
+        ServeRequest::Size {
+            circuit,
+            alpha,
+            max_passes,
+            optimizer,
+            yield_deadline,
+        } => {
+            let optimizer = match optimizer.as_deref() {
+                None => OptimizerKind::Greedy,
+                Some(name) => OptimizerKind::parse(name).ok_or_else(|| {
+                    ServeResponse::error_with(
+                        ErrorCode::InvalidParameter.as_str(),
+                        format!(
+                            "unknown optimizer `{name}`; expected one of \
+                             greedy, mean_delay, lagrangian, annealing"
+                        ),
+                    )
+                })?,
+            };
+            if !(alpha.is_finite() && alpha >= 0.0) {
+                return Err(ServeResponse::error_with(
+                    ErrorCode::InvalidParameter.as_str(),
+                    format!("alpha must be finite and >= 0, got {alpha}"),
+                ));
+            }
+            let mut config = SizerConfig::with_alpha(alpha).with_ssta(ssta.clone());
+            if let Some(passes) = max_passes {
+                config = config.with_max_passes(passes);
+            }
+            Request::Size {
+                circuit,
+                config,
+                optimizer,
+                yield_deadline,
+            }
+        }
+        ServeRequest::Fork { circuit, branch } => Request::Fork { circuit, branch },
+        ServeRequest::BranchResize {
+            circuit,
+            branch,
+            gate,
+            size,
+        } => Request::BranchResize {
+            circuit,
+            branch,
+            gate,
+            size,
+        },
         ServeRequest::BranchAnalyze { circuit, branch } => {
             Request::BranchAnalyze { circuit, branch }
         }
+        ServeRequest::Commit { circuit, branch } => Request::Commit { circuit, branch },
+        ServeRequest::DropBranch { circuit, branch } => Request::DropBranch { circuit, branch },
+        ServeRequest::SetClock {
+            circuit,
+            period,
+            uncertainty,
+        } => Request::SetClock {
+            circuit,
+            period,
+            uncertainty,
+        },
         ServeRequest::GroupSlack { circuit, kind } => Request::GroupSlack { circuit, kind },
         ServeRequest::Wns { circuit, kind } => Request::Wns { circuit, kind },
         ServeRequest::Tns { circuit, kind } => Request::Tns { circuit, kind },
@@ -874,8 +742,14 @@ fn to_workspace_request(request: ServeRequest) -> Result<Request, ServeResponse>
     })
 }
 
-/// Lowers a `Workspace` answer onto its wire payload.
-fn answer_payload(answer: Answer) -> ServeResponse {
+/// Lowers a `Workspace` answer to a request on `circuit` onto its wire
+/// payload. A sized answer first sends one [`ServeResponse::Progress`]
+/// payload per pass row through `progress`.
+fn answer_payload(
+    circuit: &str,
+    answer: Answer,
+    progress: &mut dyn FnMut(ServeResponse),
+) -> ServeResponse {
     match answer {
         Answer::Analysis {
             kind,
@@ -905,8 +779,16 @@ fn answer_payload(answer: Answer) -> ServeResponse {
             area,
             optimizer,
         } => {
-            // `Size` streams its passes in `ShardState::size`; this arm
-            // only fires if a sized answer arrives through another path.
+            for pass in report.passes() {
+                progress(ServeResponse::Progress {
+                    circuit: circuit.to_owned(),
+                    pass: pass.pass,
+                    mu: pass.circuit.mean,
+                    sigma: pass.circuit.std(),
+                    area: pass.area,
+                    resized: pass.resized,
+                });
+            }
             let final_moments = report.final_moments();
             ServeResponse::Sized {
                 mu: final_moments.mean,
@@ -950,7 +832,10 @@ fn answer_payload(answer: Answer) -> ServeResponse {
         },
         Answer::Dropped { branch } => ServeResponse::Dropped { branch },
         Answer::WhatIf { outcomes } => ServeResponse::WhatIf {
-            outcomes: outcomes.into_iter().map(answer_payload).collect(),
+            outcomes: outcomes
+                .into_iter()
+                .map(|outcome| answer_payload(circuit, outcome, progress))
+                .collect(),
         },
         Answer::ClockSet {
             period,
@@ -1288,9 +1173,9 @@ mod tests {
     #[test]
     fn sequential_verbs_round_trip_and_set_clock_invalidates() {
         let service = small_service(2);
-        let frames = service.call(ServeRequest::RegisterSequential {
+        let frames = service.call(ServeRequest::Register {
             circuit: "seq".into(),
-            edif: None,
+            preset: None,
             bench: Some(
                 "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = AND(a, q)\ny = OR(q, b)\n".into(),
             ),

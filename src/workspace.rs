@@ -63,7 +63,6 @@ use std::time::{Duration, Instant};
 
 use vartol_core::{MeanDelaySizer, OptimizationReport, PassStats, SizerConfig, StatisticalGreedy};
 use vartol_liberty::Library;
-use vartol_netlist::edif::parse_edif;
 use vartol_netlist::generators::preset;
 use vartol_netlist::iscas::parse_bench;
 use vartol_netlist::{GateId, Netlist, NetlistError};
@@ -144,6 +143,9 @@ pub enum WorkspaceError {
     InvalidNetlist(NetlistError),
     /// A `.bench` file could not be read.
     Io(String),
+    /// Building the circuit's session panicked (the message names the
+    /// circuit); the circuit was not registered.
+    Panic(String),
 }
 
 impl std::fmt::Display for WorkspaceError {
@@ -153,6 +155,7 @@ impl std::fmt::Display for WorkspaceError {
             Self::UnknownPreset(n) => write!(f, "unknown generator preset `{n}`"),
             Self::InvalidNetlist(e) => write!(f, "invalid netlist: {e}"),
             Self::Io(e) => write!(f, "{e}"),
+            Self::Panic(e) => write!(f, "{e}"),
         }
     }
 }
@@ -175,6 +178,7 @@ impl WorkspaceError {
             Self::UnknownPreset(_) => ErrorCode::UnknownPreset,
             Self::InvalidNetlist(_) => ErrorCode::InvalidNetlist,
             Self::Io(_) => ErrorCode::Io,
+            Self::Panic(_) => ErrorCode::Panic,
         }
     }
 }
@@ -221,7 +225,8 @@ pub enum ErrorCode {
     /// pending parent resizes, or a foreign circuit).
     BranchConflict,
     /// Evaluation panicked; the circuit's session was recovered and any
-    /// branch the request named was dropped.
+    /// branch the request named was dropped. For a registration, the
+    /// initial analysis panicked and the circuit was not registered.
     Panic,
     /// The request itself was malformed at the protocol boundary.
     BadRequest,
@@ -573,9 +578,21 @@ pub enum Answer {
     /// Result of [`Request::Size`].
     Sized {
         /// The optimizer's full report (equality ignores its runtime).
-        /// For the global optimizers each pass row is one outer
-        /// iteration (Lagrangian) or one restart (annealing), and its
-        /// `cost` column is the optimizer's own objective value.
+        /// What a pass row holds depends on the optimizer:
+        ///
+        /// * greedy — one row per pass, `pass` 0-based, moments and
+        ///   area at the start of the pass;
+        /// * Lagrangian — one row per outer iteration (plus one for the
+        ///   final polish sweep if it moved gates), `pass` 1-based,
+        ///   moments and area at the end of the iteration;
+        /// * annealing — one row per restart, `pass` 1-based, moments
+        ///   and area of the restart's end state;
+        /// * mean-delay — a single row whose `pass` is the total pass
+        ///   count, with the final moments and area and `resized` 0
+        ///   even when gates moved.
+        ///
+        /// For the global optimizers the `cost` column is the
+        /// optimizer's own objective value.
         report: OptimizationReport,
         /// Total cell area after sizing.
         area: f64,
@@ -833,7 +850,9 @@ impl Workspace {
     ///
     /// Rejects duplicate names and netlists that fail structural or
     /// library validation (the non-panicking counterpart of the
-    /// panics engines raise on unknown cells).
+    /// panics engines raise on unknown cells). A panic inside the
+    /// initial analysis is contained like one inside [`Workspace::query`]:
+    /// it answers [`WorkspaceError::Panic`] and registers nothing.
     pub fn register(
         &mut self,
         name: impl Into<String>,
@@ -845,12 +864,20 @@ impl Workspace {
         }
         netlist.check_invariants()?;
         netlist.validate_against_library(&self.library)?;
-        let session = TimingSession::with_kind(
-            Arc::clone(&self.library),
-            self.config.ssta.clone(),
-            netlist,
-            EngineKind::FullSsta,
-        );
+        let session = catch_unwind(AssertUnwindSafe(|| {
+            TimingSession::with_kind(
+                Arc::clone(&self.library),
+                self.config.ssta.clone(),
+                netlist,
+                EngineKind::FullSsta,
+            )
+        }))
+        .map_err(|payload| {
+            WorkspaceError::Panic(format!(
+                "registering `{name}` panicked: {}",
+                panic_message(payload.as_ref())
+            ))
+        })?;
         self.index.insert(name.clone(), self.entries.len());
         self.entries.push(CircuitEntry {
             name,
@@ -883,18 +910,6 @@ impl Workspace {
     pub fn register_bench_str(&mut self, name: &str, text: &str) -> Result<(), WorkspaceError> {
         let netlist = parse_bench(text, name)?;
         self.register(name, netlist)
-    }
-
-    /// Parses EDIF-lite text (see [`vartol_netlist::edif`]), flattens
-    /// it, and registers the result under `name` (the design's own name
-    /// is replaced, mirroring [`Workspace::register_bench_str`]).
-    ///
-    /// # Errors
-    ///
-    /// Rejects parse failures, validation failures, and duplicates.
-    pub fn register_edif_str(&mut self, name: &str, text: &str) -> Result<(), WorkspaceError> {
-        let netlist = parse_edif(text)?;
-        self.register(name, netlist.with_name(name))
     }
 
     /// The clock constraint of a registered circuit, if one has been
@@ -2583,43 +2598,5 @@ mod tests {
                 assert!(row.worst.is_empty(), "{row:?}");
             }
         }
-    }
-
-    #[test]
-    fn edif_registration_flattens_and_serves_sequential_queries() {
-        let mut ws = workspace(1);
-        ws.register_edif_str(
-            "toggler",
-            "(edif toggler\n\
-             \x20 (cell toggler\n\
-             \x20   (interface (input d) (output q))\n\
-             \x20   (contents\n\
-             \x20     (instance ff (cellref DFF))\n\
-             \x20     (instance inv (cellref NOT))\n\
-             \x20     (net nd (joined (port d) (portref ff d)))\n\
-             \x20     (net nq (joined (portref ff q) (portref inv i0)))\n\
-             \x20     (net ny (joined (portref inv o) (port q))))))",
-        )
-        .expect("EDIF parses and registers");
-        assert!(ws.netlist("toggler").expect("registered").is_sequential());
-        ws.query(Request::SetClock {
-            circuit: "toggler".into(),
-            period: 200.0,
-            uncertainty: 0.0,
-        });
-        let Answer::GroupSlack { groups, .. } = ws
-            .query(Request::GroupSlack {
-                circuit: "toggler".into(),
-                kind: EngineKind::Dsta,
-            })
-            .answer
-        else {
-            panic!("group slack");
-        };
-        let by_name = |n: &str| groups.iter().find(|g| g.group == n).expect("row");
-        assert_eq!(by_name("in2reg").endpoints, 1, "d -> ff");
-        assert_eq!(by_name("reg2out").endpoints, 1, "ff -> q");
-        assert_eq!(by_name("reg2reg").endpoints, 0);
-        assert_eq!(by_name("in2out").endpoints, 0);
     }
 }

@@ -11,7 +11,7 @@
 //! * `SetClock` is exact: moving the period by Δ moves every reg→reg
 //!   slack by Δ (same uncertainty), because the clock enters the slack
 //!   as a pure budget offset.
-//! * The serve layer preserves all of it: `RegisterSequential` +
+//! * The serve layer preserves all of it: `Register` +
 //!   `SetClock` + `GroupSlack`/`Wns`/`Tns` return identical payloads
 //!   at every shard count, warm (cached) answers byte-equal cold ones.
 
@@ -264,9 +264,9 @@ fn serve_answers_are_identical_at_every_shard_count() {
         );
         let mut payloads = Vec::new();
         for name in ["s27", "s344_like"] {
-            let frames = service.call(ServeRequest::RegisterSequential {
+            let frames = service.call(ServeRequest::Register {
                 circuit: name.into(),
-                edif: None,
+                preset: None,
                 bench: Some(bench_text(name)),
             });
             match frames.first().map(|f| &f.payload) {
