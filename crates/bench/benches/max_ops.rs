@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use vartol_stats::clark::clark_max_correlated;
 use vartol_stats::erf::{erf, half_erf_quadratic};
 use vartol_stats::fast_max::fast_max_moments;
 use vartol_stats::{clark_max, DiscretePdf, Moments};
@@ -25,6 +26,24 @@ fn moment_pairs(n: usize) -> Vec<(Moments, Moments)> {
             let a = Moments::from_mean_std(100.0 + 400.0 * next(), 1.0 + 50.0 * next());
             let b = Moments::from_mean_std(100.0 + 400.0 * next(), 1.0 + 50.0 * next());
             (a, b)
+        })
+        .collect()
+}
+
+/// 64 FULLSSTA-shaped `(arrival, delay)` pairs: each arrival a 24-point
+/// normal rebinned to 12 points, each delay a 12-point normal whose
+/// support (±4σ) spans `ratio` times the arrival's point spacing.
+fn fullssta_pairs(pairs: &[(Moments, Moments)], ratio: f64) -> Vec<(DiscretePdf, DiscretePdf)> {
+    pairs
+        .iter()
+        .take(64)
+        .map(|&(x, y)| {
+            let arrival = DiscretePdf::from_moments(x, 24).rebin(12);
+            let spacing = 8.0 * x.std() / 12.0;
+            (
+                arrival,
+                DiscretePdf::from_normal(y.mean / 10.0, ratio * spacing / 8.0, 12),
+            )
         })
         .collect()
 }
@@ -76,6 +95,37 @@ fn bench_max_ops(c: &mut Criterion) {
         b.iter(|| {
             for (x, y) in &pdf_pairs {
                 black_box(x.add_rebinned(y, 12));
+            }
+        });
+    });
+    // FULLSSTA's own shape: a wide rebinned arrival plus a narrow gate
+    // delay. With the delay's support under the arrival's spacing every
+    // row of the convolution ends before the next starts (`ordered`);
+    // past it neighbouring rows interleave.
+    for (name, ratio) in [
+        ("discrete_pdf_12pt_sum_ordered", 0.5),
+        ("discrete_pdf_12pt_sum_interleaved", 2.0),
+    ] {
+        let shaped = fullssta_pairs(&pairs, ratio);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for (x, y) in &shaped {
+                    black_box(x.add_rebinned(y, 12));
+                }
+            });
+        });
+    }
+    // The correlated max: the independent max's shape stretched to
+    // Clark's correlated moments and rebinned.
+    let targets: Vec<Moments> = pairs
+        .iter()
+        .take(64)
+        .map(|&(x, y)| clark_max_correlated(x, y, 0.5).max)
+        .collect();
+    group.bench_function("discrete_pdf_12pt_corr_max", |b| {
+        b.iter(|| {
+            for ((x, y), &t) in pdf_pairs.iter().zip(&targets) {
+                black_box(x.max_with_moments(y, t, 12));
             }
         });
     });

@@ -986,22 +986,24 @@ fn reduce_correlated_outputs<'a>(
 ) -> Option<(Cow<'a, DiscretePdf>, Cow<'a, [f64]>)> {
     let contrib = |id| if track { view.contrib(id) } else { &[] };
     let first = ids.next()?;
+    // The arena stores each PDF's moments; a max's result has none.
     let mut acc = (
         Cow::Borrowed(view.pdf(first)),
         Cow::Borrowed(contrib(first)),
+        Some(view.arrival(first)),
     );
     for id in ids {
         let (pdf, v) = correlated_max(
-            (&acc.0, &acc.1),
-            (view.pdf(id), contrib(id)),
+            (&acc.0, &acc.1, acc.2),
+            (view.pdf(id), contrib(id), view.arrival(id)),
             n,
             track,
             damp,
             len,
         );
-        acc = (Cow::Owned(pdf), Cow::Owned(v));
+        acc = (Cow::Owned(pdf), Cow::Owned(v), None);
     }
-    Some(acc)
+    Some((acc.0, acc.1))
 }
 
 /// The weighted mixture of per-lane PDFs, rebinned to `n` support points
@@ -1037,10 +1039,11 @@ pub(crate) const CONDITIONED_OVERLAP_DAMPING: f64 = 0.5;
 /// One pairwise PDF max with optional correlation handling; returns the
 /// result PDF and the blended per-level contribution vector, `len`
 /// entries long (the FULLSSTA kernel, shared by from-scratch and
-/// incremental analysis).
+/// incremental analysis). Each input comes with its moments when the
+/// arena stores them (`a.moments()` otherwise).
 fn correlated_max(
-    (a, av): (&DiscretePdf, &[f64]),
-    (b, bv): (&DiscretePdf, &[f64]),
+    (a, av, ma): (&DiscretePdf, &[f64], Option<Moments>),
+    (b, bv, mb): (&DiscretePdf, &[f64], Moments),
     n: usize,
     track: bool,
     damp: f64,
@@ -1049,12 +1052,10 @@ fn correlated_max(
     if !track {
         return (a.max_rebinned(b, n), Vec::new());
     }
-    let ma = a.moments();
-    let mb = b.moments();
+    let ma = ma.unwrap_or_else(|| a.moments());
     let rho = overlap_correlation(av, bv, ma.var, mb.var, damp);
     let cm = clark_max_correlated(ma, mb, rho);
-    let shape = a.max(b);
-    let pdf = shape.with_moments(cm.max, n).rebin(n);
+    let pdf = a.max_with_moments(b, cm.max, n);
     (pdf, blend(av, bv, cm.tightness_a, len))
 }
 
@@ -1309,6 +1310,56 @@ mod tests {
                 want,
                 "fork + commit"
             );
+        }
+    }
+
+    /// Asserts that every slot's stored moments are its PDF's moments
+    /// bit for bit — what [`reduce_correlated_outputs`] reads instead of
+    /// recomputing them.
+    fn assert_stored_moments(state: &TimingState, what: &str) {
+        let arena = &state.arena;
+        assert_eq!(arena.pdfs.len(), arena.arrivals.len());
+        for (i, (pdf, stored)) in arena.pdfs.iter().zip(&arena.arrivals).enumerate() {
+            let m = pdf.moments();
+            assert_eq!(
+                (stored.mean.to_bits(), stored.var.to_bits()),
+                (m.mean.to_bits(), m.var.to_bits()),
+                "{what}: slot {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_moments_are_the_pdf_moments_in_every_slot() {
+        let lib = Library::synthetic_90nm();
+        let n = random_dag(
+            RandomDagConfig {
+                inputs: 12,
+                gates: 200,
+                window: 24,
+            },
+            0x5707,
+            &lib,
+        );
+        let gates: Vec<GateId> = n.gate_ids().collect();
+        for config in [
+            SstaConfig::default(),
+            SstaConfig::default().with_correlation(CorrelationMode::Independent),
+            SstaConfig::default().with_model(crate::VariationModel::die_to_die(0.5)),
+        ] {
+            let mut session = crate::TimingSession::new(&lib, config, n.clone());
+            // Primary inputs keep the initial slot values.
+            assert!(n.inputs().iter().all(|&i| {
+                let slot = session.state().schedule.slot(i);
+                session.state().arena.pdfs[slot] == DiscretePdf::deterministic(0.0)
+            }));
+            assert_stored_moments(session.state(), "build");
+            session.resize(gates[5], 3);
+            session.resize(gates[120], 4);
+            session.refresh_undoable();
+            assert_stored_moments(session.state(), "undoable refresh");
+            assert!(session.undo());
+            assert_stored_moments(session.state(), "undo");
         }
     }
 

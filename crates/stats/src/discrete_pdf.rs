@@ -16,20 +16,42 @@
 //!
 //! # Cost and bit-identity
 //!
-//! Each operation gives the same bits as its textbook form: sort every
-//! point, merge duplicates, normalize, then bin into arrays. It gets
-//! there with less work:
+//! Each operation gives the same bits as its textbook form: build every
+//! point, stably sort them, merge duplicates, normalize, then bin into
+//! arrays. FULLSSTA's node kernel — [`add_rebinned`](DiscretePdf::add_rebinned),
+//! [`max_rebinned`](DiscretePdf::max_rebinned) and
+//! [`max_with_moments`](DiscretePdf::max_with_moments) — gets there with
+//! less work:
 //!
+//! * **One fused pass per kernel.** The convolution or the max goes into
+//!   a thread's reused scratch arrays, is deduplicated and normalized
+//!   there, and is rebinned straight from those arrays; only the result
+//!   is allocated. Inputs too large for the retained scratch (over 256
+//!   points) get scratch of their own, so what a thread keeps stays
+//!   bounded.
 //! * **sum** merges the convolution's rows instead of sorting them. Row
 //!   `i` (`a_i + b_j` over increasing `j`) is already sorted, since
 //!   rounding is monotone and `x + y` is -0.0 only when both terms are.
-//!   A stable bottom-up merge of sorted runs gives exactly the order of a
-//!   stable sort. A tie takes the left run first, so ties keep row-major
-//!   order. Points carry the integer key that `f64::total_cmp` compares.
-//! * **max** merges its two sorted supports.
+//!   When every row ends at or before the next one starts — a wide
+//!   arrival plus a narrow delay, FULLSSTA's usual shape — the rows are
+//!   already in order and nothing moves. Otherwise a stable bottom-up
+//!   merge copies each run pair's non-overlapping head and tail (the
+//!   whole pair when it is already in order) and picks the overlap
+//!   without branches. A tie takes the left run first, so ties keep
+//!   row-major order, exactly as a stable sort does. Points carry the
+//!   integer key that `f64::total_cmp` compares; the key maps back to
+//!   the value, so a point is 16 bytes.
+//! * **max** merges its two sorted supports with the same stable merge.
 //! * **rebin** takes the mean and the bin sums in one pass. Sorted points
 //!   visit the bins in order, so a bin's sums are final once the next bin
 //!   starts.
+//! * **The correlated max** ([`max_with_moments`](DiscretePdf::max_with_moments))
+//!   stretches the max's shape to the target moments in place, with the
+//!   stretch [`with_moments`](DiscretePdf::with_moments) uses, and
+//!   rebins it, instead of building the max and the stretched copy.
+//! * **from_normal** shares a bin edge's CDF with the next bin when the
+//!   two edges are the same `f64`: the CDF is a pure function of its
+//!   argument, so the shared value is the one a second call returns.
 //!
 //! The rules that keep the bits equal:
 //!
@@ -43,7 +65,10 @@
 //! `-0.0`. Debug builds assert it.
 //!
 //! `tests/proptest_stats.rs` pins all of this against a verbatim copy of
-//! the old algorithms.
+//! the old algorithms, and `tests/kernel_allocations.rs` counts the fused
+//! kernels' allocations.
+
+use std::cell::RefCell;
 
 use crate::moments::Moments;
 use crate::normal::Normal;
@@ -55,6 +80,11 @@ pub const DEFAULT_SAMPLES: usize = 12;
 /// How many standard deviations of support to cover when discretizing a
 /// normal distribution.
 const SUPPORT_SIGMAS: f64 = 4.0;
+
+/// The most points a kernel keeps in its thread's reused scratch: a
+/// 16 × 16 convolution. At that size the four buffers hold 12 KiB; at
+/// the default 12 samples, 6.75 KiB.
+const SCRATCH_POINTS: usize = 256;
 
 /// A discrete probability distribution: sorted support points with
 /// associated probability masses summing to 1.
@@ -91,7 +121,13 @@ impl DiscretePdf {
     #[must_use]
     pub fn from_points(points: Vec<(f64, f64)>) -> Self {
         let mut points: Vec<Keyed> = points.into_iter().map(keyed).collect();
-        check_points(&points);
+        Self::from_keyed(&mut points)
+    }
+
+    /// [`from_points`](Self::from_points) of keyed points: checks them,
+    /// stably sorts them by key, then merges and normalizes them.
+    fn from_keyed(points: &mut [Keyed]) -> Self {
+        check_points(points);
         points.sort_by_key(|x| x.0);
         Self::from_sorted(points)
     }
@@ -99,32 +135,13 @@ impl DiscretePdf {
     /// The tail of [`from_points`](Self::from_points): merges duplicate
     /// values and normalizes `points`, which are checked and stably
     /// sorted by key.
-    fn from_sorted(points: Vec<Keyed>) -> Self {
-        let mut values = Vec::with_capacity(points.len());
-        let mut probs = Vec::with_capacity(points.len());
-        for (_, v, p) in points {
-            if p == 0.0 {
-                continue;
-            }
-            if let Some(last) = values.last() {
-                if v - last == 0.0 {
-                    *probs.last_mut().expect("probs parallel to values") += p;
-                    continue;
-                }
-            }
-            values.push(v);
-            probs.push(p);
-        }
-        assert!(
-            !values.is_empty(),
-            "total probability mass must be positive"
-        );
-        let total: f64 = probs.iter().sum();
-        assert!(total > 0.0, "total probability mass must be positive");
-        for p in &mut probs {
-            *p /= total;
-        }
-        Self { values, probs }
+    fn from_sorted(points: &[Keyed]) -> Self {
+        let mut pdf = Self {
+            values: Vec::with_capacity(points.len()),
+            probs: Vec::with_capacity(points.len()),
+        };
+        normalize(points, &mut pdf.values, &mut pdf.probs);
+        pdf
     }
 
     /// A deterministic distribution: all mass on one value.
@@ -151,11 +168,19 @@ impl DiscretePdf {
         let hi = mean + SUPPORT_SIGMAS * sigma;
         let width = (hi - lo) / n as f64;
         let mut points = Vec::with_capacity(n);
+        // The previous bin's upper edge and its CDF: a lower edge that is
+        // the same `f64` has the same CDF.
+        let mut edge: Option<(u64, f64)> = None;
         for i in 0..n {
             let a = lo + i as f64 * width;
             let b = a + width;
-            let mass = dist.cdf(b) - dist.cdf(a);
-            points.push((0.5 * (a + b), mass));
+            let cdf_a = match edge {
+                Some((bits, cdf)) if bits == a.to_bits() => cdf,
+                _ => dist.cdf(a),
+            };
+            let cdf_b = dist.cdf(b);
+            points.push((0.5 * (a + b), cdf_b - cdf_a));
+            edge = Some((b.to_bits(), cdf_b));
         }
         Self::from_points(points)
     }
@@ -199,28 +224,13 @@ impl DiscretePdf {
     /// Mean of the distribution.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        self.values
-            .iter()
-            .zip(&self.probs)
-            .map(|(v, p)| v * p)
-            .sum()
+        mean_of(&self.values, &self.probs)
     }
 
     /// Variance of the distribution.
     #[must_use]
     pub fn var(&self) -> f64 {
-        self.var_about(self.mean())
-    }
-
-    /// Variance given the distribution's own mean `m`.
-    fn var_about(&self, m: f64) -> f64 {
-        let v: f64 = self
-            .values
-            .iter()
-            .zip(&self.probs)
-            .map(|(v, p)| (v - m) * (v - m) * p)
-            .sum();
-        v.max(0.0)
+        var_about(&self.values, &self.probs, self.mean())
     }
 
     /// Standard deviation.
@@ -309,67 +319,23 @@ impl DiscretePdf {
     /// Sum of independent random variables (full discrete convolution).
     ///
     /// The result has up to `self.len() * other.len()` points; callers in
-    /// propagation loops should [`rebin`](Self::rebin) afterwards.
+    /// propagation loops should use [`add_rebinned`](Self::add_rebinned).
     #[must_use]
     pub fn add(&self, other: &Self) -> Self {
-        let mut points = Vec::with_capacity(self.len() * other.len());
-        let mut valid = true;
-        for (va, pa) in self.values.iter().zip(&self.probs) {
-            for (vb, pb) in other.values.iter().zip(&other.probs) {
-                let (v, p) = (va + vb, pa * pb);
-                valid &= v.is_finite() & p.is_finite() & (p >= 0.0);
-                points.push(keyed((v, p)));
-            }
-        }
-        if !valid {
-            check_points(&points);
-        }
-        // With `other` sorted, row `i` — `a_i + b_j` over increasing `j`
-        // — is sorted too (rounding is monotone, and `x + y` is -0.0 only
-        // when both are), so merging the rows is the stable sort.
-        merge_runs(&mut points, other.len());
-        Self::from_sorted(points)
+        with_scratch(self.len() * other.len(), |s| {
+            s.convolve(self, other);
+            Self::from_sorted(&s.points)
+        })
     }
 
     /// Max of independent random variables via CDF multiplication:
     /// `F_max(x) = F_A(x) · F_B(x)` evaluated on the merged support.
     #[must_use]
     pub fn max(&self, other: &Self) -> Self {
-        // Merged, deduplicated support: the two sorted supports are two
-        // runs (any longer run splits into sorted chunks of the first).
-        let mut support: Vec<Keyed> = self
-            .values
-            .iter()
-            .chain(&other.values)
-            .map(|&v| keyed((v, 0.0)))
-            .collect();
-        merge_runs(&mut support, self.len());
-        support.dedup_by(|x, kept| x.1 == kept.1);
-
-        // Running CDFs over the merged support, then difference to masses.
-        let mut points = Vec::with_capacity(support.len());
-        let mut prev = 0.0;
-        let (mut ia, mut ib) = (0usize, 0usize);
-        let (mut fa, mut fb) = (0.0f64, 0.0f64);
-        for &(_, x, _) in &support {
-            while ia < self.len() && self.values[ia] <= x {
-                fa += self.probs[ia];
-                ia += 1;
-            }
-            while ib < other.len() && other.values[ib] <= x {
-                fb += other.probs[ib];
-                ib += 1;
-            }
-            let f = (fa * fb).min(1.0);
-            let mass = f - prev;
-            if mass > 0.0 {
-                points.push(keyed((x, mass)));
-            }
-            prev = f;
-        }
-        // `support` is sorted, so `points` is too.
-        check_points(&points);
-        Self::from_sorted(points)
+        with_scratch(self.len() + other.len(), |s| {
+            s.max_points(self, other);
+            Self::from_sorted(&s.points)
+        })
     }
 
     /// Re-discretizes onto at most `n` equal-width bins spanning the current
@@ -384,51 +350,9 @@ impl DiscretePdf {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn rebin(&self, n: usize) -> Self {
-        assert!(n > 0, "need at least one bin");
-        if self.len() <= n {
-            return self.clone();
-        }
-        let lo = self.min_value();
-        let hi = self.max_value();
-        if hi - lo <= 0.0 {
-            return Self::deterministic(lo);
-        }
-        let width = (hi - lo) / n as f64;
-        // One pass: the mean, plus the bins — sorted points visit them
-        // in order, so a bin's sums are final once the next bin starts.
-        // The mean folds from -0.0, as `f64`'s `Sum` does.
-        debug_assert!(self.values.is_sorted_by(|x, y| x.total_cmp(y).is_le()));
-        let mut points = Vec::with_capacity(n);
-        let mut target_mean = -0.0;
-        let (mut bin, mut mass, mut weighted) = (0, 0.0f64, 0.0f64);
-        for (&v, &p) in self.values.iter().zip(&self.probs) {
-            target_mean += v * p;
-            let idx = (((v - lo) / width) as usize).min(n - 1);
-            if idx != bin {
-                if mass > 0.0 {
-                    points.push((weighted / mass, mass));
-                }
-                (bin, mass, weighted) = (idx, 0.0, 0.0);
-            }
-            mass += p;
-            weighted += p * v;
-        }
-        if mass > 0.0 {
-            points.push((weighted / mass, mass));
-        }
-        let target_var = self.var_about(target_mean);
-        let mut coarse = Self::from_points(points);
-
-        // Variance correction: stretch the support about the mean.
-        let got_var = coarse.var();
-        if got_var <= 0.0 || target_var <= 0.0 {
-            return coarse;
-        }
-        let k = (target_var / got_var).sqrt();
-        for v in &mut coarse.values {
-            *v = target_mean + k * (*v - target_mean);
-        }
-        coarse
+        with_scratch(n.min(self.len()), |s| {
+            rebinned(&self.values, &self.probs, n, &mut s.points)
+        })
     }
 
     /// Affinely rescales the support so the distribution matches `target`
@@ -442,44 +366,63 @@ impl DiscretePdf {
     /// has spread.
     #[must_use]
     pub fn with_moments(&self, target: Moments, fallback_samples: usize) -> Self {
-        let v0 = self.var();
-        if target.var <= 0.0 {
-            return Self::deterministic(target.mean);
-        }
-        if v0 <= 0.0 {
-            return Self::from_moments(target, fallback_samples);
-        }
-        let m0 = self.mean();
-        let k = (target.var / v0).sqrt();
-        Self {
-            values: self
-                .values
-                .iter()
-                .map(|x| target.mean + k * (x - m0))
-                .collect(),
+        let mut values = self.values.clone();
+        stretch(&mut values, &self.probs, target, fallback_samples).unwrap_or_else(|| Self {
+            values,
             probs: self.probs.clone(),
-        }
+        })
     }
 
-    /// Convenience: `add` followed by `rebin(n)`.
+    /// `add` followed by `rebin(n)`, without building the convolution as
+    /// a PDF: FULLSSTA's per-node sum.
     #[must_use]
     pub fn add_rebinned(&self, other: &Self, n: usize) -> Self {
-        self.add(other).rebin(n)
+        with_scratch(self.len() * other.len(), |s| {
+            s.convolve(self, other);
+            s.normalize_points();
+            s.rebinned(n)
+        })
     }
 
-    /// Convenience: `max` followed by `rebin(n)`.
+    /// `max` followed by `rebin(n)`, without building the max as a PDF.
     #[must_use]
     pub fn max_rebinned(&self, other: &Self, n: usize) -> Self {
-        self.max(other).rebin(n)
+        with_scratch(self.len() + other.len(), |s| {
+            s.max_points(self, other);
+            s.normalize_points();
+            s.rebinned(n)
+        })
+    }
+
+    /// The correlated max of FULLSSTA: the shape of the independent max,
+    /// stretched to `target` moments (Clark's correlated ones) and
+    /// rebinned to `n` points. Equals
+    /// `self.max(other).with_moments(target, n).rebin(n)` bit for bit,
+    /// without building the max or the stretched copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn max_with_moments(&self, other: &Self, target: Moments, n: usize) -> Self {
+        assert!(n > 0, "need at least one bin");
+        with_scratch(self.len() + other.len(), |s| {
+            s.max_points(self, other);
+            s.normalize_points();
+            // A fallback — a point mass or a normal of `n` points — is
+            // already rebinned.
+            stretch(&mut s.values, &s.probs, target, n).unwrap_or_else(|| s.rebinned(n))
+        })
     }
 }
 
-/// A support point with its sort key: `(total_key(value), value, mass)`.
-type Keyed = (i64, f64, f64);
+/// A support point with its sort key: `(total_key(value), mass)`. The key
+/// maps back to the value ([`key_value`]).
+type Keyed = (i64, f64);
 
 /// `(value, mass)` with its sort key.
 fn keyed((v, p): (f64, f64)) -> Keyed {
-    (total_key(v), v, p)
+    (total_key(v), p)
 }
 
 /// The input checks of [`DiscretePdf::from_points`], in its order.
@@ -488,7 +431,8 @@ fn check_points(points: &[Keyed]) {
         !points.is_empty(),
         "a discrete pdf needs at least one point"
     );
-    for &(_, v, p) in points {
+    for &(key, p) in points {
+        let v = key_value(key);
         assert!(v.is_finite(), "support value must be finite, got {v}");
         assert!(
             p.is_finite() && p >= 0.0,
@@ -501,44 +445,306 @@ fn check_points(points: &[Keyed]) {
 /// `total_cmp` itself applies, done once per point instead of per
 /// comparison.
 fn total_key(v: f64) -> i64 {
-    let bits = v.to_bits() as i64;
+    flip_magnitude(v.to_bits() as i64)
+}
+
+/// The value whose [`total_key`] is `key`.
+fn key_value(key: i64) -> f64 {
+    f64::from_bits(flip_magnitude(key) as u64)
+}
+
+/// Flips the 63 magnitude bits of a negative number: its own inverse.
+fn flip_magnitude(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
+/// `Σ v·p`, folded from -0.0 as `f64`'s `Sum` does.
+fn mean_of(values: &[f64], probs: &[f64]) -> f64 {
+    values.iter().zip(probs).map(|(v, p)| v * p).sum()
+}
+
+/// The variance of `(values, probs)` given their mean `m`.
+fn var_about(values: &[f64], probs: &[f64], m: f64) -> f64 {
+    let v: f64 = values
+        .iter()
+        .zip(probs)
+        .map(|(v, p)| (v - m) * (v - m) * p)
+        .sum();
+    v.max(0.0)
+}
+
+/// The stretch of [`DiscretePdf::with_moments`]: maps `values` in place,
+/// `x → target.mean + k·(x − m0)`, so that `(values, probs)` has the
+/// `target` moments, and returns `None`. When no stretch can — a target
+/// without spread, or a shape without spread — it leaves `values` alone
+/// and returns the distribution to use instead.
+fn stretch(
+    values: &mut [f64],
+    probs: &[f64],
+    target: Moments,
+    fallback_samples: usize,
+) -> Option<DiscretePdf> {
+    if target.var <= 0.0 {
+        return Some(DiscretePdf::deterministic(target.mean));
+    }
+    let m0 = mean_of(values, probs);
+    let v0 = var_about(values, probs, m0);
+    if v0 <= 0.0 {
+        return Some(DiscretePdf::from_moments(target, fallback_samples));
+    }
+    let k = (target.var / v0).sqrt();
+    for x in values {
+        *x = target.mean + k * (*x - m0);
+    }
+    None
+}
+
+/// Merges the duplicate values of checked, stably key-sorted `points`,
+/// dropping zero masses first, and normalizes them into `values` and
+/// `probs`.
+fn normalize(points: &[Keyed], values: &mut Vec<f64>, probs: &mut Vec<f64>) {
+    values.clear();
+    probs.clear();
+    values.reserve_exact(points.len());
+    probs.reserve_exact(points.len());
+    // The total folds each merged mass once it is final, from -0.0 as
+    // `f64`'s `Sum` does.
+    let mut total = -0.0;
+    for &(key, p) in points {
+        if p == 0.0 {
+            continue;
+        }
+        let v = key_value(key);
+        if let (Some(last), Some(mass)) = (values.last(), probs.last_mut()) {
+            if v - last == 0.0 {
+                *mass += p;
+                continue;
+            }
+            total += *mass;
+        }
+        values.push(v);
+        probs.push(p);
+    }
+    let last = probs
+        .last()
+        .expect("total probability mass must be positive");
+    total += last;
+    assert!(total > 0.0, "total probability mass must be positive");
+    for p in probs {
+        *p /= total;
+    }
+}
+
+/// [`DiscretePdf::rebin`] of the distribution `(values, probs)`; `coarse`
+/// is scratch for the bins.
+fn rebinned(values: &[f64], probs: &[f64], n: usize, coarse: &mut Vec<Keyed>) -> DiscretePdf {
+    assert!(n > 0, "need at least one bin");
+    if values.len() <= n {
+        return DiscretePdf {
+            values: values.to_vec(),
+            probs: probs.to_vec(),
+        };
+    }
+    let lo = values[0];
+    let hi = values[values.len() - 1];
+    if hi - lo <= 0.0 {
+        return DiscretePdf::deterministic(lo);
+    }
+    let width = (hi - lo) / n as f64;
+    // One pass: the mean, plus the bins — sorted points visit them
+    // in order, so a bin's sums are final once the next bin starts.
+    // The mean folds from -0.0, as `f64`'s `Sum` does.
+    debug_assert!(values.is_sorted_by(|x, y| x.total_cmp(y).is_le()));
+    coarse.clear();
+    coarse.reserve_exact(n);
+    let mut target_mean = -0.0;
+    let (mut bin, mut mass, mut weighted) = (0, 0.0f64, 0.0f64);
+    for (&v, &p) in values.iter().zip(probs) {
+        target_mean += v * p;
+        let idx = (((v - lo) / width) as usize).min(n - 1);
+        if idx != bin {
+            if mass > 0.0 {
+                coarse.push(keyed((weighted / mass, mass)));
+            }
+            (bin, mass, weighted) = (idx, 0.0, 0.0);
+        }
+        mass += p;
+        weighted += p * v;
+    }
+    if mass > 0.0 {
+        coarse.push(keyed((weighted / mass, mass)));
+    }
+    let target_var = var_about(values, probs, target_mean);
+    let mut out = DiscretePdf::from_keyed(coarse);
+
+    // Variance correction: stretch the support about the mean.
+    let got_var = out.var();
+    if got_var <= 0.0 || target_var <= 0.0 {
+        return out;
+    }
+    let k = (target_var / got_var).sqrt();
+    for v in &mut out.values {
+        *v = target_mean + k * (*v - target_mean);
+    }
+    out
+}
+
+/// The working arrays of the fused kernels.
+#[derive(Default)]
+struct Scratch {
+    /// Keyed points: a convolution or a max before normalization, then
+    /// a rebin's bins.
+    points: Vec<Keyed>,
+    /// The merge's second buffer.
+    spare: Vec<Keyed>,
+    /// A normalized distribution (or a max's merged support).
+    values: Vec<f64>,
+    probs: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` on this thread's reused scratch, or on scratch of its own
+/// when a buffer may need more than [`SCRATCH_POINTS`] points.
+fn with_scratch<R>(points: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
+    if points > SCRATCH_POINTS {
+        return f(&mut Scratch::default());
+    }
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+impl Scratch {
+    /// The convolution of `a` and `b` into `points`, checked and stably
+    /// sorted by key.
+    fn convolve(&mut self, a: &DiscretePdf, b: &DiscretePdf) {
+        let points = &mut self.points;
+        points.clear();
+        points.reserve_exact(a.len() * b.len());
+        let mut valid = true;
+        for (&va, &pa) in a.values.iter().zip(&a.probs) {
+            points.extend(b.values.iter().zip(&b.probs).map(|(&vb, &pb)| {
+                let (v, p) = (va + vb, pa * pb);
+                valid &= v.is_finite() & p.is_finite() & (p >= 0.0);
+                (total_key(v), p)
+            }));
+        }
+        if !valid {
+            check_points(points);
+        }
+        // With `b` sorted, row `i` — `a_i + b_j` over increasing `j` — is
+        // sorted too (rounding is monotone, and `x + y` is -0.0 only when
+        // both are), so merging the rows is the stable sort.
+        merge_runs(points, &mut self.spare, b.len());
+    }
+
+    /// The masses of `F_a · F_b` over the merged support of `a` and `b`
+    /// into `points`, checked and sorted.
+    fn max_points(&mut self, a: &DiscretePdf, b: &DiscretePdf) {
+        let support = &mut self.values;
+        support.clear();
+        support.resize(a.len() + b.len(), 0.0);
+        merge_pair(&a.values, &b.values, support, total_key);
+
+        // Running CDFs over the merged support, then difference to masses.
+        // A repeated value adds no mass.
+        let points = &mut self.points;
+        points.clear();
+        let mut prev = 0.0;
+        let (mut ia, mut ib) = (0usize, 0usize);
+        let (mut fa, mut fb) = (0.0f64, 0.0f64);
+        for &x in support.iter() {
+            while ia < a.len() && a.values[ia] <= x {
+                fa += a.probs[ia];
+                ia += 1;
+            }
+            while ib < b.len() && b.values[ib] <= x {
+                fb += b.probs[ib];
+                ib += 1;
+            }
+            let f = (fa * fb).min(1.0);
+            let mass = f - prev;
+            if mass > 0.0 {
+                points.push(keyed((x, mass)));
+            }
+            prev = f;
+        }
+        // `support` is sorted, so `points` is too.
+        check_points(points);
+    }
+
+    /// `points`, deduplicated and normalized into `values` and `probs`.
+    fn normalize_points(&mut self) {
+        normalize(&self.points, &mut self.values, &mut self.probs);
+    }
+
+    /// `(values, probs)` rebinned to `n` points.
+    fn rebinned(&mut self, n: usize) -> DiscretePdf {
+        rebinned(&self.values, &self.probs, n, &mut self.points)
+    }
+}
+
 /// Stable bottom-up merge of `points`, given as consecutive sorted runs
-/// of `run` points (the last may be shorter), into one sorted sequence.
-/// On a tie the left run — the earlier points — goes first, which is
-/// exactly the order a stable sort keeps.
-fn merge_runs(points: &mut Vec<Keyed>, mut run: usize) {
-    debug_assert!(points
-        .chunks(run.max(1))
-        .all(|r| r.is_sorted_by_key(|x| x.0)));
+/// of `run` points (the last may be shorter), into one sorted sequence;
+/// `spare` is the second buffer. On a tie the left run — the earlier
+/// points — goes first, which is exactly the order a stable sort keeps.
+fn merge_runs(points: &mut Vec<Keyed>, spare: &mut Vec<Keyed>, mut run: usize) {
     let len = points.len();
     if run == 0 || run >= len {
         return;
     }
-    let mut src = std::mem::take(points);
-    let mut dst = vec![(0, 0.0, 0.0); len];
+    // Every run ends at or before the next one starts: already sorted.
+    if (run..len)
+        .step_by(run)
+        .all(|start| points[start - 1].0 <= points[start].0)
+    {
+        return;
+    }
+    spare.clear();
+    spare.resize(len, (0, 0.0));
     while run < len {
         for start in (0..len).step_by(2 * run) {
             let mid = (start + run).min(len);
             let end = (start + 2 * run).min(len);
-            let (mut i, mut j) = (start, mid);
-            for out in &mut dst[start..end] {
-                let right = i >= mid || (j < end && src[j].0 < src[i].0);
-                *out = if right {
-                    j += 1;
-                    src[j - 1]
-                } else {
-                    i += 1;
-                    src[i - 1]
-                };
-            }
+            merge_pair(
+                &points[start..mid],
+                &points[mid..end],
+                &mut spare[start..end],
+                |x| x.0,
+            );
         }
-        std::mem::swap(&mut src, &mut dst);
+        std::mem::swap(points, spare);
         run *= 2;
     }
-    *points = src;
+}
+
+/// Stable merge of the runs `left` and `right`, sorted by `key`, into
+/// `out`.
+fn merge_pair<T: Copy>(left: &[T], right: &[T], out: &mut [T], key: impl Fn(T) -> i64) {
+    debug_assert!(left.is_sorted_by_key(|&x| key(x)) && right.is_sorted_by_key(|&x| key(x)));
+    let l = left.len();
+    // Only the overlap interleaves: the left points up to `right[0]` go
+    // first and the right points from `left[l - 1]` on go last (ties to
+    // the left run). Runs already in order are two copies.
+    let head = right
+        .first()
+        .map_or(l, |&first| left.partition_point(|&x| key(x) <= key(first)));
+    let tail = left
+        .last()
+        .map_or(0, |&last| right.partition_point(|&x| key(x) < key(last)));
+    out[..head].copy_from_slice(&left[..head]);
+    out[l + tail..].copy_from_slice(&right[tail..]);
+    // `right[..tail]` runs out first: each of its points is below
+    // `left[l - 1]`, which therefore goes after all of them.
+    let (mut i, mut j) = (head, 0);
+    while j < tail {
+        let take_right = key(right[j]) < key(left[i]);
+        out[i + j] = if take_right { right[j] } else { left[i] };
+        i += usize::from(!take_right);
+        j += usize::from(take_right);
+    }
+    out[i + tail..l + tail].copy_from_slice(&left[i..]);
 }
 
 impl std::fmt::Display for DiscretePdf {

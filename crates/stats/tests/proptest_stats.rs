@@ -632,3 +632,159 @@ fn discrete_pdf_ops_match_the_sorting_oracle_bit_for_bit() {
         );
     }
 }
+
+/// The result of `f` as bits, or its panic message.
+fn outcome(f: impl FnOnce() -> (Vec<f64>, Vec<f64>)) -> Result<(Vec<u64>, Vec<u64>), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map(|(v, p)| pdf_bits(&v, &p))
+        .map_err(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        })
+}
+
+fn parts(p: &DiscretePdf) -> (Vec<f64>, Vec<f64>) {
+    (p.values().to_vec(), p.probs().to_vec())
+}
+
+fn oracle_parts(p: &oracle::Pdf) -> (Vec<f64>, Vec<f64>) {
+    (p.values.clone(), p.probs.clone())
+}
+
+/// A FULLSSTA-shaped pair: a wide arrival (a rebinned sum) and a narrow
+/// gate delay whose support is `ratio` times the arrival's spacing, so
+/// the convolution's rows are disjoint (small ratios), partly
+/// interleaved, or tied across rows (`a` and `b` on one grid).
+fn fullssta_pair(rng: &mut StdRng) -> [Vec<(f64, f64)>; 2] {
+    let n = rng.gen_range(2..=12usize);
+    let m = rng.gen_range(1..=12usize);
+    if rng.gen_bool(0.3) {
+        // One grid: row `i` ends exactly where row `i + k` starts.
+        let step = [0.25, 0.5, 1.0][rng.gen_range(0..3usize)];
+        let span = rng.gen_range(0..=3usize) as f64;
+        let a = (0..n)
+            .map(|i| (100.0 + i as f64 * step, rng.gen::<f64>() + 1e-3))
+            .collect();
+        let b = (0..m)
+            .map(|j| {
+                let x = if m == 1 {
+                    0.0
+                } else {
+                    span * step * j as f64 / (m - 1) as f64
+                };
+                (3.0 + x, rng.gen::<f64>() + 1e-3)
+            })
+            .collect();
+        return [a, b];
+    }
+    let (mean, sigma) = (1000.0 * rng.gen::<f64>(), 1.0 + 200.0 * rng.gen::<f64>());
+    let arrival = DiscretePdf::from_normal(mean, sigma, 24).rebin(n);
+    let spacing = 8.0 * sigma / n as f64;
+    let ratio = [0.05, 0.5, 0.95, 1.0, 1.5, 3.0][rng.gen_range(0..6usize)];
+    let delay = DiscretePdf::from_normal(20.0, ratio * spacing / 8.0, m);
+    let pts = |p: &DiscretePdf| {
+        p.values()
+            .iter()
+            .copied()
+            .zip(p.probs().iter().copied())
+            .collect()
+    };
+    [pts(&arrival), pts(&delay)]
+}
+
+/// The convolution and its rebin on FULLSSTA-shaped rows — disjoint,
+/// partly interleaved and tied across rows — match the sorting oracle.
+#[test]
+fn fullssta_shaped_sums_match_the_sorting_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0dac_1901);
+    for case in 0..4_000 {
+        let [pa, pb] = fullssta_pair(&mut rng);
+        let n = rng.gen_range(1..=16usize);
+        let (a, b) = (
+            DiscretePdf::from_points(pa.clone()),
+            DiscretePdf::from_points(pb.clone()),
+        );
+        let (oa, ob) = (oracle::Pdf::from_points(pa), oracle::Pdf::from_points(pb));
+        let osum = oa.add(&ob);
+        assert_same("add", case, &a.add(&b), &osum);
+        assert_same("add_rebinned", case, &a.add_rebinned(&b, n), &osum.rebin(n));
+        assert_same(
+            "add_rebinned (swapped)",
+            case,
+            &b.add_rebinned(&a, n),
+            &ob.add(&oa).rebin(n),
+        );
+    }
+}
+
+/// `from_normal` (and `from_moments`) against the oracle's two CDFs per
+/// bin, over seeded `(mean, σ, n)` — one bin, zero σ, σ so small that
+/// the bins collapse, and σ so large that the edges lose precision.
+#[test]
+fn from_normal_matches_the_two_cdf_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0dac_1902);
+    let sigmas = [0.0, 5e-324, 1e-300, 1e-12, 1e-3, 1.0, 37.5, 1e6, 1e150];
+    for case in 0..6_000 {
+        let mean = match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -1e4 + 2e4 * rng.gen::<f64>(),
+            2 => 1e3 * f64::from(rng.gen_range(-5..=5i32)),
+            _ => 1e-3 * rng.gen::<f64>(),
+        };
+        let sigma = if rng.gen_bool(0.3) {
+            sigmas[rng.gen_range(0..sigmas.len())]
+        } else {
+            100.0 * rng.gen::<f64>()
+        };
+        let n = if rng.gen_bool(0.15) {
+            1
+        } else {
+            rng.gen_range(1..=40usize)
+        };
+        let got = outcome(|| parts(&DiscretePdf::from_normal(mean, sigma, n)));
+        let want = outcome(|| oracle_parts(&oracle::Pdf::from_normal(mean, sigma, n)));
+        assert_eq!(got, want, "from_normal({mean}, {sigma}, {n}), case {case}");
+        let m = Moments::from_mean_std(mean, sigma);
+        let got = outcome(|| parts(&DiscretePdf::from_moments(m, n)));
+        let want = outcome(|| oracle_parts(&oracle::Pdf::from_moments(m, n)));
+        assert_eq!(got, want, "from_moments({m:?}, {n}), case {case}");
+    }
+}
+
+/// The fused correlated max equals `max → with_moments → rebin` of the
+/// oracle, on raw points and on FULLSSTA-shaped pairs, for point-mass,
+/// spread and stretching targets.
+#[test]
+fn fused_correlated_max_matches_the_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0dac_1903);
+    for case in 0..6_000 {
+        let [pa, pb] = if rng.gen_bool(0.5) {
+            [oracle_points(&mut rng), oracle_points(&mut rng)]
+        } else {
+            fullssta_pair(&mut rng)
+        };
+        let n = rng.gen_range(1..=16usize);
+        let (a, b) = (
+            DiscretePdf::from_points(pa.clone()),
+            DiscretePdf::from_points(pb.clone()),
+        );
+        let (oa, ob) = (oracle::Pdf::from_points(pa), oracle::Pdf::from_points(pb));
+        let omax = oa.max(&ob);
+        let m = a.max(&b).moments();
+        let target = match rng.gen_range(0..4u32) {
+            0 => Moments::deterministic(m.mean),
+            1 => m,
+            2 => Moments::new(
+                m.mean + 10.0 * rng.gen::<f64>(),
+                m.var * 4.0 * rng.gen::<f64>(),
+            ),
+            _ => Moments::new(-5.0 + 10.0 * rng.gen::<f64>(), 4.0 * rng.gen::<f64>()),
+        };
+        let got = outcome(|| parts(&a.max_with_moments(&b, target, n)));
+        let want = outcome(|| oracle_parts(&omax.with_moments(target, n).rebin(n)));
+        assert_eq!(got, want, "max_with_moments, case {case}");
+        assert_same("max_rebinned", case, &a.max_rebinned(&b, n), &omax.rebin(n));
+    }
+}
