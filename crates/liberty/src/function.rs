@@ -151,21 +151,26 @@ impl LogicFunction {
     /// both map to [`LogicFunction::Inv`], `BUFF` to [`LogicFunction::Buf`].
     #[must_use]
     pub fn parse_short_name(s: &str) -> Option<Self> {
-        match s.to_ascii_uppercase().as_str() {
-            "BUF" | "BUFF" => Some(Self::Buf),
-            "NOT" | "INV" => Some(Self::Inv),
-            "AND" => Some(Self::And),
-            "NAND" => Some(Self::Nand),
-            "OR" => Some(Self::Or),
-            "NOR" => Some(Self::Nor),
-            "XOR" => Some(Self::Xor),
-            "XNOR" => Some(Self::Xnor),
-            "AOI21" => Some(Self::Aoi21),
-            "OAI21" => Some(Self::Oai21),
-            "MAJ3" => Some(Self::Maj3),
-            "DFF" => Some(Self::Dff),
-            _ => None,
-        }
+        const NAMES: [(&str, LogicFunction); 14] = [
+            ("BUF", LogicFunction::Buf),
+            ("BUFF", LogicFunction::Buf),
+            ("NOT", LogicFunction::Inv),
+            ("INV", LogicFunction::Inv),
+            ("AND", LogicFunction::And),
+            ("NAND", LogicFunction::Nand),
+            ("OR", LogicFunction::Or),
+            ("NOR", LogicFunction::Nor),
+            ("XOR", LogicFunction::Xor),
+            ("XNOR", LogicFunction::Xnor),
+            ("AOI21", LogicFunction::Aoi21),
+            ("OAI21", LogicFunction::Oai21),
+            ("MAJ3", LogicFunction::Maj3),
+            ("DFF", LogicFunction::Dff),
+        ];
+        NAMES
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, f)| f)
     }
 }
 
@@ -240,6 +245,31 @@ mod tests {
             assert!(f.supports_arity(lo) && f.supports_arity(hi));
             assert!(!f.supports_arity(hi + 1));
             assert!(lo == 1 || !f.supports_arity(lo - 1));
+        }
+    }
+
+    #[test]
+    fn short_name_parsing_is_ascii_case_insensitive() {
+        // The same answers as upper-casing the input and matching exactly.
+        let upper = |s: &str| match s.to_ascii_uppercase().as_str() {
+            "BUF" | "BUFF" => Some(LogicFunction::Buf),
+            "NOT" | "INV" => Some(LogicFunction::Inv),
+            "AND" => Some(LogicFunction::And),
+            "NAND" => Some(LogicFunction::Nand),
+            "OR" => Some(LogicFunction::Or),
+            "NOR" => Some(LogicFunction::Nor),
+            "XOR" => Some(LogicFunction::Xor),
+            "XNOR" => Some(LogicFunction::Xnor),
+            "AOI21" => Some(LogicFunction::Aoi21),
+            "OAI21" => Some(LogicFunction::Oai21),
+            "MAJ3" => Some(LogicFunction::Maj3),
+            "DFF" => Some(LogicFunction::Dff),
+            _ => None,
+        };
+        let words =
+            "buf Buff nOt inv and Nand or NOR xor xNoR aoi21 Oai21 maj3 dff AN ANDD ınv ＡＮＤ dﬀ";
+        for s in words.split(' ').chain(["", " AND", "NAND "]) {
+            assert_eq!(LogicFunction::parse_short_name(s), upper(s), "{s:?}");
         }
     }
 

@@ -43,6 +43,9 @@ pub struct NetlistBuilder {
     output_flags: Vec<bool>,
     name_index: HashMap<String, GateId>,
     registers: Vec<(GateId, Option<GateId>)>,
+    /// `register_of[q]` is the slot in `registers` of the register whose
+    /// Q gate is node `q` (grown on demand).
+    register_of: Vec<Option<usize>>,
     errors: Vec<NetlistError>,
 }
 
@@ -58,8 +61,24 @@ impl NetlistBuilder {
             output_flags: Vec::new(),
             name_index: HashMap::new(),
             registers: Vec::new(),
+            register_of: Vec::new(),
             errors: Vec::new(),
         }
+    }
+
+    /// [`new`](Self::new) with room for exactly `nodes` nodes: the node
+    /// table and the name index are sized to them up front.
+    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
+        let mut b = Self::new(name);
+        b.nodes.reserve_exact(nodes);
+        b.output_flags.reserve_exact(nodes);
+        b.name_index.reserve(nodes);
+        b
+    }
+
+    /// Reserves room for exactly `fanouts` more fanouts of node `id`.
+    pub(crate) fn reserve_fanouts(&mut self, id: GateId, fanouts: usize) {
+        self.nodes[id.index()].reserve_fanouts(fanouts);
     }
 
     fn add_node(&mut self, name: String, kind: GateKind, fanins: Vec<GateId>) -> GateId {
@@ -116,6 +135,10 @@ impl NetlistBuilder {
             },
             vec![clk],
         );
+        if self.register_of.len() <= q.index() {
+            self.register_of.resize(q.index() + 1, None);
+        }
+        self.register_of[q.index()] = Some(self.registers.len());
         self.registers.push((q, None));
         q
     }
@@ -124,14 +147,14 @@ impl NetlistBuilder {
     /// [`NetlistBuilder::dff`]; binding twice or binding a non-register
     /// accumulates an error reported by [`build`](NetlistBuilder::build).
     pub fn bind_d(&mut self, q: GateId, d: GateId) {
-        let Some(slot) = self.registers.iter_mut().find(|(id, _)| *id == q) else {
+        let Some(slot) = self.register_of.get(q.index()).copied().flatten() else {
             self.errors.push(NetlistError::BadRegister {
                 register: self.nodes[q.index()].name().to_owned(),
                 message: "bind_d target was not created by dff()".to_owned(),
             });
             return;
         };
-        if slot.1.replace(d).is_some() {
+        if self.registers[slot].1.replace(d).is_some() {
             self.errors.push(NetlistError::BadRegister {
                 register: self.nodes[q.index()].name().to_owned(),
                 message: "D pin bound twice".to_owned(),
@@ -361,5 +384,54 @@ mod tests {
         let n = b.build().expect("valid");
         assert_eq!(n.gate(a).fanouts().len(), 2);
         assert_eq!(n.gate(g).fanins(), &[a, a]);
+    }
+
+    #[test]
+    fn thousands_of_registers_bind_by_their_q() {
+        let mut b = NetlistBuilder::new("regs");
+        let clk = b.input("clk");
+        let a = b.input("a");
+        let qs: Vec<GateId> = (0..2_000).map(|i| b.dff(format!("q{i}"), clk)).collect();
+        let ds: Vec<GateId> = qs
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| b.gate(format!("g{i}"), LogicFunction::Nand, &[a, q]))
+            .collect();
+        for (&q, &d) in qs.iter().zip(&ds).rev() {
+            b.bind_d(q, d);
+        }
+        b.mark_output(ds[0]);
+        let n = b.build().expect("valid sequential netlist");
+        assert_eq!(n.register_count(), 2_000);
+        for (r, (&q, &d)) in n.registers().iter().zip(qs.iter().zip(&ds)) {
+            assert_eq!((r.q(), r.d()), (q, d), "{}", r.name());
+        }
+    }
+
+    #[test]
+    fn register_errors_keep_their_order_among_many_registers() {
+        let build = |foreign_first: bool| {
+            let mut b = NetlistBuilder::new("regs");
+            let clk = b.input("clk");
+            let qs: Vec<GateId> = (0..2_000).map(|i| b.dff(format!("q{i}"), clk)).collect();
+            let g = b.gate("g", LogicFunction::Inv, &[qs[1_999]]);
+            for &q in &qs {
+                b.bind_d(q, g);
+            }
+            if foreign_first {
+                b.bind_d(g, qs[0]);
+                b.bind_d(qs[1_000], g);
+            } else {
+                b.bind_d(qs[1_000], g);
+                b.bind_d(g, qs[0]);
+            }
+            b.mark_output(g);
+            b.build().unwrap_err().to_string()
+        };
+        assert_eq!(
+            build(true),
+            "register `g`: bind_d target was not created by dff()"
+        );
+        assert_eq!(build(false), "register `q1000`: D pin bound twice");
     }
 }

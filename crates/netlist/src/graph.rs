@@ -708,6 +708,10 @@ impl Gate {
     pub(crate) fn push_fanout(&mut self, id: GateId) {
         self.fanouts.push(id);
     }
+
+    pub(crate) fn reserve_fanouts(&mut self, additional: usize) {
+        self.fanouts.reserve_exact(additional);
+    }
 }
 
 #[cfg(test)]

@@ -12,12 +12,30 @@
 //! G17 = NOT(G10)
 //! ```
 //!
-//! The parser is two-pass (declarations may appear in any order), performs
-//! Kahn topological insertion with a worklist (indegree counters + ready
-//! queue, linear in statements + fanin references — even on fully
-//! reverse-ordered files), and reports cycles and undefined signals with
-//! line-level context. The writer emits gates in topological order so
-//! round-trips are stable.
+//! The parser borrows every name and reference from the text and resolves
+//! each name once, through one keyed name table; everything after that
+//! is index arithmetic over statement numbers. Its passes, each linear:
+//!
+//! 1. tokenize: one record per statement, its name a `&str` into the
+//!    text, and every fanin (or D) reference in one flat list;
+//! 2. the name table: one `HashMap<&str, u32>` (std's keyed
+//!    `RandomState`, since served `Register` requests parse untrusted
+//!    text), sized to the definitions, maps each name to its statement;
+//! 3. resolve: every reference becomes a statement index, and each
+//!    statement's dependents go into one flat CSR array (offsets plus
+//!    targets, in statement order, one entry per pin);
+//! 4. Kahn's worklist (indegree counters + a FIFO over indices — linear
+//!    even on fully reverse-ordered files) fixes the emission order;
+//! 5. emission into a [`NetlistBuilder`] sized to the node count, each
+//!    node's fanout list reserved at its exact length.
+//!
+//! A `k`-input gate thus costs `k + 2` hashes (its definition, its `k`
+//! references, and the builder's name index) and four allocations (its
+//! name, the index's key, its fanin list, and its fanout list when it has
+//! fanouts); the flat lists add a constant number of allocations per
+//! file. Cycles and undefined signals are reported with the offending
+//! name, malformed lines with their line number. The writer emits gates
+//! in topological order so round-trips are stable.
 //!
 //! `DFF` statements follow the ISCAS-89 dialect: the implicit clock is
 //! synthesized as a shared primary input (named `clk` unless that name is
@@ -31,33 +49,57 @@
 use crate::builder::NetlistBuilder;
 use crate::error::NetlistError;
 use crate::graph::{GateId, GateKind, Netlist};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::ops::Range;
 use vartol_liberty::LogicFunction;
 
-/// One parsed `.bench` statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Statement {
-    Input(String),
-    Output(String),
-    Gate {
-        name: String,
-        function: LogicFunction,
-        fanins: Vec<String>,
-    },
-    Dff {
-        name: String,
-        d: String,
-    },
+/// What a defining statement declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Input,
+    Gate(LogicFunction),
+    Dff,
+}
+
+/// One defining `.bench` statement (`INPUT`, gate or `DFF`).
+#[derive(Debug)]
+struct Def<'a> {
+    name: &'a str,
+    kind: Kind,
+    /// Its fanin references (a `DFF`'s one D reference) in
+    /// [`Tokens::refs`].
+    refs: Range<u32>,
+}
+
+impl Def<'_> {
+    fn refs(&self) -> Range<usize> {
+        self.refs.start as usize..self.refs.end as usize
+    }
+}
+
+/// A tokenized `.bench` text, borrowing every name from it.
+#[derive(Debug, Default)]
+struct Tokens<'a> {
+    /// The defining statements, in text order.
+    defs: Vec<Def<'a>>,
+    /// The `OUTPUT` names, in text order.
+    outputs: Vec<&'a str>,
+    /// Every statement's references, one flat list in text order.
+    refs: Vec<&'a str>,
 }
 
 /// Parses `.bench` text into a [`Netlist`].
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] for malformed lines,
-/// [`NetlistError::UnknownSignal`] for references to undefined signals,
-/// [`NetlistError::Cycle`] for combinational loops, and the usual
-/// degenerate-netlist errors.
+/// Returns, in this precedence: [`NetlistError::Parse`] for the first
+/// malformed line, [`NetlistError::DuplicateName`] for the first
+/// redefined signal, [`NetlistError::UnknownSignal`] for the first
+/// reference to an undefined signal in text order,
+/// [`NetlistError::Cycle`] for a combinational loop,
+/// [`NetlistError::UnknownSignal`] for the first undefined `OUTPUT`, and
+/// then the builder's checks (arity in emission order, no inputs, no
+/// outputs).
 ///
 /// # Example
 ///
@@ -80,145 +122,150 @@ enum Statement {
 /// # }
 /// ```
 pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
-    let statements = tokenize(text)?;
+    let Tokens {
+        defs,
+        outputs,
+        refs,
+    } = tokenize(text)?;
+    let n = defs.len();
 
-    // Collect definitions.
-    let mut defs: HashMap<&str, usize> = HashMap::new(); // signal -> statement idx
-    let mut outputs: Vec<&str> = Vec::new();
-    for (i, s) in statements.iter().enumerate() {
-        match s {
-            Statement::Input(n)
-            | Statement::Gate { name: n, .. }
-            | Statement::Dff { name: n, .. } => {
-                if defs.insert(n.as_str(), i).is_some() {
-                    return Err(NetlistError::DuplicateName(n.clone()));
-                }
-            }
-            Statement::Output(n) => outputs.push(n.as_str()),
+    let mut index: HashMap<&str, u32> = HashMap::with_capacity(n);
+    for (i, def) in defs.iter().enumerate() {
+        if index.insert(def.name, to_u32(i)).is_some() {
+            return Err(NetlistError::DuplicateName(def.name.to_owned()));
         }
     }
 
-    // Kahn worklist: per-statement indegree counters plus a dependents
-    // adjacency, so emission is O(statements + fanin references) instead
-    // of the old repeated full scans (quadratic on reverse-ordered files).
-    let mut indegree = vec![0usize; statements.len()];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); statements.len()];
-    let mut pending = 0usize; // non-output statements awaiting emission
-    for (i, s) in statements.iter().enumerate() {
-        match s {
-            Statement::Output(_) => {}
-            Statement::Input(_) => pending += 1,
-            Statement::Gate { fanins, .. } => {
-                pending += 1;
-                for f in fanins {
-                    let &def_idx = defs
-                        .get(f.as_str())
-                        .ok_or_else(|| NetlistError::UnknownSignal(f.clone()))?;
-                    indegree[i] += 1;
-                    dependents[def_idx].push(i);
-                }
-            }
-            Statement::Dff { d, .. } => {
-                // The D reference is a register cut, not a graph edge:
-                // it must resolve, but it never gates the Q emission —
-                // which is what lets feedback through a register parse
-                // while register-free loops still stall as cycles.
-                pending += 1;
-                if !defs.contains_key(d.as_str()) {
-                    return Err(NetlistError::UnknownSignal(d.clone()));
-                }
-            }
-        }
-    }
-
-    let mut ready: VecDeque<usize> = statements
+    // Every reference resolves to its statement, in text order. A D
+    // reference must resolve too, but it is a register cut, not a graph
+    // edge: it never gates the Q emission — which is what lets feedback
+    // through a register parse while register-free loops still stall as
+    // cycles.
+    let fanins = refs
         .iter()
-        .enumerate()
-        .filter(|(i, s)| {
-            matches!(s, Statement::Input(_) | Statement::Dff { .. }) && indegree[*i] == 0
+        .map(|r| {
+            index
+                .get(r)
+                .copied()
+                .ok_or_else(|| NetlistError::UnknownSignal((*r).to_owned()))
         })
-        .map(|(i, _)| i)
-        .collect();
+        .collect::<Result<Vec<u32>, _>>()?;
+    let gate_fanins = |def: &Def<'_>| match def.kind {
+        Kind::Gate(_) => &fanins[def.refs()],
+        Kind::Input | Kind::Dff => &[],
+    };
 
-    let mut b = NetlistBuilder::new(name);
-    // ISCAS-89 registers share one implicit clock; synthesize it as a
-    // primary input (dodging any colliding signal name).
-    let clock = if statements
-        .iter()
-        .any(|s| matches!(s, Statement::Dff { .. }))
-    {
+    // Dependents in CSR form: statement `j`'s are
+    // `dependents[offsets[j]..offsets[j + 1]]`, gate statements in text
+    // order, once per pin.
+    let mut offsets = vec![0u32; n + 1];
+    for def in &defs {
+        for &j in gate_fanins(def) {
+            offsets[j as usize + 1] += 1;
+        }
+    }
+    for j in 0..n {
+        offsets[j + 1] += offsets[j];
+    }
+    let mut dependents = vec![0u32; offsets[n] as usize];
+    let mut fill = offsets.clone();
+    let mut indegree = vec![0u32; n];
+    for (i, def) in defs.iter().enumerate() {
+        let pins = gate_fanins(def);
+        indegree[i] = to_u32(pins.len());
+        for &j in pins {
+            dependents[fill[j as usize] as usize] = to_u32(i);
+            fill[j as usize] += 1;
+        }
+    }
+    let fanout = |j: usize| offsets[j] as usize..offsets[j + 1] as usize;
+
+    // Kahn's FIFO over statement indices: `order` is the queue, and
+    // everything it has ever held is the emission order.
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    order.extend((0..n).filter(|&i| indegree[i] == 0).map(to_u32));
+    let mut head = 0;
+    while let Some(&i) = order.get(head) {
+        head += 1;
+        for &d in &dependents[fanout(i as usize)] {
+            indegree[d as usize] -= 1;
+            if indegree[d as usize] == 0 {
+                order.push(d);
+            }
+        }
+    }
+    if order.len() < n {
+        // Some gate never became ready: combinational cycle. Gates have
+        // at least one fanin, so exactly the unemitted ones keep a
+        // positive indegree.
+        let stuck = defs
+            .iter()
+            .zip(&indegree)
+            .find(|&(_, &k)| k > 0)
+            .map_or("", |(def, _)| def.name);
+        return Err(NetlistError::Cycle(stuck.to_owned()));
+    }
+
+    // ISCAS-89 registers share one implicit clock; synthesize it as the
+    // first primary input (dodging any colliding signal name).
+    let registers = defs.iter().filter(|d| d.kind == Kind::Dff).count();
+    let mut b = NetlistBuilder::with_capacity(name, n + usize::from(registers > 0));
+    let clock = (registers > 0).then(|| {
         let mut clk_name = "clk".to_owned();
-        while defs.contains_key(clk_name.as_str()) {
+        while index.contains_key(clk_name.as_str()) {
             clk_name.push('_');
         }
-        Some(b.input(clk_name))
-    } else {
-        None
-    };
-    let mut ids: HashMap<&str, GateId> = HashMap::new();
-    let mut emitted = vec![false; statements.len()];
-    while let Some(i) = ready.pop_front() {
-        match &statements[i] {
-            Statement::Input(n) => {
-                ids.insert(n.as_str(), b.input(n.clone()));
+        let clk = b.input(clk_name);
+        b.reserve_fanouts(clk, registers);
+        clk
+    });
+    // `ids[i]` is statement `i`'s node; Kahn's order writes every entry
+    // before any later statement reads it.
+    let mut ids = vec![GateId::new(0); n];
+    let mut pins: Vec<GateId> = Vec::new();
+    for &i in &order {
+        let i = i as usize;
+        let def = &defs[i];
+        let id = match def.kind {
+            Kind::Input => b.input(def.name),
+            Kind::Gate(function) => {
+                pins.clear();
+                pins.extend(fanins[def.refs()].iter().map(|&j| ids[j as usize]));
+                b.gate(def.name, function, &pins)
             }
-            Statement::Gate {
-                name,
-                function,
-                fanins,
-            } => {
-                let fanin_ids: Vec<GateId> = fanins.iter().map(|f| ids[f.as_str()]).collect();
-                ids.insert(name.as_str(), b.gate(name.clone(), *function, &fanin_ids));
-            }
-            Statement::Dff { name, .. } => {
-                let clk = clock.expect("clock synthesized whenever DFFs exist");
-                ids.insert(name.as_str(), b.dff(name.clone(), clk));
-            }
-            Statement::Output(_) => unreachable!("outputs never enter the worklist"),
-        }
-        emitted[i] = true;
-        pending -= 1;
-        for &d in &dependents[i] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                ready.push_back(d);
-            }
-        }
-    }
-
-    if pending > 0 {
-        // Some gate never became ready: combinational cycle.
-        let stuck = statements
-            .iter()
-            .enumerate()
-            .find(|&(i, s)| !emitted[i] && matches!(s, Statement::Gate { .. }))
-            .map(|(_, s)| match s {
-                Statement::Gate { name, .. } => name.clone(),
-                _ => unreachable!("filtered to gates"),
-            })
-            .unwrap_or_default();
-        return Err(NetlistError::Cycle(stuck));
+            Kind::Dff => b.dff(
+                def.name,
+                clock.expect("clock synthesized whenever DFFs exist"),
+            ),
+        };
+        b.reserve_fanouts(id, fanout(i).len());
+        ids[i] = id;
     }
 
     // Bind D pins only now that every driver has been emitted — D may
     // reference a gate downstream of its own Q (feedback).
-    for s in &statements {
-        if let Statement::Dff { name, d } = s {
-            b.bind_d(ids[name.as_str()], ids[d.as_str()]);
+    for (i, def) in defs.iter().enumerate() {
+        if def.kind == Kind::Dff {
+            b.bind_d(ids[i], ids[fanins[def.refs.start as usize] as usize]);
         }
     }
 
     for o in outputs {
-        match ids.get(o) {
-            Some(&id) => b.mark_output(id),
+        match index.get(o) {
+            Some(&j) => b.mark_output(ids[j as usize]),
             None => return Err(NetlistError::UnknownSignal(o.to_owned())),
         }
     }
     b.build()
 }
 
-fn tokenize(text: &str) -> Result<Vec<Statement>, NetlistError> {
-    let mut out = Vec::new();
+/// A statement or reference index as `u32`, the width of a [`GateId`].
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("netlists are limited to u32 nodes")
+}
+
+fn tokenize(text: &str) -> Result<Tokens<'_>, NetlistError> {
+    let mut out = Tokens::default();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let line = line.split('#').next().unwrap_or("").trim();
@@ -230,10 +277,15 @@ fn tokenize(text: &str) -> Result<Vec<Statement>, NetlistError> {
             message,
         };
 
+        let start = to_u32(out.refs.len());
         if let Some(rest) = strip_directive(line, "INPUT") {
-            out.push(Statement::Input(rest.to_owned()));
+            out.defs.push(Def {
+                name: rest,
+                kind: Kind::Input,
+                refs: start..start,
+            });
         } else if let Some(rest) = strip_directive(line, "OUTPUT") {
-            out.push(Statement::Output(rest.to_owned()));
+            out.outputs.push(rest);
         } else if let Some(eq) = line.find('=') {
             let name = line[..eq].trim();
             if name.is_empty() {
@@ -250,32 +302,26 @@ fn tokenize(text: &str) -> Result<Vec<Statement>, NetlistError> {
             let function = LogicFunction::parse_short_name(func_name)
                 .ok_or_else(|| err(format!("unknown gate type `{func_name}`")))?;
             let args = &rhs[open + 1..rhs.len() - 1];
-            let fanins: Vec<String> = args
-                .split(',')
-                .map(|a| a.trim().to_owned())
-                .filter(|a| !a.is_empty())
-                .collect();
-            if fanins.is_empty() {
+            out.refs
+                .extend(args.split(',').map(str::trim).filter(|a| !a.is_empty()));
+            let end = to_u32(out.refs.len());
+            let count = end - start;
+            if count == 0 {
                 return Err(err("gate with no inputs".into()));
             }
-            if function == LogicFunction::Dff {
-                if fanins.len() != 1 {
-                    return Err(err(format!(
-                        "DFF takes exactly one D input, got {}",
-                        fanins.len()
-                    )));
+            let kind = if function == LogicFunction::Dff {
+                if count != 1 {
+                    return Err(err(format!("DFF takes exactly one D input, got {count}")));
                 }
-                out.push(Statement::Dff {
-                    name: name.to_owned(),
-                    d: fanins.into_iter().next().expect("checked len"),
-                });
+                Kind::Dff
             } else {
-                out.push(Statement::Gate {
-                    name: name.to_owned(),
-                    function,
-                    fanins,
-                });
-            }
+                Kind::Gate(function)
+            };
+            out.defs.push(Def {
+                name,
+                kind,
+                refs: start..end,
+            });
         } else {
             return Err(err(format!("unrecognized statement `{line}`")));
         }

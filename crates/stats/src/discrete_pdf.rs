@@ -182,6 +182,12 @@ impl DiscretePdf {
             points.push((0.5 * (a + b), cdf_b - cdf_a));
             edge = Some((b.to_bits(), cdf_b));
         }
+        // A σ below the mean's resolution rounds every bin edge to one
+        // value, leaving no mass anywhere: that is the point mass σ = 0
+        // gives.
+        if points.iter().all(|&(_, mass)| mass == 0.0) {
+            return Self::deterministic(mean);
+        }
         Self::from_points(points)
     }
 
@@ -811,6 +817,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn from_normal_below_the_means_resolution_is_a_point_mass() {
+        // σ > 0, but every bin edge rounds to the mean: no bin has mass.
+        for (mean, sigma) in [(100.0, 1e-15), (1000.0, 1e-300), (1.0, 5e-324)] {
+            let pdf = DiscretePdf::from_normal(mean, sigma, 12);
+            assert_eq!(pdf, DiscretePdf::deterministic(mean), "N({mean}, {sigma})");
+        }
+        // A σ the edges still resolve keeps its spread.
+        assert_eq!(DiscretePdf::from_normal(0.0, 5e-324, 12).len(), 7);
+        assert_eq!(DiscretePdf::from_normal(100.0, 1e-14, 12).len(), 3);
     }
 
     #[test]
