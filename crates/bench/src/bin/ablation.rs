@@ -1,5 +1,4 @@
-//! Ablations of the paper's design choices (experiments E5–E9 and
-//! DESIGN.md §5).
+//! Ablations of the paper's design choices.
 //!
 //! Usage: `ablation [SECTION ...]` where SECTION is one of
 //! `erf`, `fastmax`, `engines`, `depth`, `subdepth`, `samples`, `paths`,

@@ -1,8 +1,7 @@
 //! Reproduces **Fig. 1** of the paper: the circuit output-delay PDF at
 //! three design points — the mean-optimized "original" (widest spread) and
 //! two statistical optimization points (α = 3 and α = 9, progressively
-//! narrower) — plus the parametric-yield reading the figure motivates
-//! (experiment E2 in DESIGN.md).
+//! narrower) — plus the parametric-yield reading the figure motivates.
 //!
 //! Usage: `fig1_pdf [CIRCUIT]` (default c432).
 

@@ -1,7 +1,7 @@
 //! Reproduces **Fig. 3** of the paper: tracing the worst negative
 //! statistical slack (WNSS) path on the 6-node example, showing each
-//! pairwise decision — dominance shortcut or finite-difference sensitivity
-//! (experiment E3 in DESIGN.md).
+//! pairwise decision — dominance shortcut or finite-difference
+//! sensitivity.
 //!
 //! Arrival statistics `(μ, σ)` are planted exactly as printed in the
 //! figure: `(320,27)`, `(310,45)`, `(357,32)`, `(392,35)`, `(190,41)`.

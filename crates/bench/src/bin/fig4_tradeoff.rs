@@ -1,7 +1,6 @@
 //! Reproduces **Fig. 4** of the paper: the normalized mean / standard-
-//! deviation tradeoff for c432 across the σ weight α (experiment E4 in
-//! DESIGN.md). The paper plots σ/μ against the normalized mean for
-//! α ∈ {3, 6, 9}; we sweep a denser grid.
+//! deviation tradeoff for c432 across the σ weight α. The paper plots σ/μ
+//! against the normalized mean for α ∈ {3, 6, 9}; we sweep a denser grid.
 //!
 //! Usage: `fig4_tradeoff [CIRCUIT]` (default c432).
 

@@ -1,6 +1,6 @@
 //! Reproduces **Table 1** of the paper: the full benchmark suite optimized
 //! at α = 3 and α = 9, reporting Δμ%, Δσ%, σ/μ, ΔA% and runtime per
-//! circuit (experiment E1 in DESIGN.md).
+//! circuit.
 //!
 //! Usage:
 //!

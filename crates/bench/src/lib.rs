@@ -1,7 +1,7 @@
 //! # vartol-bench
 //!
 //! The experiment harness regenerating every table and figure of the
-//! DATE'05 paper (see DESIGN.md §4 for the experiment index):
+//! DATE'05 paper:
 //!
 //! * `table1` — Table 1: the benchmark suite optimized at α = 3 and α = 9.
 //! * `fig1_pdf` — Fig. 1: circuit output-delay PDFs (original vs two
@@ -9,7 +9,8 @@
 //! * `fig3_wnss` — Fig. 3: the WNSS tracing walk-through on the paper's
 //!   6-node example.
 //! * `fig4_tradeoff` — Fig. 4: the normalized μ–σ tradeoff for c432 over α.
-//! * `ablation` — the design-choice ablations of DESIGN.md §5.
+//! * `ablation` — ablations of the paper's design choices, one section
+//!   each.
 //!
 //! A sixth binary, `vartol-suite`, is the CI perf-artifact pipeline: it
 //! runs all four engines plus the optimizer end-to-end across a circuit

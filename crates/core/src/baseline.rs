@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist};
+use vartol_ssta::optimize::recover_area;
 use vartol_ssta::{EngineKind, SstaConfig, TimingSession};
 
 /// Summary of a deterministic sizing run.
@@ -222,27 +223,8 @@ impl MeanDelaySizer {
             netlist.clone(),
             EngineKind::Dsta,
         );
-        let mut changed = 0;
-        // Visit sinks first: downstream gates shield upstream slack.
         let ids: Vec<GateId> = session.netlist().gate_ids().collect();
-        for &g in ids.iter().rev() {
-            let GateKind::Cell { size: current, .. } = *session.netlist().gate(g).kind() else {
-                continue;
-            };
-            let mut kept = current;
-            for size in (0..current).rev() {
-                session.resize(g, size);
-                if session.refresh_undoable().mean <= target_delay + 1e-9 {
-                    kept = size;
-                } else {
-                    session.undo();
-                    break;
-                }
-            }
-            if kept != current {
-                changed += 1;
-            }
-        }
+        let changed = recover_area(&mut session, &ids, |_, m| m.mean <= target_delay + 1e-9);
         *netlist = session.into_netlist();
         changed
     }

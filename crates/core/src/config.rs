@@ -38,10 +38,6 @@ pub struct SizerConfig {
     /// Upper bound on outer (FULLSSTA) iterations — a safety net; the
     /// algorithm normally stops when no gate wants a new size.
     pub max_passes: usize,
-    /// Minimum relative improvement of the global cost for a pass to be
-    /// kept; a pass that worsens the global cost is rolled back and the
-    /// algorithm stops.
-    pub min_improvement: f64,
     /// Which statistical critical paths each pass works along.
     pub path_selection: PathSelection,
     /// Optional delay budget: when set, passes are only kept if the
@@ -137,7 +133,6 @@ impl Default for SizerConfig {
             alpha: 3.0,
             subcircuit_depth: 2,
             max_passes: 40,
-            min_improvement: 1e-6,
             path_selection: PathSelection::AllOutputs,
             max_mean_delay: None,
             ssta: SstaConfig::default(),

@@ -38,7 +38,13 @@ use std::sync::Arc;
 use std::time::Instant;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist, Subcircuit};
+use vartol_ssta::optimize::recover_area;
 use vartol_ssta::{EngineKind, Fassta, ScopedPool, TimingSession, WnssTracer};
+
+/// Minimum relative improvement of the global cost for a pass to be
+/// kept; a pass that worsens the global cost is rolled back and the
+/// algorithm stops.
+const MIN_IMPROVEMENT: f64 = 1e-6;
 
 /// The paper's statistically-aware gain-based gate sizer.
 ///
@@ -233,10 +239,10 @@ impl StatisticalGreedy {
     }
 
     /// Whether a candidate global state is kept: the cost must improve by
-    /// the configured margin and the mean must respect the delay budget
+    /// [`MIN_IMPROVEMENT`] and the mean must respect the delay budget
     /// (constrained mode, §2.1).
     fn accepts(&self, candidate_cost: f64, best_cost: f64, candidate_mean: f64) -> bool {
-        candidate_cost < best_cost * (1.0 - self.config.min_improvement)
+        candidate_cost < best_cost * (1.0 - MIN_IMPROVEMENT)
             && self
                 .config
                 .max_mean_delay
@@ -293,27 +299,10 @@ impl StatisticalGreedy {
             netlist.clone(),
             EngineKind::FullSsta,
         );
-        let mut changed = 0;
         let ids: Vec<GateId> = session.netlist().gate_ids().collect();
-        for &g in ids.iter().rev() {
-            let GateKind::Cell { size: current, .. } = *session.netlist().gate(g).kind() else {
-                continue;
-            };
-            let mut kept = current;
-            for size in (0..current).rev() {
-                session.resize(g, size);
-                let m = session.refresh_undoable();
-                if moments_cost(m, alpha) <= cost_budget + 1e-9 {
-                    kept = size;
-                } else {
-                    session.undo();
-                    break;
-                }
-            }
-            if kept != current {
-                changed += 1;
-            }
-        }
+        let changed = recover_area(&mut session, &ids, |_, m| {
+            moments_cost(m, alpha) <= cost_budget + 1e-9
+        });
         *netlist = session.into_netlist();
         changed
     }

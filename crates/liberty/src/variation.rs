@@ -124,8 +124,8 @@ impl Default for VariationModel {
     /// floor. The `1/drive` exponent (rather than Pelgrom's `1/√area`)
     /// reflects that the paper's delay variability mixes threshold
     /// mismatch with systematic length variation, both of which average
-    /// down quickly in wide devices; DESIGN.md §5 lists this as an
-    /// ablation-worthy choice and the `ablation` bench sweeps it.
+    /// down quickly in wide devices; the `exponent` section of the
+    /// `ablation` bench sweeps it.
     fn default() -> Self {
         Self::new(0.35, 1.0, 1.5)
     }

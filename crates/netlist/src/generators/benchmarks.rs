@@ -5,7 +5,7 @@
 //! ALU circuits, synthesized with Design Compiler onto an industrial 90nm
 //! library. Those gate-level netlists are not available, so each suite
 //! entry here is a generated circuit of the same *role* and comparable
-//! size/depth (DESIGN.md §2 records the substitution):
+//! size/depth:
 //!
 //! | name  | paper circuit                        | analogue                         |
 //! |-------|--------------------------------------|----------------------------------|

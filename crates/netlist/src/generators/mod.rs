@@ -3,7 +3,8 @@
 //! The paper evaluates on ISCAS-85 benchmarks plus proprietary ALU circuits
 //! synthesized with Design Compiler. Neither the synthesized gate-level
 //! netlists nor the ALU sources are available, so this module generates
-//! functionally-real circuits of the same *roles* (see DESIGN.md §2):
+//! functionally-real circuits of the same *roles* (the `benchmarks`
+//! module's table lists each substitution):
 //! arithmetic (adders, an array multiplier standing in for c6288), ALUs,
 //! error-correcting XOR networks (c499/c1355/c1908 analogues), a priority
 //! interrupt controller (c432 analogue), comparators and datapaths. Every

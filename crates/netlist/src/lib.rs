@@ -15,8 +15,8 @@
 //!   cone around a gate (§4.5 of the paper: "two levels of transitive
 //!   fanins and fanouts is sufficiently accurate").
 //! * [`generators`] — structural circuit generators standing in for the
-//!   paper's ISCAS-85 + ALU evaluation suite (see DESIGN.md §2 for the
-//!   substitution rationale).
+//!   paper's ISCAS-85 + ALU evaluation suite (`generators::benchmarks`
+//!   lists each substitution).
 //!
 //! # Example
 //!

@@ -83,7 +83,6 @@
 //! assert_eq!(after, scratch.circuit_moments());
 //! ```
 
-pub mod branch;
 pub mod config;
 pub mod criticality;
 pub mod delay;
@@ -102,7 +101,6 @@ mod state;
 pub mod variation;
 pub mod wnss;
 
-pub use branch::{BranchError, SessionBranch};
 pub use config::{CorrelationMode, SstaConfig};
 pub use criticality::Criticality;
 pub use delay::CircuitTiming;
@@ -120,7 +118,7 @@ pub use optimize::{
 };
 pub use pool::ScopedPool;
 pub use sequential::{ClockConstraint, GroupTiming, PathGroup, SequentialTiming};
-pub use session::TimingSession;
+pub use session::{BranchError, TimingSession};
 pub use slack::StatisticalSlacks;
 pub use variation::{GlobalSource, SpatialGrid, VariationContext, VariationModel};
 pub use wnss::WnssTracer;

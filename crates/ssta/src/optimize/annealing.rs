@@ -1,12 +1,12 @@
 //! Deterministic multi-start simulated annealing over session branches.
 //!
 //! Each restart is an independent Metropolis walk over the discrete
-//! size space, running on its own forked
-//! [`SessionBranch`](crate::SessionBranch): proposing a size is a
-//! private mutation, evaluating it is an undoable incremental refresh of
-//! the moved gate's cone against the branch's last state, a rejected
-//! move is undone without re-timing, and the parent session stays
-//! frozen throughout. Restarts fan out over a
+//! size space, running on its own branch, a
+//! [`TimingSession::fork`](crate::TimingSession::fork): proposing a size
+//! is a private mutation, evaluating it is an undoable incremental
+//! refresh of the moved gate's cone against the branch's last state, a
+//! rejected move is undone without re-timing, and the parent session
+//! stays frozen throughout. Restarts fan out over a
 //! [`ScopedPool`]; each draws from its own SplitMix64 stream keyed by
 //! `(seed, restart index)`, so the walk — and therefore the whole
 //! outcome — is **bit-identical at every pool width**, and a run over
@@ -22,8 +22,7 @@
 //! [`ScopedPool`]: crate::ScopedPool
 //! [`TimingSession::commit`]: crate::TimingSession::commit
 
-use super::{Objective, Sizer, SizingOutcome, SizingPass};
-use crate::branch::SessionBranch;
+use super::{recover_area, Objective, Sizer, SizingOutcome, SizingPass};
 use crate::config::SstaConfig;
 use crate::engine::EngineKind;
 use crate::pool::ScopedPool;
@@ -34,6 +33,9 @@ use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist};
 use vartol_stats::Moments;
 
+/// Initial temperature as a fraction of the initial objective magnitude.
+const INITIAL_TEMP_FRAC: f64 = 0.05;
+
 /// Tuning knobs for [`AnnealingSizer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
@@ -43,9 +45,6 @@ pub struct AnnealingConfig {
     pub restarts: usize,
     /// Metropolis moves per restart.
     pub moves: usize,
-    /// Initial temperature as a fraction of the initial objective
-    /// magnitude.
-    pub initial_temp_frac: f64,
     /// Geometric cooling factor applied after every move.
     pub cooling: f64,
     /// Area pressure in the energy: `E = objective + area_weight ·
@@ -58,10 +57,8 @@ pub struct AnnealingConfig {
     /// restarts `[offset, offset + restarts)` of a larger schedule and
     /// reproduce them bit for bit.
     pub restart_offset: u64,
-    /// Downsize-polish each restart's best state before the winner is
-    /// picked (so the committed branch is already polished).
-    pub area_recovery: bool,
-    /// Fraction of the energy gain the polish must keep: its budget is
+    /// Fraction of the energy gain the polish of each restart's best
+    /// state (before the winner is picked) must keep: its budget is
     /// `start − keep·(start − best)`, so `1.0` trades nothing back and
     /// `0.8` spends a fifth of the win on area.
     pub recovery_keep_frac: f64,
@@ -75,12 +72,10 @@ impl Default for AnnealingConfig {
             objective: Objective::Statistical { alpha: 3.0 },
             restarts: 4,
             moves: 400,
-            initial_temp_frac: 0.05,
             cooling: 0.985,
             area_weight: 0.01,
             seed: 0x5eed_ba5e,
             restart_offset: 0,
-            area_recovery: true,
             recovery_keep_frac: 0.85,
             ssta: SstaConfig::default(),
         }
@@ -182,7 +177,7 @@ struct RestartResult {
     moments: Moments,
     area: f64,
     resized: usize,
-    branch: SessionBranch,
+    branch: TimingSession,
 }
 
 /// Deterministic multi-start simulated-annealing sizer.
@@ -217,7 +212,7 @@ impl AnnealingSizer {
     /// depends on nothing but the global restart index.
     fn run_restart(
         &self,
-        mut branch: SessionBranch,
+        mut branch: TimingSession,
         resizable: &[(GateId, usize)],
         restart: u64,
         base_sizes: &[usize],
@@ -235,7 +230,7 @@ impl AnnealingSizer {
         let walk_start_energy = current_energy;
         let mut best_energy = current_energy;
         let mut best_sizes = branch.sizes();
-        let mut temp = self.config.initial_temp_frac * objective_norm;
+        let mut temp = INITIAL_TEMP_FRAC * objective_norm;
 
         for _ in 0..self.config.moves {
             let (g, group_len) = resizable[rng.next_below(resizable.len() as u64) as usize];
@@ -263,45 +258,20 @@ impl AnnealingSizer {
         }
 
         // Land the branch on its best state, then polish: downsize
-        // sinks-first wherever the energy does not rise (the area term
-        // arbitrates objective-vs-area), so the branch the winner
-        // commits is already the polished one.
+        // sinks-first wherever the energy stays within budget (the area
+        // term arbitrates objective-vs-area), repeating the pass until it
+        // moves nothing, since freeing one gate can unlock slack
+        // upstream. The branch the winner commits is the polished one.
         branch
             .try_restore_sizes(&best_sizes)
             .expect("best sizes came from this branch");
         branch.refresh();
-        if self.config.area_recovery {
-            let gain = (walk_start_energy - best_energy).max(0.0);
-            let keep = self.config.recovery_keep_frac.clamp(0.0, 1.0);
-            let budget = best_energy + (1.0 - keep) * gain + 1e-12 * best_energy.abs().max(1.0);
-            // Sinks-first sweeps to a fixpoint: freeing one gate can
-            // unlock slack upstream.
-            loop {
-                let mut changed = false;
-                for &(g, _) in resizable.iter().rev() {
-                    let current = branch.netlist().gate(g).size().expect("a resizable cell");
-                    let mut kept = current;
-                    for size in (0..current).rev() {
-                        branch.resize(g, size);
-                        let m = branch.refresh_undoable();
-                        let e = energy(m, branch.total_area());
-                        if e <= budget {
-                            kept = size;
-                            best_energy = best_energy.min(e);
-                        } else {
-                            branch.undo();
-                            break;
-                        }
-                    }
-                    if kept != current {
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-        }
+        let gain = (walk_start_energy - best_energy).max(0.0);
+        let keep = self.config.recovery_keep_frac.clamp(0.0, 1.0);
+        let budget = best_energy + (1.0 - keep) * gain + 1e-12 * best_energy.abs().max(1.0);
+        let gates: Vec<GateId> = resizable.iter().map(|&(g, _)| g).collect();
+        let within_budget = |b: &TimingSession, m: Moments| energy(m, b.total_area()) <= budget;
+        while recover_area(&mut branch, &gates, within_budget) > 0 {}
 
         let moments = branch.refresh();
         let area = branch.total_area();
@@ -375,7 +345,7 @@ impl Sizer for AnnealingSizer {
         // Fork the whole population up front (one state copy each), walk
         // the restarts concurrently, join in restart order.
         let base_sizes = session.sizes();
-        let branches: Vec<SessionBranch> =
+        let branches: Vec<TimingSession> =
             (0..self.config.restarts).map(|_| session.fork()).collect();
         let pool = ScopedPool::new(self.config.ssta.threads);
         let results: Vec<RestartResult> = pool.map_items(branches, |r, branch| {

@@ -23,7 +23,9 @@
 //! That global pressure is what puts this sizer on the good side of the
 //! area-vs-`μ+3σ` frontier.
 
-use super::{round_to_library, update_multipliers, Objective, Sizer, SizingOutcome, SizingPass};
+use super::{
+    recover_area, round_to_library, update_multipliers, Objective, Sizer, SizingOutcome, SizingPass,
+};
 use crate::config::SstaConfig;
 use crate::engine::EngineKind;
 use crate::fassta::Fassta;
@@ -34,6 +36,21 @@ use std::time::Instant;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, GateKind, Netlist, Subcircuit};
 
+/// Subgradient step η for the multiplier updates.
+const MULTIPLIER_STEP: f64 = 1.0;
+/// Scale of the continuous size step per iteration (in drive-index
+/// units after gradient normalization).
+const SIZE_STEP: f64 = 1.0;
+/// Timing target as a fraction of the initial worst endpoint cost:
+/// endpoints above `T` accumulate multiplier weight.
+const TARGET_FACTOR: f64 = 0.7;
+/// Weight of the area term in the per-gate gradient.
+const AREA_WEIGHT: f64 = 1.0;
+/// Fraction of the objective gain the final area-recovery sweep must
+/// keep: its budget is `initial − keep·(initial − best)`, so a tenth of
+/// the win is spent on area.
+const RECOVERY_KEEP_FRAC: f64 = 0.9;
+
 /// Tuning knobs for [`LagrangianSizer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LagrangianConfig {
@@ -41,22 +58,6 @@ pub struct LagrangianConfig {
     pub objective: Objective,
     /// Outer gradient/multiplier iterations.
     pub max_iters: usize,
-    /// Subgradient step η for the multiplier updates.
-    pub multiplier_step: f64,
-    /// Scale of the continuous size step per iteration (in drive-index
-    /// units after gradient normalization).
-    pub size_step: f64,
-    /// Timing target as a fraction of the initial worst endpoint cost:
-    /// endpoints above `T` accumulate multiplier weight.
-    pub target_factor: f64,
-    /// Weight of the area term in the per-gate gradient.
-    pub area_weight: f64,
-    /// Run the final downsizing sweep that returns spare area.
-    pub area_recovery: bool,
-    /// Fraction of the objective gain the recovery sweep must keep:
-    /// its budget is `initial − keep·(initial − best)`, so `1.0` trades
-    /// nothing back and `0.8` spends a fifth of the win on area.
-    pub recovery_keep_frac: f64,
     /// Neighborhood depth for sensitivity subcircuits.
     pub subcircuit_depth: usize,
     /// Timing/variation configuration shared with the session.
@@ -68,12 +69,6 @@ impl Default for LagrangianConfig {
         Self {
             objective: Objective::Statistical { alpha: 3.0 },
             max_iters: 64,
-            multiplier_step: 1.0,
-            size_step: 1.0,
-            target_factor: 0.7,
-            area_weight: 1.0,
-            area_recovery: true,
-            recovery_keep_frac: 0.9,
             subcircuit_depth: 2,
             ssta: SstaConfig::default(),
         }
@@ -293,7 +288,7 @@ impl Sizer for LagrangianSizer {
             Objective::Statistical { .. } => worst0.abs().max(1e-9),
             Objective::Yield { .. } => 1.0,
         };
-        let target = worst0 - (1.0 - self.config.target_factor) * scale;
+        let target = worst0 - (1.0 - TARGET_FACTOR) * scale;
 
         let mut lambdas = vec![1.0 / endpoints.len().max(1) as f64; endpoints.len()];
         let mut stalled = 0usize;
@@ -301,7 +296,7 @@ impl Sizer for LagrangianSizer {
             // Multiplier step on the current per-endpoint violations.
             let costs = endpoint_cost(&session);
             let violations: Vec<f64> = costs.iter().map(|&c| (c - target) / scale).collect();
-            lambdas = update_multipliers(&lambdas, &violations, self.config.multiplier_step);
+            lambdas = update_multipliers(&lambdas, &violations, MULTIPLIER_STEP);
 
             // Per-gate timing weight: total multiplier mass of the
             // endpoints this gate can reach.
@@ -334,7 +329,7 @@ impl Sizer for LagrangianSizer {
             let full: Vec<f64> = grads
                 .iter()
                 .zip(&weights)
-                .map(|(g, &w)| g.map_or(0.0, |(dd, da)| self.config.area_weight * da + w * dd))
+                .map(|(g, &w)| g.map_or(0.0, |(dd, da)| AREA_WEIGHT * da + w * dd))
                 .collect();
             let norm = full.iter().map(|g| g.abs()).sum::<f64>() / full.len().max(1) as f64;
             let norm = norm.max(1e-12);
@@ -342,7 +337,7 @@ impl Sizer for LagrangianSizer {
             let mut resized = 0usize;
             for (i, &g) in probed.iter().enumerate() {
                 let top = (group_lens[i] - 1) as f64;
-                x[i] = (x[i] - self.config.size_step * full[i] / norm).clamp(0.0, top);
+                x[i] = (x[i] - SIZE_STEP * full[i] / norm).clamp(0.0, top);
                 let rounded = round_to_library(x[i], group_lens[i]);
                 if sizes[g.index()] != rounded {
                     sizes[g.index()] = rounded;
@@ -388,56 +383,34 @@ impl Sizer for LagrangianSizer {
         }
 
         // Land on the best state seen, then return any area the
-        // objective can spare: a deterministic sinks-first downsizing
-        // sweep, each trial an undoable incremental cone refresh.
+        // objective can spare with sinks-first recovery passes. Freeing
+        // one gate can unlock slack upstream, so the passes repeat until
+        // one moves nothing (bounded by the total size mass).
         session
             .try_restore_sizes(&best_sizes)
             .expect("best sizes came from this session");
         session.refresh();
-        if self.config.area_recovery {
-            let initial_objective = objective.value(initial);
-            let gain = (initial_objective - best_objective).max(0.0);
-            let keep = self.config.recovery_keep_frac.clamp(0.0, 1.0);
-            let budget =
-                best_objective + (1.0 - keep) * gain + 1e-9 * best_objective.abs().max(1.0);
-            // Sinks-first sweeps to a fixpoint: freeing one gate can
-            // unlock slack upstream, so keep sweeping until a full pass
-            // changes nothing (bounded by the total size mass).
-            let mut polished = 0usize;
-            loop {
-                let mut changed = false;
-                for &g in probed.iter().rev() {
-                    let current = session.netlist().gate(g).size().expect("a resizable cell");
-                    let mut kept = current;
-                    for size in (0..current).rev() {
-                        session.resize(g, size);
-                        let m = session.refresh_undoable();
-                        if objective.value(m) <= budget {
-                            kept = size;
-                        } else {
-                            session.undo();
-                            break;
-                        }
-                    }
-                    if kept != current {
-                        polished += 1;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
+        let gain = (objective.value(initial) - best_objective).max(0.0);
+        let budget = best_objective
+            + (1.0 - RECOVERY_KEEP_FRAC) * gain
+            + 1e-9 * best_objective.abs().max(1.0);
+        let mut polished = 0usize;
+        loop {
+            let moved = recover_area(&mut session, &probed, |_, m| objective.value(m) <= budget);
+            if moved == 0 {
+                break;
             }
-            if polished > 0 {
-                let moments = session.circuit_moments();
-                passes.push(SizingPass {
-                    pass: passes.len() + 1,
-                    moments,
-                    objective: objective.value(moments),
-                    area: session.total_area(),
-                    resized: polished,
-                });
-            }
+            polished += moved;
+        }
+        if polished > 0 {
+            let moments = session.circuit_moments();
+            passes.push(SizingPass {
+                pass: passes.len() + 1,
+                moments,
+                objective: objective.value(moments),
+                area: session.total_area(),
+                resized: polished,
+            });
         }
 
         let final_moments = session.circuit_moments();

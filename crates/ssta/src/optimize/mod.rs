@@ -10,9 +10,13 @@
 //!   per-endpoint Lagrange multipliers, rounded back to discrete cells
 //!   and repaired via incremental [`TimingSession::refresh`].
 //! * [`AnnealingSizer`] — a deterministic multi-start simulated
-//!   annealing wrapper whose restart population fans out over forked
-//!   [`SessionBranch`]es and commits the winning branch with
+//!   annealing wrapper whose restart population fans out over
+//!   [`TimingSession::fork`]s and commits the winning fork with
 //!   [`TimingSession::commit`], which moves its state in.
+//!
+//! All four sizers (these two, `StatisticalGreedy` and
+//! `MeanDelaySizer`) return spare area through one sinks-first
+//! downsizing pass, [`recover_area`], each with its own acceptance test.
 //!
 //! Both support a yield-targeted [`Objective::Yield`] mode that
 //! maximizes `P(delay ≤ deadline)` under the correlated variation model
@@ -25,7 +29,7 @@
 //!
 //! [`TimingSession::refresh`]: crate::TimingSession::refresh
 //! [`TimingSession::commit`]: crate::TimingSession::commit
-//! [`SessionBranch`]: crate::SessionBranch
+//! [`TimingSession::fork`]: crate::TimingSession::fork
 //! [`ScopedPool`]: crate::ScopedPool
 
 mod annealing;
@@ -34,8 +38,9 @@ mod lagrangian;
 pub use annealing::{AnnealingConfig, AnnealingSizer};
 pub use lagrangian::{LagrangianConfig, LagrangianSizer};
 
+use crate::session::TimingSession;
 use std::time::Duration;
-use vartol_netlist::Netlist;
+use vartol_netlist::{GateId, Netlist};
 use vartol_stats::{Moments, Normal};
 
 /// What a sizing run is minimizing.
@@ -303,6 +308,46 @@ pub fn round_to_library(x: f64, group_len: usize) -> usize {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let idx = clamped.round() as usize;
     idx.min(group_len - 1)
+}
+
+/// One sinks-first area-recovery pass: walks `gates` in reverse order
+/// (netlist order is topological, so downstream gates go first and
+/// shield upstream slack) and steps each cell down one size at a time,
+/// keeping a step while `keep(session, moments)` accepts the refreshed
+/// state. Every step is an undoable incremental refresh, and the first
+/// rejected one per gate is undone, not re-timed. Inputs are skipped.
+/// Returns the number of gates moved; a caller that wants a fixpoint
+/// repeats the pass until it returns 0.
+///
+/// # Panics
+///
+/// Panics if a gate is out of range for the session's netlist.
+pub fn recover_area(
+    session: &mut TimingSession,
+    gates: &[GateId],
+    mut keep: impl FnMut(&TimingSession, Moments) -> bool,
+) -> usize {
+    let mut moved = 0;
+    for &g in gates.iter().rev() {
+        let Some(current) = session.netlist().gate(g).size() else {
+            continue;
+        };
+        let mut kept = current;
+        for size in (0..current).rev() {
+            session.resize(g, size);
+            let m = session.refresh_undoable();
+            if keep(session, m) {
+                kept = size;
+            } else {
+                session.undo();
+                break;
+            }
+        }
+        if kept != current {
+            moved += 1;
+        }
+    }
+    moved
 }
 
 #[cfg(test)]

@@ -22,11 +22,25 @@
 //! circuits, a single-gate resize near the outputs touches a handful of
 //! nodes where a from-scratch pass would touch thousands.
 //!
-//! For speculative work a session is forked with
-//! [`TimingSession::fork`]: each [`crate::branch::SessionBranch`] is a
-//! private copy of the refreshed session that re-times its own resizes
-//! incrementally, so branches on different worker threads can trial
-//! resizes concurrently without ever touching the session or each other.
+//! For speculative work a session is **forked**: [`TimingSession::fork`]
+//! copies the refreshed session once (netlist and propagation state) and
+//! returns another `TimingSession` that also records its fork-point sizes
+//! and their fingerprint. A fork re-times its own resizes incrementally
+//! against its *last* refresh, so a long walk pays per move, not for its
+//! whole divergence from the fork point, and forks on different worker
+//! threads can trial resizes concurrently without ever touching the
+//! parent or each other. A fork is either committed back
+//! ([`TimingSession::commit`]: the parent takes over its sizes and
+//! evaluated state by move, without recomputing) or simply dropped.
+//! Forks serve divergent, parallel or long-lived versions; undo (below)
+//! serves try-then-maybe-keep on one session, forked or not.
+//!
+//! A fork's answers depend only on `(library, config, structure, sizes)`,
+//! like every session's. Forks share no mutable state with each other or
+//! with the parent, so concurrent evaluation at any pool width returns
+//! bit-identical answers, and a panic inside one fork's evaluation cannot
+//! reach its siblings (the panicked fork itself may hold half-updated
+//! state and should be dropped).
 //!
 //! Dirty-flag contract (audited for the parallel optimizer): `resize`
 //! and `restore_sizes` mark exactly the gates whose current size differs
@@ -75,7 +89,6 @@
 //! assert_eq!(netlist.gate(gate).size(), Some(4));
 //! ```
 
-use crate::branch::{BranchError, SessionBranch};
 use crate::config::SstaConfig;
 use crate::criticality::Criticality;
 use crate::delay::CircuitTiming;
@@ -115,7 +128,58 @@ pub struct TimingSession {
     /// What [`TimingSession::undo`] restores, if the last refresh was
     /// undoable and nothing has changed since.
     undo: Option<UndoRecord>,
+    /// Where [`TimingSession::fork`] branched this session off; `None`
+    /// for a session opened by `new`/`with_kind`.
+    fork_point: Option<ForkPoint>,
 }
+
+/// The sizes a fork started from, checked again at commit.
+#[derive(Debug, Clone)]
+struct ForkPoint {
+    sizes: Vec<usize>,
+    fingerprint: u64,
+}
+
+/// Why a fork could not be committed back into its parent session.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum BranchError {
+    /// The parent has pending resizes; refresh it first.
+    ParentDirty,
+    /// The committed session was not made by [`TimingSession::fork`], so
+    /// it has no fork point to check against the parent.
+    NotForked,
+    /// The parent's sizes changed since the fork (e.g. a sibling fork
+    /// committed first): the fork point no longer matches.
+    BaseMismatch {
+        /// Size fingerprint the fork was made from.
+        expected: u64,
+        /// The parent's current size fingerprint.
+        found: u64,
+    },
+    /// The fork belongs to a different circuit, engine kind, or
+    /// configuration than the session it was committed into.
+    CircuitMismatch,
+}
+
+impl std::fmt::Display for BranchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::ParentDirty => write!(f, "cannot commit into a dirty session: refresh first"),
+            Self::NotForked => write!(f, "only a forked session can be committed"),
+            Self::BaseMismatch { expected, found } => write!(
+                f,
+                "branch base {expected:#018x} no longer matches the parent \
+                 ({found:#018x}): the parent diverged since the fork"
+            ),
+            Self::CircuitMismatch => {
+                write!(f, "branch and session disagree on circuit, kind, or config")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BranchError {}
 
 /// The pre-refresh state an undoable refresh replaced.
 #[derive(Debug, Clone)]
@@ -169,6 +233,7 @@ impl TimingSession {
             dirty: BTreeSet::new(),
             analyzed_sizes,
             undo: None,
+            fork_point: None,
         }
     }
 
@@ -534,13 +599,37 @@ impl TimingSession {
         )
     }
 
-    /// Forks an owned [`SessionBranch`] of this session: a private copy
-    /// of the refreshed session (netlist and propagation state, one state
-    /// copy) plus the fork-point sizes. The branch re-times its own
-    /// resizes incrementally against its last refresh (see
-    /// [`crate::branch`]) and is either committed back through
+    /// Forks this session: a private copy of the refreshed session
+    /// (netlist and propagation state, one state copy) that also records
+    /// the fork-point sizes and their fingerprint. The fork re-times its
+    /// own resizes incrementally against its last refresh (see the
+    /// [module docs](self)) and is either committed back through
     /// [`TimingSession::commit`] or simply dropped. Its
-    /// [`SessionBranch::recompute_count`] starts at zero.
+    /// [`TimingSession::recompute_count`] starts at zero.
+    ///
+    /// ```
+    /// use vartol_liberty::Library;
+    /// use vartol_netlist::generators::ripple_carry_adder;
+    /// use vartol_ssta::{SstaConfig, TimingSession};
+    ///
+    /// let lib = Library::synthetic_90nm();
+    /// let mut session = TimingSession::new(&lib, SstaConfig::default(), ripple_carry_adder(8, &lib));
+    /// let baseline = session.refresh();
+    ///
+    /// // Two divergent what-ifs, side by side, parent untouched.
+    /// let gate = session.netlist().gate_ids().next().unwrap();
+    /// let mut a = session.fork();
+    /// let mut b = session.fork();
+    /// a.resize(gate, 4);
+    /// b.resize(gate, 5);
+    /// let (ma, mb) = (a.refresh(), b.refresh());
+    /// assert_ne!(ma, mb);
+    /// assert_eq!(session.refresh(), baseline);
+    ///
+    /// // Keep the better one.
+    /// let keep = if ma.mean < mb.mean { a } else { b };
+    /// session.commit(keep).unwrap();
+    /// ```
     ///
     /// # Panics
     ///
@@ -548,72 +637,141 @@ impl TimingSession {
     /// fork point must be consistent with the sizes it was computed
     /// from, so callers refresh first.
     #[must_use]
-    pub fn fork(&self) -> SessionBranch {
+    pub fn fork(&self) -> TimingSession {
         assert!(
             !self.is_dirty(),
             "fork requires a refreshed session (pending resizes would \
              make the frozen snapshot inconsistent)"
         );
-        let mut session = self.clone();
-        session.state.visits = 0;
-        session.undo = None;
-        SessionBranch::new(session)
+        let mut fork = self.clone();
+        fork.state.visits = 0;
+        fork.undo = None;
+        let sizes = fork.sizes();
+        fork.fork_point = Some(ForkPoint {
+            fingerprint: crate::fingerprint::size_fingerprint(&sizes),
+            sizes,
+        });
+        fork
+    }
+
+    fn fork_point(&self) -> &ForkPoint {
+        self.fork_point
+            .as_ref()
+            .expect("only a forked session has a fork point")
+    }
+
+    /// The size fingerprint of the fork point this session diverged from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was not made by [`TimingSession::fork`].
+    #[must_use]
+    pub fn base_fingerprint(&self) -> u64 {
+        self.fork_point().fingerprint
+    }
+
+    /// Whether the sizes differ from the fork point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was not made by [`TimingSession::fork`].
+    #[must_use]
+    pub fn is_diverged(&self) -> bool {
+        self.netlist.sizes() != self.fork_point().sizes
+    }
+
+    /// Gate indices whose sizes differ from the fork point, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was not made by [`TimingSession::fork`].
+    #[must_use]
+    pub fn diverged_gates(&self) -> Vec<usize> {
+        self.netlist
+            .sizes()
+            .iter()
+            .zip(&self.fork_point().sizes)
+            .enumerate()
+            .filter_map(|(i, (now, base))| (now != base).then_some(i))
+            .collect()
+    }
+
+    /// Sets every gate back to its fork-point size, marking only the
+    /// gates that differ from the last refresh dirty (none, if the fork
+    /// was at its fork point when last refreshed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session was not made by [`TimingSession::fork`].
+    pub fn restore_fork_point(&mut self) {
+        let fork_point = self
+            .fork_point
+            .take()
+            .expect("only a forked session has a fork point");
+        self.try_restore_sizes(&fork_point.sizes)
+            .expect("fork-point sizes match the fork's netlist");
+        self.fork_point = Some(fork_point);
     }
 
     /// Checks whether `branch` could be committed into this session,
     /// without touching either: the rule [`TimingSession::commit`]
-    /// applies, for callers that must keep a rejected branch.
+    /// applies, for callers that must keep a rejected fork.
     ///
     /// # Errors
     ///
     /// As [`TimingSession::commit`].
-    pub fn check_commit(&self, branch: &SessionBranch) -> Result<(), BranchError> {
+    pub fn check_commit(&self, branch: &TimingSession) -> Result<(), BranchError> {
         if self.is_dirty() {
             return Err(BranchError::ParentDirty);
         }
+        let Some(base) = &branch.fork_point else {
+            return Err(BranchError::NotForked);
+        };
         let found = self.size_fingerprint();
-        if branch.base_fingerprint() != found {
+        if base.fingerprint != found {
             return Err(BranchError::BaseMismatch {
-                expected: branch.base_fingerprint(),
+                expected: base.fingerprint,
                 found,
             });
         }
-        if branch.netlist().node_count() != self.netlist.node_count()
-            || branch.netlist().name() != self.netlist.name()
-            || branch.kind() != self.state.kind
-            || branch.config() != &self.config
+        if branch.netlist.node_count() != self.netlist.node_count()
+            || branch.netlist.name() != self.netlist.name()
+            || branch.state.kind != self.state.kind
+            || branch.config != self.config
         {
             return Err(BranchError::CircuitMismatch);
         }
         Ok(())
     }
 
-    /// Commits a branch back into this session: the branch is refreshed
-    /// if it has pending resizes, then the session takes over its sizes
+    /// Commits a fork back into this session: the fork is refreshed if
+    /// it has pending resizes, then this session takes over its sizes
     /// and propagation state by move, without recomputing anything itself
     /// ([`TimingSession::recompute_count`] is unchanged), and returns the
     /// committed circuit moments. The result is bit-identical to applying
-    /// the branch's resizes directly and refreshing.
+    /// the fork's resizes directly and refreshing. This session keeps its
+    /// own fork point, if it has one.
     ///
-    /// Consumes the branch; sibling branches forked from the same state
-    /// stay valid for reads, but committing them afterwards fails with
+    /// Consumes the fork; sibling forks made from the same state stay
+    /// valid for reads, but committing them afterwards fails with
     /// [`BranchError::BaseMismatch`] because their fork point no longer
-    /// matches the parent. A rejected branch is dropped with the call;
+    /// matches the parent. A rejected fork is dropped with the call;
     /// callers that must keep it check [`TimingSession::check_commit`]
     /// first.
     ///
     /// # Errors
     ///
     /// [`BranchError::ParentDirty`] when resizes are pending here;
-    /// [`BranchError::BaseMismatch`] when this session's sizes changed
-    /// since the fork; [`BranchError::CircuitMismatch`] when the branch
-    /// belongs to a different circuit, engine kind, or configuration.
-    pub fn commit(&mut self, branch: SessionBranch) -> Result<Moments, BranchError> {
+    /// [`BranchError::NotForked`] when `branch` was not made by
+    /// [`TimingSession::fork`]; [`BranchError::BaseMismatch`] when this
+    /// session's sizes changed since the fork;
+    /// [`BranchError::CircuitMismatch`] when the fork belongs to a
+    /// different circuit, engine kind, or configuration.
+    pub fn commit(&mut self, mut branch: TimingSession) -> Result<Moments, BranchError> {
         self.check_commit(&branch)?;
-        let mut branch = branch.into_session();
         branch.refresh();
-        // Keep the parent's own cost meter: the branch's visits were
-        // counted on the branch.
+        // Keep the parent's own cost meter: the fork's visits were
+        // counted on the fork.
         branch.state.visits = self.state.visits;
         self.netlist = branch.netlist;
         self.state = branch.state;
@@ -810,7 +968,7 @@ mod tests {
         // Score "upsize by one" for each gate in a branch against the
         // parent's frozen boundary; the trial is rolled back before the
         // next task, so results depend only on the task index.
-        let score = |branch: &mut SessionBranch, i: usize| -> (u64, u64) {
+        let score = |branch: &mut TimingSession, i: usize| -> (u64, u64) {
             let g = gates[i];
             let current = branch.netlist().gate(g).size().expect("cell");
             branch.resize(g, current + 1);
@@ -1096,5 +1254,209 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let n = ripple_carry_adder(4, &lib);
         let _ = TimingSession::with_kind(&lib, SstaConfig::default(), n, EngineKind::MonteCarlo);
+    }
+
+    fn session(name: &str) -> TimingSession {
+        let lib = Library::synthetic_90nm();
+        let n = benchmark(name, &lib).expect("known circuit");
+        TimingSession::new(&lib, SstaConfig::default(), n)
+    }
+
+    #[test]
+    fn undiverged_branch_serves_base_state_for_free() {
+        let mut s = session("c432");
+        let baseline = s.refresh();
+        let mut b = s.fork();
+        assert!(!b.is_diverged());
+        assert_eq!(b.refresh(), baseline);
+        assert_eq!(b.recompute_count(), 0);
+        assert_eq!(b.size_fingerprint(), b.base_fingerprint());
+    }
+
+    #[test]
+    fn branch_refresh_equals_from_scratch_session() {
+        let mut s = session("c432");
+        s.refresh();
+        let g = s.netlist().gate_ids().nth(17).expect("gates");
+        let mut b = s.fork();
+        b.resize(g, 4);
+        let branch_moments = b.refresh();
+
+        let lib = Library::synthetic_90nm();
+        let mut fresh = benchmark("c432", &lib).expect("known");
+        fresh.set_size(g, 4);
+        let scratch = TimingSession::new(&lib, SstaConfig::default(), fresh);
+        assert_eq!(branch_moments, scratch.circuit_moments());
+        assert_eq!(b.arrivals(), scratch.arrivals());
+    }
+
+    #[test]
+    fn divergent_cone_is_recomputed_not_the_whole_circuit() {
+        let mut s = session("c1908");
+        s.refresh();
+        let node_count = s.netlist().node_count() as u64;
+        let g = s.netlist().gate_ids().last().expect("gates");
+        let mut b = s.fork();
+        b.resize(g, 4);
+        b.refresh();
+        assert!(b.recompute_count() > 0);
+        assert!(
+            b.recompute_count() < node_count / 10,
+            "branch visited {} of {node_count} nodes",
+            b.recompute_count()
+        );
+    }
+
+    #[test]
+    fn commit_adopts_the_branch_without_recomputation() {
+        let mut s = session("c432");
+        s.refresh();
+        let g = s.netlist().gate_ids().nth(12).expect("gates");
+        let mut b = s.fork();
+        b.resize(g, 4);
+        let branch_moments = b.refresh();
+
+        let parent_visits = s.recompute_count();
+        let committed = s.commit(b).expect("clean commit");
+        assert_eq!(committed, branch_moments);
+        assert_eq!(
+            s.recompute_count(),
+            parent_visits,
+            "commit adopts, never recomputes"
+        );
+        assert_eq!(s.netlist().gate(g).size(), Some(4));
+        assert!(!s.is_dirty());
+        // The committed state is bit-identical to refreshing the resize
+        // directly.
+        let scratch = s.report(EngineKind::FullSsta);
+        assert_eq!(s.circuit_moments(), scratch.circuit_moments());
+        assert_eq!(s.arrivals(), scratch.arrivals());
+    }
+
+    #[test]
+    fn commit_of_undiverged_branch_is_a_no_op() {
+        let mut s = session("c432");
+        let baseline = s.refresh();
+        let b = s.fork();
+        assert_eq!(s.commit(b).expect("no-op commit"), baseline);
+    }
+
+    #[test]
+    fn commit_after_parent_diverged_is_rejected() {
+        let mut s = session("c432");
+        s.refresh();
+        let gates: Vec<GateId> = s.netlist().gate_ids().collect();
+        let mut b = s.fork();
+        b.resize(gates[3], 4);
+        b.refresh();
+        // Parent moves on before the commit.
+        s.resize(gates[7], 2);
+        s.refresh();
+        let err = s.commit(b).expect_err("stale base");
+        assert!(matches!(err, BranchError::BaseMismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn commit_into_dirty_parent_is_rejected() {
+        let mut s = session("c432");
+        s.refresh();
+        let gates: Vec<GateId> = s.netlist().gate_ids().collect();
+        let mut b = s.fork();
+        b.resize(gates[3], 4);
+        s.resize(gates[7], 2); // pending, not refreshed
+        assert_eq!(s.commit(b).expect_err("dirty"), BranchError::ParentDirty);
+    }
+
+    #[test]
+    fn commit_from_a_foreign_session_is_rejected() {
+        let lib = Library::synthetic_90nm();
+        let mut other =
+            TimingSession::new(&lib, SstaConfig::default(), ripple_carry_adder(8, &lib));
+        other.refresh();
+        let g = other.netlist().gate_ids().next().expect("gates");
+        let mut b = other.fork();
+        b.resize(g, 3);
+        let mut s = session("c432");
+        s.refresh();
+        let err = s.commit(b).expect_err("foreign circuit");
+        assert!(
+            matches!(
+                err,
+                BranchError::CircuitMismatch | BranchError::BaseMismatch { .. }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn branch_panic_does_not_poison_siblings_or_parent() {
+        let mut s = session("c432");
+        let baseline = s.refresh();
+        let g = s.netlist().gate_ids().nth(5).expect("gates");
+        let mut bad = s.fork();
+        let mut good = s.fork();
+        // A size far beyond the library group passes netlist-level
+        // validation but panics during evaluation (missing cell).
+        bad.resize(g, usize::MAX / 2);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = bad.refresh();
+        }));
+        assert!(panicked.is_err(), "evaluation of a bogus size must panic");
+        drop(bad);
+        // Siblings and parent share no state with the panicked branch.
+        good.resize(g, 4);
+        let m = good.refresh();
+        assert!(m.mean > 0.0);
+        assert_eq!(s.refresh(), baseline);
+        assert_eq!(s.commit(good).expect("commit survivor").mean, m.mean);
+    }
+
+    #[test]
+    fn resize_back_to_base_undiverges_the_branch() {
+        let mut s = session("c432");
+        let baseline = s.refresh();
+        let g = s.netlist().gate_ids().nth(3).expect("gates");
+        let original = s.netlist().gate(g).size().expect("cell");
+        let mut b = s.fork();
+        b.resize(g, original + 1);
+        assert!(b.is_diverged());
+        b.resize(g, original);
+        assert!(!b.is_diverged());
+        assert_eq!(b.refresh(), baseline);
+    }
+
+    #[test]
+    fn try_resize_rejects_inputs_and_bad_ids_without_divergence() {
+        let mut s = session("c432");
+        s.refresh();
+        let mut b = s.fork();
+        let input = b.netlist().inputs()[0];
+        assert!(b.try_resize(input, 2).is_err());
+        let bogus = GateId::from_index(b.netlist().node_count() + 3);
+        assert!(b.try_resize(bogus, 0).is_err());
+        assert!(!b.is_diverged());
+    }
+
+    #[test]
+    fn commit_of_a_session_that_was_not_forked_is_rejected() {
+        let mut s = session("c432");
+        let baseline = s.refresh();
+        let before = s.sizes();
+        let g = s.netlist().gate_ids().nth(9).expect("gates");
+        let mut stranger = session("c432");
+        stranger.resize(g, before[g.index()] + 1);
+        stranger.refresh();
+        assert_eq!(
+            s.check_commit(&stranger).expect_err("no fork point"),
+            BranchError::NotForked
+        );
+        let visits = s.recompute_count();
+        assert_eq!(
+            s.commit(stranger).expect_err("no fork point"),
+            BranchError::NotForked
+        );
+        assert_eq!(s.refresh(), baseline);
+        assert_eq!(s.sizes(), before);
+        assert_eq!(s.recompute_count(), visits);
     }
 }

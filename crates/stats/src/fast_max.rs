@@ -165,7 +165,8 @@ pub fn fast_max_n(inputs: &[Moments]) -> Moments {
 
 /// Statistics on dominance-shortcut usage across a batch of pairwise maxima.
 /// Supports the paper's claim that "in the vast majority of cases" one of
-/// equations (5)/(6) applies (experiment E6 in DESIGN.md).
+/// equations (5)/(6) applies (the `fastmax` section of the `ablation`
+/// bench counts them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DominanceStats {
     /// Count of maxima where the first input dominated.

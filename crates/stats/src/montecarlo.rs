@@ -2,7 +2,7 @@
 //!
 //! Nothing here runs in the optimizer's hot path; these routines validate
 //! Clark's formulas, the fast max approximation, and the discrete-PDF engine
-//! in tests and in the accuracy ablation (experiment E6 in DESIGN.md).
+//! in tests and in the accuracy sections of the `ablation` bench.
 
 use crate::accumulator::RunningMoments;
 use crate::moments::Moments;

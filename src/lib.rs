@@ -162,14 +162,14 @@
 //! Speculation used to mean mutating the one session and rolling back
 //! (`resize` → measure → `restore_sizes`), or borrowing a
 //! lifetime-bound `TrialSession` that could not leave the stack frame.
-//! Both are superseded by **owned branches**:
+//! Both are superseded by **owned forks**:
 //! [`TimingSession::fork`](ssta::TimingSession::fork) copies the
-//! session's state once and hands back a
-//! [`SessionBranch`](ssta::SessionBranch) — a forked session, safe to
-//! send across threads, whose refreshes re-time only the gates resized
-//! since its last refresh, and which is either committed back (its state
-//! moves into the parent) or simply dropped. The old
-//! `fork_for_trial`/`TrialSession` shim is gone as of 0.7; branch code
+//! session's state once and hands back another
+//! [`TimingSession`](ssta::TimingSession) that remembers its fork point
+//! — safe to send across threads, whose refreshes re-time only the gates
+//! resized since its last refresh, and which is either committed back
+//! (its state moves into the parent) or simply dropped. The old
+//! `fork_for_trial`/`TrialSession` shim is gone as of 0.7; fork code
 //! reads like this:
 //!
 //! ```

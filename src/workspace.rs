@@ -69,7 +69,7 @@ use vartol_netlist::{GateId, Netlist, NetlistError};
 use vartol_ssta::{
     AnnealingConfig, AnnealingSizer, ClockConstraint, EngineKind, LagrangianConfig,
     LagrangianSizer, MonteCarloTimer, Objective, OptimizerKind, ScopedPool, SequentialTiming,
-    SessionBranch, Sizer, SizingOutcome, SstaConfig, TimingSession, VariationModel,
+    Sizer, SizingOutcome, SstaConfig, TimingSession, VariationModel,
 };
 use vartol_stats::Moments;
 
@@ -729,12 +729,13 @@ pub struct Response {
 }
 
 /// One registered circuit: its cached owned-handle session plus its
-/// live named branches and lifetime branch counters.
+/// live named branches (forks of that session) and lifetime branch
+/// counters.
 #[derive(Debug)]
 struct CircuitEntry {
     name: String,
     session: TimingSession,
-    branches: BTreeMap<String, SessionBranch>,
+    branches: BTreeMap<String, TimingSession>,
     committed: u64,
     dropped: u64,
     clock: Option<ClockConstraint>,
@@ -1427,7 +1428,6 @@ fn answer(
                             max_iters: sizer.max_passes,
                             subcircuit_depth: sizer.subcircuit_depth,
                             ssta: sizer.ssta.clone(),
-                            ..LagrangianConfig::default()
                         },
                     )
                     .size_clocked(&mut netlist),
@@ -1653,7 +1653,7 @@ fn outcome_to_report(outcome: SizingOutcome) -> OptimizationReport {
 fn what_if_trial(
     library: &Library,
     circuit: &str,
-    branch: &mut SessionBranch,
+    branch: &mut TimingSession,
     trial: &WhatIfTrial,
     index: usize,
 ) -> Answer {

@@ -24,7 +24,7 @@ use vartol::liberty::Library;
 use vartol::netlist::generators::{benchmark, preset};
 use vartol::netlist::iscas::parse_bench;
 use vartol::netlist::{GateId, Netlist};
-use vartol::ssta::{SessionBranch, SstaConfig, TimingSession};
+use vartol::ssta::{SstaConfig, TimingSession};
 
 /// The compared pool widths: 1 (serial reference), 2, 8, plus any extra
 /// width from `VARTOL_SIZER_THREADS` (the same knob the other
@@ -90,7 +90,7 @@ fn spread_resizes(session: &TimingSession, n: usize) -> Vec<(GateId, usize)> {
 type Signature = (u64, u64, u64, Vec<(u64, u64)>);
 
 /// Everything observable about an evaluated branch, bitwise.
-fn branch_signature(branch: &mut SessionBranch) -> Signature {
+fn branch_signature(branch: &mut TimingSession) -> Signature {
     let moments = branch.refresh();
     let arrivals = branch
         .arrivals()
