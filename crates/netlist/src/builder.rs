@@ -1,8 +1,7 @@
 //! Safe incremental construction of netlists.
 
 use crate::error::NetlistError;
-use crate::graph::{Gate, GateId, GateKind, Netlist, Register};
-use std::collections::HashMap;
+use crate::graph::{Csr, GateId, GateKind, NameIndex, Names, Netlist, Parts, Register};
 use vartol_liberty::LogicFunction;
 
 /// Builds a [`Netlist`] node by node.
@@ -11,6 +10,11 @@ use vartol_liberty::LogicFunction;
 /// resulting node order is topological by construction and cycles are
 /// impossible. [`build`](NetlistBuilder::build) validates names, arities,
 /// and the presence of inputs and outputs.
+///
+/// Each node appends to the netlist's own flat arrays (its name to the
+/// name arena, its fanins to the fanin CSR) and to the name index, so a
+/// node costs no allocation of its own; `build` derives the fanout CSR
+/// from the fanins in one counting pass.
 ///
 /// # Example
 ///
@@ -36,12 +40,14 @@ use vartol_liberty::LogicFunction;
 #[derive(Debug)]
 pub struct NetlistBuilder {
     name: String,
-    nodes: Vec<Gate>,
+    names: Names,
+    kinds: Vec<GateKind>,
+    fanins: Csr,
+    index: NameIndex,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
     /// Membership flags for `outputs`, indexed by node (grown on demand).
     output_flags: Vec<bool>,
-    name_index: HashMap<String, GateId>,
     registers: Vec<(GateId, Option<GateId>)>,
     /// `register_of[q]` is the slot in `registers` of the register whose
     /// Q gate is node `q` (grown on demand).
@@ -55,68 +61,67 @@ impl NetlistBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            nodes: Vec::new(),
+            names: Names::with_capacity(0, 0),
+            kinds: Vec::new(),
+            fanins: Csr::with_capacity(0, 0),
+            index: NameIndex::with_capacity(0),
             inputs: Vec::new(),
             outputs: Vec::new(),
             output_flags: Vec::new(),
-            name_index: HashMap::new(),
             registers: Vec::new(),
             register_of: Vec::new(),
             errors: Vec::new(),
         }
     }
 
-    /// [`new`](Self::new) with room for exactly `nodes` nodes: the node
-    /// table and the name index are sized to them up front.
-    pub(crate) fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
-        let mut b = Self::new(name);
-        b.nodes.reserve_exact(nodes);
-        b.output_flags.reserve_exact(nodes);
-        b.name_index.reserve(nodes);
-        b
-    }
-
-    /// Reserves room for exactly `fanouts` more fanouts of node `id`.
-    pub(crate) fn reserve_fanouts(&mut self, id: GateId, fanouts: usize) {
-        self.nodes[id.index()].reserve_fanouts(fanouts);
-    }
-
-    fn add_node(&mut self, name: String, kind: GateKind, fanins: Vec<GateId>) -> GateId {
-        let id = GateId::new(self.nodes.len());
-        if self.name_index.insert(name.clone(), id).is_some() {
-            self.errors.push(NetlistError::DuplicateName(name.clone()));
+    fn add_node(&mut self, name: &str, kind: GateKind, fanins: &[GateId]) -> GateId {
+        let id = GateId::new(self.kinds.len());
+        if let Some(f) = fanins.iter().find(|f| f.index() >= id.index()) {
+            panic!("fanin {f} of node {id} does not exist yet");
         }
-        for &f in &fanins {
-            self.nodes[f.index()].push_fanout(id);
+        if let Err(e) = self.names.push(name) {
+            self.errors.push(e);
         }
-        self.nodes.push(Gate::new(name, kind, fanins));
+        let names = &self.names;
+        if !self.index.insert(name, |j| names.get(j)) {
+            self.errors
+                .push(NetlistError::DuplicateName(name.to_owned()));
+        }
+        if let Err(e) = self.fanins.push(fanins.iter().copied()) {
+            self.errors.push(e);
+        }
+        self.kinds.push(kind);
         id
     }
 
     /// Declares a primary input.
-    pub fn input(&mut self, name: impl Into<String>) -> GateId {
-        let id = self.add_node(name.into(), GateKind::Input, Vec::new());
+    pub fn input(&mut self, name: impl AsRef<str>) -> GateId {
+        let id = self.add_node(name.as_ref(), GateKind::Input, &[]);
         self.inputs.push(id);
         id
     }
 
     /// Adds a gate at the smallest library size. The arity is the number of
     /// fanins; arity validity is checked at [`build`](NetlistBuilder::build).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fanin is not a node of this builder yet.
     pub fn gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         function: LogicFunction,
         fanins: &[GateId],
     ) -> GateId {
-        let name = name.into();
+        let name = name.as_ref();
         if !function.supports_arity(fanins.len()) {
             self.errors.push(NetlistError::BadArity {
-                gate: name.clone(),
+                gate: name.to_owned(),
                 function,
                 arity: fanins.len(),
             });
         }
-        self.add_node(name, GateKind::Cell { function, size: 0 }, fanins.to_vec())
+        self.add_node(name, GateKind::Cell { function, size: 0 }, fanins)
     }
 
     /// Adds a register's Q gate: a [`LogicFunction::Dff`] cell whose
@@ -126,14 +131,14 @@ impl NetlistBuilder {
     /// any node, including ones created *after* this Q gate (feedback
     /// through a register is legal; a register-free combinational cycle
     /// is still impossible by construction).
-    pub fn dff(&mut self, name: impl Into<String>, clk: GateId) -> GateId {
+    pub fn dff(&mut self, name: impl AsRef<str>, clk: GateId) -> GateId {
         let q = self.add_node(
-            name.into(),
+            name.as_ref(),
             GateKind::Cell {
                 function: LogicFunction::Dff,
                 size: 0,
             },
-            vec![clk],
+            &[clk],
         );
         if self.register_of.len() <= q.index() {
             self.register_of.resize(q.index() + 1, None);
@@ -149,14 +154,14 @@ impl NetlistBuilder {
     pub fn bind_d(&mut self, q: GateId, d: GateId) {
         let Some(slot) = self.register_of.get(q.index()).copied().flatten() else {
             self.errors.push(NetlistError::BadRegister {
-                register: self.nodes[q.index()].name().to_owned(),
+                register: self.names.get(q.index()).to_owned(),
                 message: "bind_d target was not created by dff()".to_owned(),
             });
             return;
         };
         if self.registers[slot].1.replace(d).is_some() {
             self.errors.push(NetlistError::BadRegister {
-                register: self.nodes[q.index()].name().to_owned(),
+                register: self.names.get(q.index()).to_owned(),
                 message: "D pin bound twice".to_owned(),
             });
         }
@@ -178,10 +183,11 @@ impl NetlistBuilder {
     /// Number of nodes added so far.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
-    /// Finalizes the netlist.
+    /// Finalizes the netlist, deriving every fanout list from the fanins
+    /// in one counting pass.
     ///
     /// # Errors
     ///
@@ -200,23 +206,25 @@ impl NetlistBuilder {
         }
         let mut registers = Vec::with_capacity(self.registers.len());
         for (q, d) in self.registers {
-            let name = self.nodes[q.index()].name().to_owned();
+            let name = self.names.get(q.index()).to_owned();
             let Some(d) = d else {
                 return Err(NetlistError::UnboundRegister(name));
             };
             registers.push(Register::new(name, q, d));
         }
-        let flags = self.output_flags.len().max(self.nodes.len());
+        let flags = self.output_flags.len().max(self.kinds.len());
         self.output_flags.resize(flags, false);
-        Ok(Netlist::from_parts(
-            self.name,
-            self.nodes,
-            self.inputs,
-            self.outputs,
-            self.output_flags,
-            self.name_index,
+        Ok(Netlist::from_parts(Parts {
+            name: self.name,
+            names: self.names,
+            kinds: self.kinds,
+            fanins: self.fanins,
+            inputs: self.inputs,
+            outputs: self.outputs,
+            output_flags: self.output_flags,
+            index: self.index,
             registers,
-        ))
+        }))
     }
 }
 

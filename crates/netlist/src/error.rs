@@ -68,6 +68,17 @@ pub enum NetlistError {
         /// Which invariant failed.
         message: String,
     },
+    /// A flat netlist table outgrew its `u32` offsets.
+    TooLarge {
+        /// What the table holds (`"name bytes"`, `"fanin pins"`,
+        /// `"references"`).
+        table: &'static str,
+        /// The length it would have reached.
+        len: usize,
+    },
+    /// A netlist's flat tables are inconsistent with each other (only
+    /// reachable through a corrupted netlist; builders never make one).
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for NetlistError {
@@ -115,6 +126,10 @@ impl std::fmt::Display for NetlistError {
             Self::BadRegister { register, message } => {
                 write!(f, "register `{register}`: {message}")
             }
+            Self::TooLarge { table, len } => {
+                write!(f, "netlist too large: {len} {table} exceed u32 offsets")
+            }
+            Self::Malformed(table) => write!(f, "malformed netlist: bad {table}"),
         }
     }
 }

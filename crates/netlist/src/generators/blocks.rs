@@ -24,7 +24,7 @@ pub(crate) fn emit_xor2(
         let q = b.gate(format!("{prefix}_q"), LogicFunction::Nand, &[y, m]);
         b.gate(format!("{prefix}_o"), LogicFunction::Nand, &[p, q])
     } else {
-        b.gate(prefix.to_owned(), LogicFunction::Xor, &[x, y])
+        b.gate(prefix, LogicFunction::Xor, &[x, y])
     }
 }
 

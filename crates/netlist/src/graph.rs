@@ -1,7 +1,17 @@
 //! The netlist graph: gates, connectivity, and size state.
+//!
+//! A [`Netlist`] keeps its nodes in flat arrays indexed by [`GateId`]:
+//! every name in one string arena, the kinds in one vector, and the
+//! fanins and fanouts each in CSR form (one offsets array and one flat
+//! id array). The name index owns no strings: it maps a keyed hash of a
+//! name to the first node carrying that hash and chains the rest, and a
+//! lookup compares arena bytes. So a netlist is a constant number of
+//! allocations, whatever its size, and a clone is a few `memcpy`s.
 
 use crate::error::NetlistError;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use vartol_liberty::{Library, LogicFunction};
 
 /// Identifier of a node (primary input or gate) within one [`Netlist`].
@@ -16,6 +26,7 @@ pub struct GateId(u32);
 impl GateId {
     /// The dense index of this node.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -33,7 +44,7 @@ impl GateId {
     }
 
     pub(crate) fn new(index: usize) -> Self {
-        Self(u32::try_from(index).expect("netlists are limited to u32 nodes"))
+        Self(to_u32(index))
     }
 }
 
@@ -58,38 +69,42 @@ pub enum GateKind {
     },
 }
 
-/// One node of the netlist.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Gate {
-    name: String,
-    kind: GateKind,
-    fanins: Vec<GateId>,
-    fanouts: Vec<GateId>,
+/// One node of a [`Netlist`]: a `Copy` view borrowed from the netlist's
+/// flat arrays, as [`Netlist::gate`] and [`Netlist::try_gate`] return
+/// it. Every slice and name it hands out borrows the netlist, not the
+/// view.
+#[derive(Clone, Copy)]
+pub struct Gate<'a> {
+    netlist: &'a Netlist,
+    index: usize,
 }
 
-impl Gate {
+impl<'a> Gate<'a> {
     /// The node's unique name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'a str {
+        self.netlist.names.get(self.index)
     }
 
     /// The node kind (input or cell).
     #[must_use]
-    pub fn kind(&self) -> &GateKind {
-        &self.kind
+    #[inline]
+    pub fn kind(self) -> &'a GateKind {
+        &self.netlist.kinds[self.index]
     }
 
     /// True for primary inputs.
     #[must_use]
-    pub fn is_input(&self) -> bool {
-        matches!(self.kind, GateKind::Input)
+    #[inline]
+    pub fn is_input(self) -> bool {
+        matches!(self.kind(), GateKind::Input)
     }
 
     /// The logic function, if this node is a cell.
     #[must_use]
-    pub fn function(&self) -> Option<LogicFunction> {
-        match self.kind {
+    #[inline]
+    pub fn function(self) -> Option<LogicFunction> {
+        match *self.kind() {
             GateKind::Input => None,
             GateKind::Cell { function, .. } => Some(function),
         }
@@ -97,8 +112,9 @@ impl Gate {
 
     /// The current size index, if this node is a cell.
     #[must_use]
-    pub fn size(&self) -> Option<usize> {
-        match self.kind {
+    #[inline]
+    pub fn size(self) -> Option<usize> {
+        match *self.kind() {
             GateKind::Input => None,
             GateKind::Cell { size, .. } => Some(size),
         }
@@ -106,14 +122,28 @@ impl Gate {
 
     /// Driving nodes, in pin order.
     #[must_use]
-    pub fn fanins(&self) -> &[GateId] {
-        &self.fanins
+    #[inline]
+    pub fn fanins(self) -> &'a [GateId] {
+        self.netlist.fanins.row(self.index)
     }
 
-    /// Driven nodes (a node appears once per sink pin it drives).
+    /// Driven nodes, once per sink pin (a gate reading this node on two
+    /// pins lists it twice), in (reader id, pin) order.
     #[must_use]
-    pub fn fanouts(&self) -> &[GateId] {
-        &self.fanouts
+    #[inline]
+    pub fn fanouts(self) -> &'a [GateId] {
+        self.netlist.fanouts.row(self.index)
+    }
+}
+
+impl std::fmt::Debug for Gate<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gate")
+            .field("name", &self.name())
+            .field("kind", self.kind())
+            .field("fanins", &self.fanins())
+            .field("fanouts", &self.fanouts())
+            .finish()
     }
 }
 
@@ -160,12 +190,270 @@ impl Register {
     }
 }
 
+/// `len` as a `u32` table offset, or [`NetlistError::TooLarge`] naming
+/// the table that outgrew it.
+pub(crate) fn offset(len: usize, table: &'static str) -> Result<u32, NetlistError> {
+    u32::try_from(len).map_err(|_| NetlistError::TooLarge { table, len })
+}
+
+/// Whether `offsets` delimits `rows` rows of a `len`-entry flat array:
+/// `rows + 1` non-decreasing entries from 0 to `len`.
+fn offsets_delimit(offsets: &[u32], rows: usize, len: usize) -> bool {
+    offsets.len() == rows + 1
+        && offsets.first() == Some(&0)
+        && offsets.last().map(|&end| end as usize) == Some(len)
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Every node name, back to back in one string: node `i`'s name is
+/// `bytes[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Names {
+    bytes: String,
+    offsets: Vec<u32>,
+}
+
+impl Names {
+    pub(crate) fn with_capacity(nodes: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        offsets.push(0);
+        Self {
+            bytes: String::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Appends the next node's name. When the arena would outgrow `u32`
+    /// offsets the node gets an empty name and the error is returned.
+    pub(crate) fn push(&mut self, name: &str) -> Result<(), NetlistError> {
+        match offset(self.bytes.len() + name.len(), "name bytes") {
+            Ok(end) => {
+                self.bytes.push_str(name);
+                self.offsets.push(end);
+                Ok(())
+            }
+            Err(e) => {
+                self.offsets.push(self.offsets[self.offsets.len() - 1]);
+                Err(e)
+            }
+        }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Per-node id lists in CSR form: node `i`'s list is
+/// `ids[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Csr {
+    offsets: Vec<u32>,
+    ids: Vec<GateId>,
+}
+
+impl Csr {
+    pub(crate) fn with_capacity(rows: usize, ids: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Appends the next row. When the flat array would outgrow `u32`
+    /// offsets the row stays empty and the error is returned.
+    pub(crate) fn push(
+        &mut self,
+        row: impl ExactSizeIterator<Item = GateId>,
+    ) -> Result<(), NetlistError> {
+        match offset(self.ids.len() + row.len(), "fanin pins") {
+            Ok(end) => {
+                self.ids.extend(row);
+                self.offsets.push(end);
+                Ok(())
+            }
+            Err(e) => {
+                self.offsets.push(self.offsets[self.offsets.len() - 1]);
+                Err(e)
+            }
+        }
+    }
+
+    /// Row `i`'s bounds (one bounds check for both offsets).
+    #[inline]
+    fn bounds(&self, i: usize) -> (usize, usize) {
+        let &[start, end] = &self.offsets[i..i + 2] else {
+            unreachable!("a two-entry slice")
+        };
+        (start as usize, end as usize)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[GateId] {
+        let (start, end) = self.bounds(i);
+        &self.ids[start..end]
+    }
+
+    #[inline]
+    fn row_len(&self, i: usize) -> usize {
+        let (start, end) = self.bounds(i);
+        end - start
+    }
+
+    /// The reverse lists of this fanin CSR: node `f`'s row names every
+    /// reader once per pin that reads `f`, in (reader, pin) order. One counting pass sizes the rows; the fill walks the
+    /// readers backwards, moving each row's end offset down to its start.
+    pub(crate) fn transpose(&self) -> Self {
+        let rows = self.offsets.len() - 1;
+        let mut offsets = vec![0u32; rows + 1];
+        for f in &self.ids {
+            offsets[f.index()] += 1;
+        }
+        // Inclusive prefix sums: `offsets[f]` is the end of row `f`.
+        let mut end = 0;
+        for o in &mut offsets[..rows] {
+            end += *o;
+            *o = end;
+        }
+        offsets[rows] = end;
+        let mut ids = vec![GateId(0); self.ids.len()];
+        for reader in (0..rows).rev() {
+            for f in self.row(reader).iter().rev() {
+                let slot = &mut offsets[f.index()];
+                *slot -= 1;
+                ids[*slot as usize] = GateId::new(reader);
+            }
+        }
+        Self { offsets, ids }
+    }
+}
+
+/// Passes a precomputed hash through: the index's keys are already
+/// [`RandomState`] hashes of the names, unpredictable without the
+/// netlist's keys, so hashing them again would add cost and no
+/// protection against crafted collisions.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Chain terminator in [`NameIndex::next`].
+const NO_NODE: u32 = u32::MAX;
+
+/// Name → number (node or statement) over names it does not own: every
+/// method reads the indexed names through a `name_of` lookup. Names are
+/// hashed with std's keyed [`RandomState`] (served `Register` requests
+/// carry untrusted text); `heads` maps a hash to the last-inserted entry
+/// carrying it and `next[i]` to the entry inserted before `i` with the
+/// same hash.
+#[derive(Debug, Clone)]
+pub(crate) struct NameIndex {
+    keys: RandomState,
+    heads: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    next: Vec<u32>,
+}
+
+impl NameIndex {
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        Self {
+            keys: RandomState::new(),
+            heads: HashMap::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
+            next: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Indexes `name` as the next entry, numbered `next.len()`, unless
+    /// an earlier entry carries the same name; returns whether it did.
+    /// The entry is numbered either way.
+    pub(crate) fn insert<'n>(&mut self, name: &str, name_of: impl Fn(usize) -> &'n str) -> bool {
+        let entry = to_u32(self.next.len());
+        self.next.push(NO_NODE);
+        let hash = self.keys.hash_one(name);
+        if let Some(&head) = self.heads.get(&hash) {
+            if chain(head, &self.next).any(|j| name_of(j) == name) {
+                return false;
+            }
+        }
+        self.link(hash, entry);
+        true
+    }
+
+    /// Makes `entry` the head of `hash`'s chain.
+    fn link(&mut self, hash: u64, entry: u32) {
+        if let Some(rest) = self.heads.insert(hash, entry) {
+            self.next[entry as usize] = rest;
+        }
+    }
+
+    pub(crate) fn get<'n>(&self, name: &str, name_of: impl Fn(usize) -> &'n str) -> Option<usize> {
+        let &head = self.heads.get(&self.keys.hash_one(name))?;
+        chain(head, &self.next).find(|&j| name_of(j) == name)
+    }
+
+    /// Renumbers entry `i` as node `to[i]` of a netlist with `nodes`
+    /// nodes, then indexes `extra` (a node no entry maps to) under its
+    /// `name`. No name is hashed again but `name`.
+    pub(crate) fn renumber(&mut self, to: &[GateId], nodes: usize, extra: Option<(GateId, &str)>) {
+        let node = |j: u32| {
+            if j == NO_NODE {
+                NO_NODE
+            } else {
+                to[j as usize].0
+            }
+        };
+        for head in self.heads.values_mut() {
+            *head = node(*head);
+        }
+        let mut next = vec![NO_NODE; nodes];
+        for (i, &j) in self.next.iter().enumerate() {
+            next[to[i].index()] = node(j);
+        }
+        self.next = next;
+        if let Some((id, name)) = extra {
+            self.link(self.keys.hash_one(name), id.0);
+        }
+    }
+}
+
+/// An index as `u32`, the width of a [`GateId`].
+pub(crate) fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("netlists are limited to u32 nodes")
+}
+
+/// The entries of one hash chain, starting at `head`.
+fn chain(head: u32, next: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(Some(head), |&j| {
+        Some(next[j as usize]).filter(|&n| n != NO_NODE)
+    })
+    .map(|j| j as usize)
+}
+
 /// A combinational gate-level netlist, optionally carrying a register
 /// cut (see [`Register`]) that makes it the flattened core of a
 /// sequential circuit.
 ///
 /// Nodes are stored in a topological order (guaranteed by the builder), so
 /// timing propagation is a single forward scan over [`Netlist::node_ids`].
+/// They live in flat arrays (see the [module docs](self)); `==` compares
+/// that structure — names, kinds, fanins, fanouts, inputs, outputs and
+/// registers — and not the layout of the keyed name index, which differs
+/// between otherwise equal netlists.
 ///
 /// # Example
 ///
@@ -186,38 +474,65 @@ impl Register {
 /// n.set_size(g1, 3);
 /// assert!(n.total_area(&lib) > before);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    nodes: Vec<Gate>,
+    names: Names,
+    kinds: Vec<GateKind>,
+    fanins: Csr,
+    fanouts: Csr,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
     /// `output_flags[i]` is true iff node `i` is in `outputs` — the O(1)
     /// form of [`Netlist::is_output`], kept in step with `outputs`; at
     /// least one entry per node.
     output_flags: Vec<bool>,
-    name_index: HashMap<String, GateId>,
+    index: NameIndex,
     registers: Vec<Register>,
 }
 
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.names == other.names
+            && self.kinds == other.kinds
+            && self.fanins == other.fanins
+            && self.fanouts == other.fanouts
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.output_flags == other.output_flags
+            && self.registers == other.registers
+    }
+}
+
+/// The parts a [`NetlistBuilder`](crate::NetlistBuilder) hands over.
+pub(crate) struct Parts {
+    pub(crate) name: String,
+    pub(crate) names: Names,
+    pub(crate) kinds: Vec<GateKind>,
+    pub(crate) fanins: Csr,
+    pub(crate) inputs: Vec<GateId>,
+    pub(crate) outputs: Vec<GateId>,
+    pub(crate) output_flags: Vec<bool>,
+    pub(crate) index: NameIndex,
+    pub(crate) registers: Vec<Register>,
+}
+
 impl Netlist {
-    pub(crate) fn from_parts(
-        name: String,
-        nodes: Vec<Gate>,
-        inputs: Vec<GateId>,
-        outputs: Vec<GateId>,
-        output_flags: Vec<bool>,
-        name_index: HashMap<String, GateId>,
-        registers: Vec<Register>,
-    ) -> Self {
+    /// Assembles a netlist, deriving its fanouts from `parts.fanins`.
+    pub(crate) fn from_parts(parts: Parts) -> Self {
+        let fanouts = parts.fanins.transpose();
         Self {
-            name,
-            nodes,
-            inputs,
-            outputs,
-            output_flags,
-            name_index,
-            registers,
+            name: parts.name,
+            names: parts.names,
+            kinds: parts.kinds,
+            fanins: parts.fanins,
+            fanouts,
+            inputs: parts.inputs,
+            outputs: parts.outputs,
+            output_flags: parts.output_flags,
+            index: parts.index,
+            registers: parts.registers,
         }
     }
 
@@ -237,14 +552,18 @@ impl Netlist {
 
     /// Total node count (primary inputs + gates).
     #[must_use]
+    #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Number of cell gates (excluding primary inputs).
     #[must_use]
     pub fn gate_count(&self) -> usize {
-        self.nodes.iter().filter(|g| !g.is_input()).count()
+        self.kinds
+            .iter()
+            .filter(|k| !matches!(k, GateKind::Input))
+            .count()
     }
 
     /// Number of primary inputs.
@@ -339,11 +658,15 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not belong to this netlist (see
-    /// [`Netlist::try_gate`] for the non-panicking form).
+    /// The view's accessors panic if `id` does not belong to this
+    /// netlist (see [`Netlist::try_gate`] for the checked form).
     #[must_use]
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.nodes[id.index()]
+    #[inline]
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        Gate {
+            netlist: self,
+            index: id.index(),
+        }
     }
 
     /// The node for `id`, rejecting ids from a different (or larger)
@@ -354,25 +677,27 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::NodeOutOfRange`] when `id` points past the
     /// node table.
-    pub fn try_gate(&self, id: GateId) -> Result<&Gate, NetlistError> {
-        self.nodes
-            .get(id.index())
-            .ok_or(NetlistError::NodeOutOfRange {
+    pub fn try_gate(&self, id: GateId) -> Result<Gate<'_>, NetlistError> {
+        if id.index() < self.kinds.len() {
+            Ok(self.gate(id))
+        } else {
+            Err(NetlistError::NodeOutOfRange {
                 index: id.index(),
-                nodes: self.nodes.len(),
+                nodes: self.kinds.len(),
             })
+        }
     }
 
     /// Looks a node up by name.
     #[must_use]
     pub fn gate_by_name(&self, name: &str) -> Option<GateId> {
-        self.name_index.get(name).copied()
+        self.index.get(name, |j| self.names.get(j)).map(GateId::new)
     }
 
     /// All node ids in topological order (inputs before the gates they
     /// feed; every gate after all of its fanins).
     pub fn node_ids(&self) -> impl Iterator<Item = GateId> + '_ {
-        (0..self.nodes.len()).map(GateId::new)
+        (0..self.kinds.len()).map(GateId::new)
     }
 
     /// Ids of cell gates only, topological order.
@@ -387,7 +712,7 @@ impl Netlist {
     /// Panics if `id` is a primary input (see [`Netlist::try_set_size`]
     /// for the non-panicking form).
     pub fn set_size(&mut self, id: GateId, size: usize) {
-        match &mut self.nodes[id.index()].kind {
+        match &mut self.kinds[id.index()] {
             GateKind::Input => panic!("cannot size a primary input"),
             GateKind::Cell { size: s, .. } => *s = size,
         }
@@ -404,16 +729,18 @@ impl Netlist {
     /// Returns [`NetlistError::NodeOutOfRange`] for an id past the node
     /// table, or [`NetlistError::InputHasNoSize`] for a primary input.
     pub fn try_set_size(&mut self, id: GateId, size: usize) -> Result<(), NetlistError> {
-        let nodes = self.nodes.len();
-        let node = self
-            .nodes
+        let nodes = self.kinds.len();
+        let kind = self
+            .kinds
             .get_mut(id.index())
             .ok_or(NetlistError::NodeOutOfRange {
                 index: id.index(),
                 nodes,
             })?;
-        match &mut node.kind {
-            GateKind::Input => Err(NetlistError::InputHasNoSize(node.name.clone())),
+        match kind {
+            GateKind::Input => Err(NetlistError::InputHasNoSize(
+                self.names.get(id.index()).to_owned(),
+            )),
             GateKind::Cell { size: s, .. } => {
                 *s = size;
                 Ok(())
@@ -424,7 +751,13 @@ impl Netlist {
     /// Snapshot of all gate sizes (entries for input nodes are 0).
     #[must_use]
     pub fn sizes(&self) -> Vec<usize> {
-        self.nodes.iter().map(|g| g.size().unwrap_or(0)).collect()
+        self.kinds
+            .iter()
+            .map(|k| match *k {
+                GateKind::Input => 0,
+                GateKind::Cell { size, .. } => size,
+            })
+            .collect()
     }
 
     /// Restores a snapshot taken with [`Netlist::sizes`].
@@ -447,14 +780,14 @@ impl Netlist {
     /// Returns [`NetlistError::SizeSnapshotMismatch`] when
     /// `sizes.len() != self.node_count()`.
     pub fn try_restore_sizes(&mut self, sizes: &[usize]) -> Result<(), NetlistError> {
-        if sizes.len() != self.nodes.len() {
+        if sizes.len() != self.kinds.len() {
             return Err(NetlistError::SizeSnapshotMismatch {
                 got: sizes.len(),
-                expected: self.nodes.len(),
+                expected: self.kinds.len(),
             });
         }
-        for (node, &s) in self.nodes.iter_mut().zip(sizes) {
-            if let GateKind::Cell { size, .. } = &mut node.kind {
+        for (kind, &s) in self.kinds.iter_mut().zip(sizes) {
+            if let GateKind::Cell { size, .. } = kind {
                 *size = s;
             }
         }
@@ -463,8 +796,8 @@ impl Netlist {
 
     /// Resets every gate to the smallest size.
     pub fn reset_sizes(&mut self) {
-        for node in &mut self.nodes {
-            if let GateKind::Cell { size, .. } = &mut node.kind {
+        for kind in &mut self.kinds {
+            if let GateKind::Cell { size, .. } = kind {
                 *size = 0;
             }
         }
@@ -477,19 +810,27 @@ impl Netlist {
     /// Panics if `id` is an input or the library lacks the cell (use
     /// [`Netlist::validate_against_library`] first for a `Result`).
     #[must_use]
+    #[inline]
     pub fn cell<'l>(&self, id: GateId, library: &'l Library) -> &'l vartol_liberty::Cell {
+        let i = id.index();
+        if let GateKind::Cell { function, size } = self.kinds[i] {
+            if let Some(cell) = library.cell(function, self.fanins.row_len(i), size) {
+                return cell;
+            }
+        }
+        self.no_cell(id)
+    }
+
+    #[cold]
+    fn no_cell(&self, id: GateId) -> ! {
         let g = self.gate(id);
-        match g.kind() {
+        match *g.kind() {
             GateKind::Input => panic!("primary input {} has no cell", g.name()),
-            GateKind::Cell { function, size } => library
-                .cell(*function, g.fanins().len(), *size)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "library has no cell {function}/{} size {size} for gate {}",
-                        g.fanins().len(),
-                        g.name()
-                    )
-                }),
+            GateKind::Cell { function, size } => panic!(
+                "library has no cell {function}/{} size {size} for gate {}",
+                g.fanins().len(),
+                g.name()
+            ),
         }
     }
 
@@ -533,7 +874,7 @@ impl Netlist {
     /// more than its deepest fanin.
     #[must_use]
     pub fn levels(&self) -> Vec<usize> {
-        let mut levels = vec![0usize; self.nodes.len()];
+        let mut levels = vec![0usize; self.kinds.len()];
         for id in self.node_ids() {
             let g = self.gate(id);
             if !g.is_input() {
@@ -563,7 +904,7 @@ impl Netlist {
     /// incremental re-analysis must respect.
     #[must_use]
     pub fn fanout_cone(&self, seeds: impl IntoIterator<Item = GateId>) -> Vec<GateId> {
-        let mut in_cone = vec![false; self.nodes.len()];
+        let mut in_cone = vec![false; self.kinds.len()];
         let mut worklist: Vec<GateId> = Vec::new();
         for seed in seeds {
             if !in_cone[seed.index()] {
@@ -587,15 +928,49 @@ impl Netlist {
             .collect()
     }
 
-    /// Structural invariants: fanins precede their gate (topological
-    /// order), fanin/fanout lists are mutually consistent, inputs have no
-    /// fanins, and arities are legal. Cheap enough for debug assertions in
-    /// tests; builders already guarantee all of this.
+    /// Structural invariants: the flat tables are well formed, fanins
+    /// precede their gate (topological order), inputs have no fanins,
+    /// arities are legal, every fanout list is exactly the reverse of the
+    /// fanin lists (once per pin, in (reader, pin) order), and the
+    /// register cut is sound. One pass over the pins; builders already
+    /// guarantee all of this.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), NetlistError> {
+        let nodes = self.kinds.len();
+        let tables = [
+            (&self.names.offsets, self.names.bytes.len(), "name offsets"),
+            (&self.fanins.offsets, self.fanins.ids.len(), "fanin offsets"),
+            (
+                &self.fanouts.offsets,
+                self.fanouts.ids.len(),
+                "fanout offsets",
+            ),
+        ];
+        for (offsets, len, table) in tables {
+            if !offsets_delimit(offsets, nodes, len) {
+                return Err(NetlistError::Malformed(table));
+            }
+        }
+        if !self
+            .names
+            .offsets
+            .iter()
+            .all(|&o| self.names.bytes.is_char_boundary(o as usize))
+        {
+            return Err(NetlistError::Malformed("name offsets"));
+        }
+        if let Some(&id) = self.fanouts.ids.iter().find(|f| f.index() >= nodes) {
+            return Err(NetlistError::NodeOutOfRange {
+                index: id.index(),
+                nodes,
+            });
+        }
+        // `cursor[f]`: where the next reader of `f` must sit in its
+        // fanout row.
+        let mut cursor = self.fanouts.offsets[..nodes].to_vec();
         for id in self.node_ids() {
             let g = self.gate(id);
             match g.kind() {
@@ -618,15 +993,17 @@ impl Netlist {
                 if f.index() >= id.index() {
                     return Err(NetlistError::Cycle(g.name().to_owned()));
                 }
-                if !self.gate(f).fanouts().contains(&id) {
+                let slot = &mut cursor[f.index()];
+                if *slot >= self.fanouts.offsets[f.index() + 1]
+                    || self.fanouts.ids[*slot as usize] != id
+                {
                     return Err(NetlistError::UnknownSignal(g.name().to_owned()));
                 }
+                *slot += 1;
             }
-            for &f in g.fanouts() {
-                if !self.gate(f).fanins().contains(&id) {
-                    return Err(NetlistError::UnknownSignal(g.name().to_owned()));
-                }
-            }
+        }
+        if let Some(f) = (0..nodes).find(|&f| cursor[f] != self.fanouts.offsets[f + 1]) {
+            return Err(NetlistError::UnknownSignal(self.names.get(f).to_owned()));
         }
         if self.inputs.is_empty() {
             return Err(NetlistError::NoInputs);
@@ -635,7 +1012,7 @@ impl Netlist {
             return Err(NetlistError::NoOutputs);
         }
         let mut clock: Option<GateId> = None;
-        let mut seen_q = vec![false; self.nodes.len()];
+        let mut seen_q = vec![false; self.kinds.len()];
         for r in &self.registers {
             let q = self.try_gate(r.q())?;
             self.try_gate(r.d())?;
@@ -692,25 +1069,6 @@ impl std::fmt::Display for Netlist {
             self.output_count(),
             self.depth()
         )
-    }
-}
-
-impl Gate {
-    pub(crate) fn new(name: String, kind: GateKind, fanins: Vec<GateId>) -> Self {
-        Self {
-            name,
-            kind,
-            fanins,
-            fanouts: Vec::new(),
-        }
-    }
-
-    pub(crate) fn push_fanout(&mut self, id: GateId) {
-        self.fanouts.push(id);
-    }
-
-    pub(crate) fn reserve_fanouts(&mut self, additional: usize) {
-        self.fanouts.reserve_exact(additional);
     }
 }
 
@@ -892,6 +1250,156 @@ mod tests {
         let (n, _, _, _) = tiny();
         let s = n.to_string();
         assert!(s.contains("tiny") && s.contains("2 gates"));
+    }
+
+    #[test]
+    fn check_invariants_accepts_every_preset_and_benchmark() {
+        use crate::generators::{benchmark, benchmark_names, preset, preset_names};
+        let lib = Library::synthetic_90nm();
+        for &name in preset_names() {
+            let n = preset(name, &lib).expect("known preset");
+            assert_eq!(n.check_invariants(), Ok(()), "{name}");
+        }
+        for &name in benchmark_names() {
+            let n = benchmark(name, &lib).expect("known benchmark");
+            assert_eq!(n.check_invariants(), Ok(()), "{name}");
+        }
+    }
+
+    /// `a` feeds `g = NAND(a, a)` and `h = INV(a)`; `g` feeds `y`.
+    fn fanout_twice() -> Netlist {
+        let mut b = NetlistBuilder::new("twice");
+        let a = b.input("a");
+        let g = b.gate("g", LogicFunction::Nand, &[a, a]);
+        let h = b.gate("h", LogicFunction::Inv, &[a]);
+        let y = b.gate("y", LogicFunction::Nor, &[g, h]);
+        b.mark_output(y);
+        b.build().expect("valid")
+    }
+
+    #[test]
+    fn fanouts_are_the_fanins_reversed_once_per_pin() {
+        let n = fanout_twice();
+        let id = |name| n.gate_by_name(name).expect("named");
+        assert_eq!(n.gate(id("a")).fanouts(), &[id("g"), id("g"), id("h")]);
+        assert_eq!(n.gate(id("g")).fanouts(), &[id("y")]);
+        assert_eq!(n.gate(id("y")).fanouts(), &[] as &[GateId]);
+        assert_eq!(n.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn check_invariants_rejects_hand_corrupted_tables() {
+        let corrupt = |edit: fn(&mut Netlist)| {
+            let mut n = fanout_twice();
+            edit(&mut n);
+            n.check_invariants()
+        };
+        // One pin's fanout entry dropped: `a` lists `g` once, not twice.
+        let lost_pin = corrupt(|n| {
+            n.fanouts.ids.remove(0);
+            for o in &mut n.fanouts.offsets[1..] {
+                *o -= 1;
+            }
+        });
+        assert_eq!(lost_pin, Err(NetlistError::UnknownSignal("g".into())));
+        // `a`'s readers out of (reader, pin) order.
+        let swapped = corrupt(|n| n.fanouts.ids.swap(1, 2));
+        assert_eq!(swapped, Err(NetlistError::UnknownSignal("g".into())));
+        // An extra entry in `y`'s (empty) fanout row.
+        let extra = corrupt(|n| {
+            n.fanouts.ids.push(GateId::new(0));
+            *n.fanouts.offsets.last_mut().expect("rows") += 1;
+        });
+        assert_eq!(extra, Err(NetlistError::UnknownSignal("y".into())));
+        let out_of_range = corrupt(|n| n.fanouts.ids[0] = GateId::new(9));
+        assert_eq!(
+            out_of_range,
+            Err(NetlistError::NodeOutOfRange { index: 9, nodes: 4 })
+        );
+        let descending = corrupt(|n| n.fanouts.offsets.swap(1, 2));
+        assert_eq!(descending, Err(NetlistError::Malformed("fanout offsets")));
+        let short = corrupt(|n| {
+            n.fanins.offsets.pop();
+        });
+        assert_eq!(short, Err(NetlistError::Malformed("fanin offsets")));
+        // A fanin that does not precede its reader.
+        let backwards = corrupt(|n| n.fanins.ids[0] = GateId::new(2));
+        assert_eq!(backwards, Err(NetlistError::Cycle("g".into())));
+    }
+
+    #[test]
+    fn offsets_past_u32_are_a_typed_error() {
+        let len = u32::MAX as usize + 1;
+        assert_eq!(offset(len - 1, "fanin pins"), Ok(u32::MAX));
+        let err = offset(len, "name bytes").expect_err("past u32");
+        assert_eq!(
+            err,
+            NetlistError::TooLarge {
+                table: "name bytes",
+                len
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "netlist too large: 4294967296 name bytes exceed u32 offsets"
+        );
+    }
+
+    #[test]
+    fn names_sharing_a_hash_chain_resolve_by_their_bytes() {
+        let names = ["a", "bb", "ccc"];
+        let name_of = |j: usize| names[j];
+        let mut index = NameIndex::with_capacity(0);
+        // Every name on one chain: keys that make them collide are out
+        // of reach, so link them by hand under each name's hash.
+        for (i, name) in names.iter().enumerate() {
+            index.next.push(i.checked_sub(1).map_or(NO_NODE, to_u32));
+            assert!(index.get(name, name_of).is_none());
+        }
+        for name in ["a", "bb", "ccc", "zz"] {
+            index.heads.insert(index.keys.hash_one(name), 2);
+        }
+        assert_eq!(index.get("a", name_of), Some(0));
+        assert_eq!(index.get("bb", name_of), Some(1));
+        assert_eq!(index.get("ccc", name_of), Some(2));
+        assert_eq!(index.get("zz", name_of), None);
+        assert_eq!(index.get("q", name_of), None);
+        assert!(!index.insert("bb", name_of), "a chained duplicate");
+
+        // Statement `i` becomes node `to[i]`, and node 0 joins as `clk`.
+        let to = [3, 1, 2, 4].map(GateId::new);
+        index.renumber(&to, 5, Some((GateId::new(0), "clk")));
+        let nodes = ["clk", "bb", "ccc", "a", "bb"];
+        let name_of = |j: usize| nodes[j];
+        for (j, name) in nodes.iter().enumerate().take(4) {
+            assert_eq!(index.get(name, name_of), Some(j), "{name}");
+        }
+    }
+
+    #[test]
+    fn equality_compares_structure_not_the_keyed_index() {
+        let text = crate::iscas::write_bench(&fanout_twice());
+        let parse = |text: &str| crate::iscas::parse_bench(text, "twice").expect("valid");
+        let (first, second) = (parse(&text), parse(&text));
+        assert_ne!(
+            first.index.keys.hash_one("a"),
+            second.index.keys.hash_one("a"),
+            "each netlist keys its own index"
+        );
+        assert_eq!(first, second);
+        let copy = first.clone();
+        assert_eq!(copy, first);
+        for id in first.node_ids() {
+            assert_eq!(copy.gate_by_name(first.gate(id).name()), Some(id));
+        }
+
+        let renamed = parse(&text.replace('a', "b"));
+        assert_ne!(renamed, first, "one name differs");
+        let reordered = parse(&text.replace("NOR(g, h)", "NOR(h, g)"));
+        assert_ne!(reordered, first, "one fanin order differs");
+        let mut flagged = first.clone();
+        flagged.output_flags[0] = true;
+        assert_ne!(flagged, first, "one output flag differs");
     }
 
     #[test]

@@ -12,30 +12,34 @@
 //! G17 = NOT(G10)
 //! ```
 //!
-//! The parser borrows every name and reference from the text and resolves
-//! each name once, through one keyed name table; everything after that
-//! is index arithmetic over statement numbers. Its passes, each linear:
+//! The parser borrows every name and reference from the text and hashes
+//! each name once, into one keyed name table that becomes the netlist's
+//! own index; everything after that is index arithmetic over statement
+//! numbers. Its passes, each linear:
 //!
 //! 1. tokenize: one record per statement, its name a `&str` into the
-//!    text, and every fanin (or D) reference in one flat list;
-//! 2. the name table: one `HashMap<&str, u32>` (std's keyed
+//!    text, and every fanin (or D) reference in one flat list, each list
+//!    sized once from the text's line and comma counts;
+//! 2. the name table: a `NameIndex` over the statements (std's keyed
 //!    `RandomState`, since served `Register` requests parse untrusted
-//!    text), sized to the definitions, maps each name to its statement;
+//!    text), mapping each name's hash to its statement;
 //! 3. resolve: every reference becomes a statement index, and each
 //!    statement's dependents go into one flat CSR array (offsets plus
 //!    targets, in statement order, one entry per pin);
 //! 4. Kahn's worklist (indegree counters + a FIFO over indices — linear
 //!    even on fully reverse-ordered files) fixes the emission order;
-//! 5. emission into a [`NetlistBuilder`] sized to the node count, each
-//!    node's fanout list reserved at its exact length.
+//! 5. emission straight into the [`Netlist`]'s flat arrays, each sized
+//!    exactly: the name arena, the kinds and the fanin CSR, with the
+//!    fanout CSR derived from the fanins in one counting pass; the name
+//!    table is renumbered from statements to nodes, not rebuilt.
 //!
-//! A `k`-input gate thus costs `k + 2` hashes (its definition, its `k`
-//! references, and the builder's name index) and four allocations (its
-//! name, the index's key, its fanin list, and its fanout list when it has
-//! fanouts); the flat lists add a constant number of allocations per
-//! file. Cycles and undefined signals are reported with the offending
-//! name, malformed lines with their line number. The writer emits gates
-//! in topological order so round-trips are stable.
+//! A `k`-input gate thus costs `k + 1` hashes (its definition and its
+//! `k` references) and no allocation of its own (a register keeps its
+//! name as a `String`): a combinational file parses in the same few
+//! dozen allocations whatever its size. Cycles and undefined
+//! signals are reported with the offending name, malformed lines with
+//! their line number. The writer emits gates in topological order so
+//! round-trips are stable.
 //!
 //! `DFF` statements follow the ISCAS-89 dialect: the implicit clock is
 //! synthesized as a shared primary input (named `clk` unless that name is
@@ -46,9 +50,10 @@
 //! still rejected as cycles. [`write_bench`] inverts all of this exactly
 //! (the synthetic clock is omitted, registers print as `Q = DFF(D)`).
 
-use crate::builder::NetlistBuilder;
 use crate::error::NetlistError;
-use crate::graph::{GateId, GateKind, Netlist};
+use crate::graph::{
+    offset, to_u32, Csr, GateId, GateKind, NameIndex, Names, Netlist, Parts, Register,
+};
 use std::collections::HashMap;
 use std::ops::Range;
 use vartol_liberty::LogicFunction;
@@ -78,7 +83,7 @@ impl Def<'_> {
 }
 
 /// A tokenized `.bench` text, borrowing every name from it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Tokens<'a> {
     /// The defining statements, in text order.
     defs: Vec<Def<'a>>,
@@ -98,8 +103,10 @@ struct Tokens<'a> {
 /// reference to an undefined signal in text order,
 /// [`NetlistError::Cycle`] for a combinational loop,
 /// [`NetlistError::UnknownSignal`] for the first undefined `OUTPUT`, and
-/// then the builder's checks (arity in emission order, no inputs, no
-/// outputs).
+/// then the checks a [`NetlistBuilder`](crate::NetlistBuilder) makes
+/// (arity in emission order, no inputs, no outputs). A text whose
+/// references, name bytes or pins outgrow `u32` offsets gives
+/// [`NetlistError::TooLarge`] where it overflows.
 ///
 /// # Example
 ///
@@ -128,28 +135,29 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
         refs,
     } = tokenize(text)?;
     let n = defs.len();
+    let name_of = |j: usize| defs[j].name;
 
-    let mut index: HashMap<&str, u32> = HashMap::with_capacity(n);
-    for (i, def) in defs.iter().enumerate() {
-        if index.insert(def.name, to_u32(i)).is_some() {
+    let mut index = NameIndex::with_capacity(n);
+    for def in &defs {
+        if !index.insert(def.name, name_of) {
             return Err(NetlistError::DuplicateName(def.name.to_owned()));
         }
     }
+    let resolve = |r: &str| {
+        index
+            .get(r, name_of)
+            .ok_or_else(|| NetlistError::UnknownSignal(r.to_owned()))
+    };
 
     // Every reference resolves to its statement, in text order. A D
     // reference must resolve too, but it is a register cut, not a graph
     // edge: it never gates the Q emission — which is what lets feedback
     // through a register parse while register-free loops still stall as
     // cycles.
-    let fanins = refs
-        .iter()
-        .map(|r| {
-            index
-                .get(r)
-                .copied()
-                .ok_or_else(|| NetlistError::UnknownSignal((*r).to_owned()))
-        })
-        .collect::<Result<Vec<u32>, _>>()?;
+    let mut fanins = Vec::with_capacity(refs.len());
+    for r in &refs {
+        fanins.push(to_u32(resolve(r)?));
+    }
     let gate_fanins = |def: &Def<'_>| match def.kind {
         Kind::Gate(_) => &fanins[def.refs()],
         Kind::Input | Kind::Dff => &[],
@@ -205,67 +213,165 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
             .map_or("", |(def, _)| def.name);
         return Err(NetlistError::Cycle(stuck.to_owned()));
     }
+    let mut output_defs = Vec::with_capacity(outputs.len());
+    for o in &outputs {
+        output_defs.push(resolve(o)?);
+    }
 
     // ISCAS-89 registers share one implicit clock; synthesize it as the
     // first primary input (dodging any colliding signal name).
-    let registers = defs.iter().filter(|d| d.kind == Kind::Dff).count();
-    let mut b = NetlistBuilder::with_capacity(name, n + usize::from(registers > 0));
-    let clock = (registers > 0).then(|| {
+    let clock = defs.iter().any(|d| d.kind == Kind::Dff).then(|| {
         let mut clk_name = "clk".to_owned();
-        while index.contains_key(clk_name.as_str()) {
+        while index.get(&clk_name, name_of).is_some() {
             clk_name.push('_');
         }
-        let clk = b.input(clk_name);
-        b.reserve_fanouts(clk, registers);
-        clk
+        clk_name
     });
-    // `ids[i]` is statement `i`'s node; Kahn's order writes every entry
-    // before any later statement reads it.
-    let mut ids = vec![GateId::new(0); n];
-    let mut pins: Vec<GateId> = Vec::new();
-    for &i in &order {
-        let i = i as usize;
-        let def = &defs[i];
-        let id = match def.kind {
-            Kind::Input => b.input(def.name),
-            Kind::Gate(function) => {
-                pins.clear();
-                pins.extend(fanins[def.refs()].iter().map(|&j| ids[j as usize]));
-                b.gate(def.name, function, &pins)
-            }
-            Kind::Dff => b.dff(
-                def.name,
-                clock.expect("clock synthesized whenever DFFs exist"),
-            ),
-        };
-        b.reserve_fanouts(id, fanout(i).len());
-        ids[i] = id;
-    }
-
-    // Bind D pins only now that every driver has been emitted — D may
-    // reference a gate downstream of its own Q (feedback).
-    for (i, def) in defs.iter().enumerate() {
-        if def.kind == Kind::Dff {
-            b.bind_d(ids[i], ids[fanins[def.refs.start as usize] as usize]);
-        }
-    }
-
-    for o in outputs {
-        match index.get(o) {
-            Some(&j) => b.mark_output(ids[j as usize]),
-            None => return Err(NetlistError::UnknownSignal(o.to_owned())),
-        }
-    }
-    b.build()
+    emit(
+        name,
+        &defs,
+        &fanins,
+        &order,
+        clock.as_deref(),
+        &output_defs,
+        index,
+    )
 }
 
-/// A statement or reference index as `u32`, the width of a [`GateId`].
-fn to_u32(i: usize) -> u32 {
-    u32::try_from(i).expect("netlists are limited to u32 nodes")
+/// Emits the statements in Kahn's `order` straight into a netlist's
+/// flat arrays, each sized exactly, after the synthesized `clock` input
+/// (if any); `fanins` holds every statement's references resolved, and
+/// `outputs` the `OUTPUT` statements. The statement-keyed `index`
+/// becomes the netlist's, renumbered to node ids.
+fn emit(
+    name: &str,
+    defs: &[Def<'_>],
+    fanins: &[u32],
+    order: &[u32],
+    clock: Option<&str>,
+    outputs: &[usize],
+    mut index: NameIndex,
+) -> Result<Netlist, NetlistError> {
+    let nodes = defs.len() + usize::from(clock.is_some());
+    let mut name_bytes = clock.map_or(0, str::len);
+    let mut pins = 0;
+    let mut input_count = usize::from(clock.is_some());
+    let mut registers = 0;
+    for def in defs {
+        name_bytes += def.name.len();
+        match def.kind {
+            Kind::Input => input_count += 1,
+            Kind::Gate(_) => pins += def.refs().len(),
+            Kind::Dff => {
+                pins += 1;
+                registers += 1;
+            }
+        }
+    }
+
+    // `ids[i]` is statement `i`'s node; the order writes every entry
+    // before any later statement reads it.
+    let mut names = Names::with_capacity(nodes, name_bytes);
+    let mut kinds = Vec::with_capacity(nodes);
+    let mut node_fanins = Csr::with_capacity(nodes, pins);
+    let mut inputs = Vec::with_capacity(input_count);
+    let mut q_gates = Vec::with_capacity(registers);
+    let mut bad_arity = None;
+    let clk = GateId::new(0);
+    if let Some(clk_name) = clock {
+        names.push(clk_name)?;
+        kinds.push(GateKind::Input);
+        node_fanins.push(std::iter::empty())?;
+        inputs.push(clk);
+    }
+    let mut ids = vec![clk; defs.len()];
+    for &i in order {
+        let i = i as usize;
+        let def = &defs[i];
+        let id = GateId::new(kinds.len());
+        names.push(def.name)?;
+        match def.kind {
+            Kind::Input => {
+                kinds.push(GateKind::Input);
+                node_fanins.push(std::iter::empty())?;
+                inputs.push(id);
+            }
+            Kind::Gate(function) => {
+                let pins = &fanins[def.refs()];
+                if bad_arity.is_none() && !function.supports_arity(pins.len()) {
+                    bad_arity = Some(NetlistError::BadArity {
+                        gate: def.name.to_owned(),
+                        function,
+                        arity: pins.len(),
+                    });
+                }
+                kinds.push(GateKind::Cell { function, size: 0 });
+                node_fanins.push(pins.iter().map(|&j| ids[j as usize]))?;
+            }
+            Kind::Dff => {
+                kinds.push(GateKind::Cell {
+                    function: LogicFunction::Dff,
+                    size: 0,
+                });
+                node_fanins.push(std::iter::once(clk))?;
+                q_gates.push((id, i));
+            }
+        }
+        ids[i] = id;
+    }
+    if let Some(e) = bad_arity {
+        return Err(e);
+    }
+    if inputs.is_empty() {
+        return Err(NetlistError::NoInputs);
+    }
+    let mut output_flags = vec![false; nodes];
+    let mut output_ids = Vec::with_capacity(outputs.len());
+    for &j in outputs {
+        let id = ids[j];
+        if !std::mem::replace(&mut output_flags[id.index()], true) {
+            output_ids.push(id);
+        }
+    }
+    if output_ids.is_empty() {
+        return Err(NetlistError::NoOutputs);
+    }
+    // D pins bind only now that every driver has a node — D may
+    // reference a gate downstream of its own Q (feedback).
+    let registers = q_gates
+        .into_iter()
+        .map(|(q, i)| {
+            let d = ids[fanins[defs[i].refs.start as usize] as usize];
+            Register::new(defs[i].name.to_owned(), q, d)
+        })
+        .collect();
+    index.renumber(&ids, nodes, clock.map(|c| (clk, c)));
+    Ok(Netlist::from_parts(Parts {
+        name: name.to_owned(),
+        names,
+        kinds,
+        fanins: node_fanins,
+        inputs,
+        outputs: output_ids,
+        output_flags,
+        index,
+        registers,
+    }))
 }
 
 fn tokenize(text: &str) -> Result<Tokens<'_>, NetlistError> {
-    let mut out = Tokens::default();
+    // Every list is sized once: `l` lines hold at most `l` statements,
+    // and with `c` commas at most `l + c` references.
+    let (mut lines, mut commas) = (1, 0);
+    for b in text.bytes() {
+        lines += usize::from(b == b'\n');
+        commas += usize::from(b == b',');
+    }
+    let mut out = Tokens {
+        defs: Vec::with_capacity(lines),
+        outputs: Vec::with_capacity(lines),
+        refs: Vec::with_capacity(lines + commas),
+    };
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let line = line.split('#').next().unwrap_or("").trim();
@@ -277,7 +383,7 @@ fn tokenize(text: &str) -> Result<Tokens<'_>, NetlistError> {
             message,
         };
 
-        let start = to_u32(out.refs.len());
+        let start = offset(out.refs.len(), "references")?;
         if let Some(rest) = strip_directive(line, "INPUT") {
             out.defs.push(Def {
                 name: rest,
@@ -304,7 +410,7 @@ fn tokenize(text: &str) -> Result<Tokens<'_>, NetlistError> {
             let args = &rhs[open + 1..rhs.len() - 1];
             out.refs
                 .extend(args.split(',').map(str::trim).filter(|a| !a.is_empty()));
-            let end = to_u32(out.refs.len());
+            let end = offset(out.refs.len(), "references")?;
             let count = end - start;
             if count == 0 {
                 return Err(err("gate with no inputs".into()));

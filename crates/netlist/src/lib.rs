@@ -3,7 +3,8 @@
 //! Gate-level combinational netlists for statistical timing and sizing:
 //!
 //! * [`Netlist`] / [`Gate`] — a DAG of library gates over primary inputs and
-//!   outputs, with sizes mutable in place (the optimizer's state).
+//!   outputs, with sizes mutable in place (the optimizer's state), kept in
+//!   flat arrays; a [`Gate`] is a `Copy` view of one node.
 //! * [`NetlistBuilder`] — safe construction; a netlist is topologically
 //!   ordered by construction and validated on [`NetlistBuilder::build`].
 //! * [`iscas`] — reader/writer for the ISCAS-85/89 `.bench` format
