@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 use vartol_liberty::Library;
-use vartol_netlist::generators::{benchmark, random_dag, ripple_carry_adder, RandomDagConfig};
+use vartol_netlist::generators::{
+    benchmark, preset, random_dag, ripple_carry_adder, RandomDagConfig,
+};
 use vartol_ssta::{Dsta, EngineKind, Fassta, FullSsta, MonteCarloTimer, SstaConfig, TimingSession};
 
 fn bench_engines(c: &mut Criterion) {
@@ -109,6 +111,18 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("count_within", |b| {
         b.iter(|| black_box(timer.count_within(&c880, 2000, deadline).fraction()));
     });
+    // `count_within` on mult_8 (320 gates), the largest circuit the
+    // service benchmark sends `Yield` to, at pool widths 1 and 2: the
+    // four chunks run as one group of four lanes on one thread, or as two
+    // groups of two on two.
+    let mult_8 = preset("mult_8", &lib).expect("known preset");
+    let deadline = timer.sample_parallel(&mult_8, 2000).moments().mean;
+    for threads in [1usize, 2] {
+        group.bench_with_input(BenchmarkId::new("mult_8", threads), &mult_8, |b, n| {
+            let timer = timer.with_threads(threads);
+            b.iter(|| black_box(timer.count_within(n, 2000, deadline).fraction()));
+        });
+    }
     group.finish();
 
     // The level-ordered propagation arena's parallel fan-out. Two

@@ -57,6 +57,23 @@
 //! deadline, bit for bit. Under a correlated model the count runs the
 //! exact kernel on every sample.
 //!
+//! The fast pass runs up to four consecutive chunks in lockstep, one per
+//! lane. Each lane draws every gate's two uniforms from its own chunk
+//! stream in a lone chunk's order, the fast draws run over one flat
+//! `gates × lanes` slice, and `propagate` carries one arrival per lane,
+//! so a gate's fanins and `(mean, σ)` are read once per step, not once
+//! per sample. A lane whose chunk has no samples left computes but is not
+//! counted. A task takes at most `⌈chunks / pool width⌉` chunks, so a
+//! wider pool keeps its chunk fan-out. On x86-64 hosts with AVX2 the same
+//! generic body runs compiled for AVX2, behind the library's one `unsafe`
+//! call (the call of a `#[target_feature]` function after a run-time
+//! check); other hosts run the portable build. Every lane at every vector
+//! width computes the same fast delays: IEEE add, multiply, divide and
+//! square root round the same at any width, Rust never fuses a multiply
+//! and an add, and `max` could differ only in the sign of a zero, which
+//! changes no comparison. The band test and the exact recompute are per
+//! sample, as before, so the count does not change.
+//!
 //! As a [`TimingEngine`], the timer samples with a configurable count and
 //! seed ([`MonteCarloTimer::with_samples`] /
 //! [`MonteCarloTimer::with_seed`]) through the parallel path, so `analyze`
@@ -72,6 +89,7 @@ use crate::variation::VariationContext;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
+use std::ops::Range;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
 use vartol_stats::normal::{
@@ -203,21 +221,37 @@ impl GateTable {
         self.node.len()
     }
 
-    /// One sample's longest-path analysis: gate `k`'s delay is
-    /// `max(mean + σ·deviate[k], 0)`. Writes every gate's arrival (input
-    /// arrivals stay 0) and returns the worst output arrival.
-    fn propagate(&self, deviate: &[f64], arrivals: &mut [f64]) -> f64 {
+    /// Longest-path analysis of `L` samples at once, one per lane: gate
+    /// `k`'s delay in lane `l` is `max(mean + σ·deviate[k][l], 0)`.
+    /// Writes every gate's arrivals (input arrivals stay 0) and returns
+    /// each lane's worst output arrival. Every lane does the arithmetic of
+    /// a lone sample in the same order, so a lane's result does not depend
+    /// on `L` or on the vector width the loop compiles to.
+    #[inline(always)]
+    fn propagate<const L: usize>(
+        &self,
+        deviate: &[[f64; L]],
+        arrivals: &mut [[f64; L]],
+    ) -> [f64; L] {
         for (k, &v) in self.node.iter().enumerate() {
-            let delay = (self.mean[k] + self.sigma[k] * deviate[k]).max(0.0);
-            let arr_in = self.fanins[self.start[k]..self.start[k + 1]]
-                .iter()
-                .map(|&f| arrivals[f])
-                .fold(0.0f64, f64::max);
-            arrivals[v] = arr_in + delay;
+            let (mean, sigma) = (self.mean[k], self.sigma[k]);
+            let mut arr_in = [0.0f64; L];
+            for &f in &self.fanins[self.start[k]..self.start[k + 1]] {
+                for (a, &b) in arr_in.iter_mut().zip(&arrivals[f]) {
+                    *a = a.max(b);
+                }
+            }
+            for ((arr, &a), &d) in arrivals[v].iter_mut().zip(&arr_in).zip(&deviate[k]) {
+                *arr = a + (mean + sigma * d).max(0.0);
+            }
         }
-        self.outputs
-            .iter()
-            .fold(0.0f64, |worst, &o| worst.max(arrivals[o]))
+        let mut worst = [0.0f64; L];
+        for &o in &self.outputs {
+            for (w, &a) in worst.iter_mut().zip(&arrivals[o]) {
+                *w = w.max(a);
+            }
+        }
+        worst
     }
 
     /// A bound on `|fast − exact|` circuit delay of one sample whose fast
@@ -284,6 +318,86 @@ impl<'c> ExactDraws<'c> {
             *d = shift;
         }
     }
+}
+
+/// The sample count of chunk `chunk` of an `n`-sample run.
+fn chunk_len(n: usize, chunk: usize) -> usize {
+    MC_CHUNK_SAMPLES.min(n - chunk * MC_CHUNK_SAMPLES)
+}
+
+/// Chunks the lane kernel counts in lockstep, at most.
+const LANES: usize = 4;
+
+/// [`count_lanes_portable`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_lanes_avx2<const L: usize>(
+    table: &GateTable,
+    rngs: &mut [StdRng; L],
+    counts: [usize; L],
+    deadline: f64,
+) -> (usize, usize) {
+    count_lanes_portable(table, rngs, counts, deadline)
+}
+
+/// The lane kernel of [`MonteCarloTimer::count_within`]: `(within,
+/// recomputed)` over `counts[l]` samples of each lane's stream `rngs[l]`.
+/// Each step draws every gate's two uniforms per lane (lane by lane, in a
+/// lone chunk's order), turns all `gates × L` pairs into fast normals in
+/// one flat pass, and propagates the `L` samples together. A lane past
+/// its count computes but is not counted. Each counted sample then takes
+/// the band test, and one inside the band is recomputed alone from its
+/// kept uniforms with exact draws.
+#[inline(always)]
+fn count_lanes_portable<const L: usize>(
+    table: &GateTable,
+    rngs: &mut [StdRng; L],
+    counts: [usize; L],
+    deadline: f64,
+) -> (usize, usize) {
+    let gates = table.len();
+    let mut u1 = vec![[0.0f64; L]; gates];
+    let mut u2 = vec![[0.0f64; L]; gates];
+    let mut deviate = vec![[0.0f64; L]; gates];
+    let mut arrivals = vec![[0.0f64; L]; table.node_count];
+    let mut exact = vec![[0.0f64; 1]; gates];
+    let mut exact_arrivals = vec![[0.0f64; 1]; table.node_count];
+    let (mut within, mut recomputed) = (0, 0);
+    for sample in 0..counts.iter().copied().max().unwrap_or(0) {
+        for (lane, rng) in rngs.iter_mut().enumerate() {
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (a[lane], b[lane]) = box_muller_uniforms(rng);
+            }
+        }
+        for ((d, &a), &b) in deviate
+            .as_flattened_mut()
+            .iter_mut()
+            .zip(u1.as_flattened())
+            .zip(u2.as_flattened())
+        {
+            *d = box_muller_fast(a, b);
+        }
+        let fast = table.propagate(&deviate, &mut arrivals);
+        for (lane, &fast) in fast.iter().enumerate() {
+            if sample >= counts[lane] {
+                continue;
+            }
+            let band = table.band(fast);
+            if fast + band <= deadline {
+                within += 1;
+            } else if (fast - band).partial_cmp(&deadline) != Some(Ordering::Greater) {
+                // Inside the band (or not a number): redo it exactly.
+                for ((d, a), b) in exact.iter_mut().zip(&u1).zip(&u2) {
+                    d[0] = box_muller(a[lane], b[lane]);
+                }
+                recomputed += 1;
+                if table.propagate(&exact, &mut exact_arrivals)[0] <= deadline {
+                    within += 1;
+                }
+            }
+        }
+    }
+    (within, recomputed)
 }
 
 /// Summary of one sampling pass (a chunk, or a whole sequential run):
@@ -464,16 +578,38 @@ impl<'a> MonteCarloTimer<'a> {
     /// library.
     #[must_use]
     pub fn count_within(&self, netlist: &Netlist, n: usize, deadline: f64) -> YieldCount {
+        self.count_with(netlist, n, deadline, true)
+    }
+
+    /// [`MonteCarloTimer::count_within`] on the AVX2 instantiation of the
+    /// lane kernel when `dispatch` is set and the host has AVX2, else on
+    /// the portable one.
+    fn count_with(&self, netlist: &Netlist, n: usize, deadline: f64, dispatch: bool) -> YieldCount {
         assert!(n >= 2, "need at least two samples");
         let timing = CircuitTiming::compute(netlist, self.library, self.config);
         let table = GateTable::new(netlist, &timing);
         let ctx = VariationContext::new(&self.config.model, netlist);
         let pool = ScopedPool::new(self.threads);
-        let counts = pool.map(n.div_ceil(MC_CHUNK_SAMPLES), |chunk| {
-            let count = MC_CHUNK_SAMPLES.min(n - chunk * MC_CHUNK_SAMPLES);
-            let mut rng = StdRng::seed_from_u64(Self::chunk_seed(self.seed, chunk as u64));
-            Self::count_chunk(&table, &ctx, count, &mut rng, deadline)
-        });
+        let chunks = n.div_ceil(MC_CHUNK_SAMPLES);
+        let counts = if ctx.is_empty() {
+            // Up to `LANES` chunks per task, but as many tasks as the
+            // pool has workers while the chunks last.
+            let group = LANES.min(chunks.div_ceil(pool.threads()));
+            pool.map(chunks.div_ceil(group), |task| {
+                let first = task * group;
+                let lanes = first..chunks.min(first + group);
+                match lanes.len() {
+                    1 => self.count_group::<1>(&table, n, lanes, deadline, dispatch),
+                    2 => self.count_group::<2>(&table, n, lanes, deadline, dispatch),
+                    _ => self.count_group::<LANES>(&table, n, lanes, deadline, dispatch),
+                }
+            })
+        } else {
+            pool.map(chunks, |chunk| {
+                let mut rng = self.chunk_rng(chunk);
+                Self::count_exact(&table, &ctx, chunk_len(n, chunk), &mut rng, deadline)
+            })
+        };
         counts.into_iter().fold(
             YieldCount {
                 within: 0,
@@ -488,53 +624,62 @@ impl<'a> MonteCarloTimer<'a> {
         )
     }
 
-    /// One chunk of [`MonteCarloTimer::count_within`]: `(within,
-    /// recomputed)` over `count` samples.
-    fn count_chunk<R: Rng + ?Sized>(
+    /// Chunk `chunk`'s stream.
+    fn chunk_rng(&self, chunk: usize) -> StdRng {
+        StdRng::seed_from_u64(Self::chunk_seed(self.seed, chunk as u64))
+    }
+
+    /// `(within, recomputed)` over chunks `lanes` of an `n`-sample count,
+    /// one per lane of the lane kernel (lanes past `lanes.end` count no
+    /// samples): on the AVX2 instantiation when `dispatch` is set and the
+    /// host has AVX2, else on the portable one. Both give the same counts.
+    fn count_group<const L: usize>(
+        &self,
+        table: &GateTable,
+        n: usize,
+        lanes: Range<usize>,
+        deadline: f64,
+        dispatch: bool,
+    ) -> (usize, usize) {
+        let chunk = |l| lanes.start + l;
+        let mut rngs: [StdRng; L] = std::array::from_fn(|l| self.chunk_rng(chunk(l)));
+        let counts: [usize; L] = std::array::from_fn(|l| {
+            if chunk(l) < lanes.end {
+                chunk_len(n, chunk(l))
+            } else {
+                0
+            }
+        });
+        #[cfg(target_arch = "x86_64")]
+        if dispatch && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `count_lanes_avx2` needs only AVX2, which the host
+            // has (checked just above).
+            return unsafe { count_lanes_avx2(table, &mut rngs, counts, deadline) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = dispatch;
+        count_lanes_portable(table, &mut rngs, counts, deadline)
+    }
+
+    /// One chunk of [`MonteCarloTimer::count_within`] under a correlated
+    /// model: `(within, recomputed)` over `count` exact samples.
+    fn count_exact(
         table: &GateTable,
         ctx: &VariationContext,
         count: usize,
-        rng: &mut R,
+        rng: &mut StdRng,
         deadline: f64,
     ) -> (usize, usize) {
-        let mut arrivals = vec![0.0f64; table.node_count];
-        let mut deviate = vec![0.0f64; table.len()];
-        if !ctx.is_empty() {
-            let mut draws = ExactDraws::new(ctx);
-            let within = (0..count)
-                .filter(|_| {
-                    draws.draw(rng, table, &mut deviate);
-                    table.propagate(&deviate, &mut arrivals) <= deadline
-                })
-                .count();
-            return (within, count);
-        }
-        let mut u1 = vec![0.0f64; table.len()];
-        let mut u2 = vec![0.0f64; table.len()];
-        let (mut within, mut recomputed) = (0, 0);
-        for _ in 0..count {
-            for (a, b) in u1.iter_mut().zip(&mut u2) {
-                (*a, *b) = box_muller_uniforms(rng);
-            }
-            for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
-                *d = box_muller_fast(a, b);
-            }
-            let fast = table.propagate(&deviate, &mut arrivals);
-            let band = table.band(fast);
-            if fast + band <= deadline {
-                within += 1;
-            } else if (fast - band).partial_cmp(&deadline) != Some(Ordering::Greater) {
-                // Inside the band (or not a number): redo it exactly.
-                for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
-                    *d = box_muller(a, b);
-                }
-                recomputed += 1;
-                if table.propagate(&deviate, &mut arrivals) <= deadline {
-                    within += 1;
-                }
-            }
-        }
-        (within, recomputed)
+        let mut arrivals = vec![[0.0f64; 1]; table.node_count];
+        let mut deviate = vec![[0.0f64; 1]; table.len()];
+        let mut draws = ExactDraws::new(ctx);
+        let within = (0..count)
+            .filter(|_| {
+                draws.draw(rng, table, deviate.as_flattened_mut());
+                table.propagate(&deviate, &mut arrivals)[0] <= deadline
+            })
+            .count();
+        (within, count)
     }
 
     /// Chunked deterministic sampling: fixed partition, per-chunk seeded
@@ -557,10 +702,8 @@ impl<'a> MonteCarloTimer<'a> {
         let table = GateTable::new(netlist, timing);
         let pool = ScopedPool::new(self.threads);
         let summaries = pool.map(chunks, |chunk| {
-            let lo = chunk * MC_CHUNK_SAMPLES;
-            let count = MC_CHUNK_SAMPLES.min(n - lo);
-            let mut rng = StdRng::seed_from_u64(Self::chunk_seed(self.seed, chunk as u64));
-            Self::run_samples(&table, &ctx, count, &mut rng, track_nodes)
+            let mut rng = self.chunk_rng(chunk);
+            Self::run_samples(&table, &ctx, chunk_len(n, chunk), &mut rng, track_nodes)
         });
         summaries
             .into_iter()
@@ -580,8 +723,8 @@ impl<'a> MonteCarloTimer<'a> {
         rng: &mut R,
         track_nodes: bool,
     ) -> SampleStats {
-        let mut arrivals = vec![0.0f64; table.node_count];
-        let mut deviate = vec![0.0f64; table.len()];
+        let mut arrivals = vec![[0.0f64; 1]; table.node_count];
+        let mut deviate = vec![[0.0f64; 1]; table.len()];
         let mut draws = ExactDraws::new(ctx);
         let mut stats = SampleStats {
             samples: Vec::with_capacity(count),
@@ -589,10 +732,10 @@ impl<'a> MonteCarloTimer<'a> {
             nodes: vec![RunningMoments::new(); if track_nodes { table.node_count } else { 0 }],
         };
         for _ in 0..count {
-            draws.draw(rng, table, &mut deviate);
-            let worst = table.propagate(&deviate, &mut arrivals);
+            draws.draw(rng, table, deviate.as_flattened_mut());
+            let [worst] = table.propagate(&deviate, &mut arrivals);
             if track_nodes {
-                for (acc, &a) in stats.nodes.iter_mut().zip(&arrivals) {
+                for (acc, &[a]) in stats.nodes.iter_mut().zip(&arrivals) {
                     acc.push(a);
                 }
             }
@@ -729,7 +872,145 @@ mod tests {
     use crate::fullssta::FullSsta;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vartol_netlist::generators::{parity_tree, ripple_carry_adder};
+    use vartol_netlist::generators::{benchmark, parity_tree, preset, ripple_carry_adder};
+
+    impl GateTable {
+        /// The one-sample `propagate` the lane kernel replaced, verbatim.
+        fn oracle_propagate(&self, deviate: &[f64], arrivals: &mut [f64]) -> f64 {
+            for (k, &v) in self.node.iter().enumerate() {
+                let delay = (self.mean[k] + self.sigma[k] * deviate[k]).max(0.0);
+                let arr_in = self.fanins[self.start[k]..self.start[k + 1]]
+                    .iter()
+                    .map(|&f| arrivals[f])
+                    .fold(0.0f64, f64::max);
+                arrivals[v] = arr_in + delay;
+            }
+            self.outputs
+                .iter()
+                .fold(0.0f64, |worst, &o| worst.max(arrivals[o]))
+        }
+    }
+
+    /// The one-chunk count the lane kernel replaced, verbatim but for the
+    /// name of its `propagate`.
+    fn oracle_count_chunk<R: Rng + ?Sized>(
+        table: &GateTable,
+        ctx: &VariationContext,
+        count: usize,
+        rng: &mut R,
+        deadline: f64,
+    ) -> (usize, usize) {
+        let mut arrivals = vec![0.0f64; table.node_count];
+        let mut deviate = vec![0.0f64; table.len()];
+        if !ctx.is_empty() {
+            let mut draws = ExactDraws::new(ctx);
+            let within = (0..count)
+                .filter(|_| {
+                    draws.draw(rng, table, &mut deviate);
+                    table.oracle_propagate(&deviate, &mut arrivals) <= deadline
+                })
+                .count();
+            return (within, count);
+        }
+        let mut u1 = vec![0.0f64; table.len()];
+        let mut u2 = vec![0.0f64; table.len()];
+        let (mut within, mut recomputed) = (0, 0);
+        for _ in 0..count {
+            for (a, b) in u1.iter_mut().zip(&mut u2) {
+                (*a, *b) = box_muller_uniforms(rng);
+            }
+            for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
+                *d = box_muller_fast(a, b);
+            }
+            let fast = table.oracle_propagate(&deviate, &mut arrivals);
+            let band = table.band(fast);
+            if fast + band <= deadline {
+                within += 1;
+            } else if (fast - band).partial_cmp(&deadline) != Some(Ordering::Greater) {
+                // Inside the band (or not a number): redo it exactly.
+                for ((d, &a), &b) in deviate.iter_mut().zip(&u1).zip(&u2) {
+                    *d = box_muller(a, b);
+                }
+                recomputed += 1;
+                if table.oracle_propagate(&deviate, &mut arrivals) <= deadline {
+                    within += 1;
+                }
+            }
+        }
+        (within, recomputed)
+    }
+
+    /// The chunk-at-a-time `count_within` the lane kernel replaced.
+    fn oracle_count_within(
+        timer: &MonteCarloTimer<'_>,
+        netlist: &Netlist,
+        n: usize,
+        deadline: f64,
+    ) -> YieldCount {
+        let timing = CircuitTiming::compute(netlist, timer.library, timer.config);
+        let table = GateTable::new(netlist, &timing);
+        let ctx = VariationContext::new(&timer.config.model, netlist);
+        let (mut within, mut recomputed) = (0, 0);
+        for chunk in 0..n.div_ceil(MC_CHUNK_SAMPLES) {
+            let count = MC_CHUNK_SAMPLES.min(n - chunk * MC_CHUNK_SAMPLES);
+            let mut rng = timer.chunk_rng(chunk);
+            let (w, r) = oracle_count_chunk(&table, &ctx, count, &mut rng, deadline);
+            within += w;
+            recomputed += r;
+        }
+        YieldCount {
+            within,
+            samples: n,
+            recomputed,
+        }
+    }
+
+    #[test]
+    fn lane_kernel_counts_equal_the_one_chunk_oracle() {
+        let lib = Library::synthetic_90nm();
+        let config = SstaConfig::default();
+        // The circuits the service benchmark registers and sends `Yield`
+        // to. 2100 samples are four full chunks and a 52-sample tail: a
+        // one-wide pool counts them as lanes of four then one, a two-wide
+        // pool as four lanes (one idle) then two.
+        let names = [
+            "adder_16", "alu_8", "dag_150", "c432", "mult_8", "cmp_16", "ecc_16", "c880",
+        ];
+        let n = 4 * MC_CHUNK_SAMPLES + 52;
+        for name in names {
+            let netlist = preset(name, &lib)
+                .or_else(|| benchmark(name, &lib))
+                .expect("known circuit");
+            let timer = MonteCarloTimer::new(&lib, &config).with_seed(0x1A7E);
+            let exact = timer.with_threads(1).sample_parallel(&netlist, n);
+            let mut sorted = exact.samples().to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let m = exact.moments();
+            // Sample values (where only the recompute can decide) and
+            // deadlines across the distribution.
+            let deadlines = [0.0, 0.5, 1.0]
+                .map(|p| sorted[((n - 1) as f64 * p).round() as usize])
+                .into_iter()
+                .chain([-2.0, 0.0, 2.0].map(|k| m.mean + k * m.std()));
+            for deadline in deadlines {
+                let oracle = oracle_count_within(&timer, &netlist, n, deadline);
+                assert_eq!(
+                    oracle.within,
+                    exact.samples().iter().filter(|&&s| s <= deadline).count()
+                );
+                for threads in [1, 2] {
+                    let timer = timer.with_threads(threads);
+                    for dispatch in [false, true] {
+                        assert_eq!(
+                            timer.count_with(&netlist, n, deadline, dispatch),
+                            oracle,
+                            "{name}: {deadline:e}, {threads} threads, dispatch {dispatch}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn engines_agree_with_monte_carlo() {

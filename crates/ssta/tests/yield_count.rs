@@ -20,19 +20,34 @@ use vartol_ssta::{MonteCarloTimer, SstaConfig, MC_CHUNK_SAMPLES};
 /// A full chunk and a partial one.
 const SAMPLES: usize = MC_CHUNK_SAMPLES + 77;
 
-/// Checks the count against the exact samples at sample-valued
-/// deadlines, their ulp neighbours and both far tails; returns the
-/// number of at-sample deadlines checked.
+/// Sample counts whose chunks fill lane groups in every shape: one, three,
+/// four, five and nine chunks, each ending in a partial chunk.
+const LANE_SHAPES: [usize; 5] = [300, 1300, 2000, 2100, 4097];
+
+/// [`check_at`] at [`SAMPLES`] samples.
 fn check(netlist: &Netlist, library: &Library, config: &SstaConfig, seed: u64) -> usize {
+    check_at(netlist, library, config, seed, SAMPLES)
+}
+
+/// Checks the count of `n` samples against the exact samples at
+/// sample-valued deadlines, their ulp neighbours and both far tails;
+/// returns the number of at-sample deadlines checked.
+fn check_at(
+    netlist: &Netlist,
+    library: &Library,
+    config: &SstaConfig,
+    seed: u64,
+    n: usize,
+) -> usize {
     let timer = MonteCarloTimer::new(library, config)
         .with_seed(seed)
         .with_threads(1);
-    let exact = timer.sample_parallel(netlist, SAMPLES);
+    let exact = timer.sample_parallel(netlist, n);
     let samples = exact.samples();
     let exact_count = |deadline: f64| samples.iter().filter(|&&s| s <= deadline).count();
     let count = |deadline: f64| {
-        let got = timer.count_within(netlist, SAMPLES, deadline);
-        assert_eq!(got.samples, SAMPLES);
+        let got = timer.count_within(netlist, n, deadline);
+        assert_eq!(got.samples, n);
         assert_eq!(
             got.within,
             exact_count(deadline),
@@ -51,7 +66,7 @@ fn check(netlist: &Netlist, library: &Library, config: &SstaConfig, seed: u64) -
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
             (lo.min(s), hi.max(s))
         });
-    let picks = samples.iter().step_by(SAMPLES / 5).copied().chain([lo, hi]);
+    let picks = samples.iter().step_by(n / 5).copied().chain([lo, hi]);
     for s in picks {
         for deadline in [s.next_down(), s, s.next_up()] {
             let got = count(deadline);
@@ -68,7 +83,7 @@ fn check(netlist: &Netlist, library: &Library, config: &SstaConfig, seed: u64) -
     let spread = (hi - lo).max(1.0);
     for deadline in [lo - spread, 0.0, hi + spread, 2.0 * hi + 1e6] {
         let got = count(deadline);
-        let expected = if correlated { SAMPLES } else { 0 };
+        let expected = if correlated { n } else { 0 };
         assert_eq!(
             got.recomputed,
             expected,
@@ -147,20 +162,45 @@ fn count_matches_exact_samples_under_a_correlated_model() {
 }
 
 #[test]
+fn count_matches_exact_samples_at_every_lane_shape() {
+    // A one-wide pool counts up to four chunks in lockstep lanes: these
+    // sample counts leave one lane alone, three lanes (and an idle one),
+    // a full group with a short last lane, four lanes then one, and two
+    // full groups then one.
+    let lib = Library::synthetic_90nm();
+    let config = SstaConfig::default();
+    let cfg = RandomDagConfig {
+        inputs: 6,
+        gates: 90,
+        window: 12,
+    };
+    let dag = random_dag(cfg, 0x1A7E, &lib);
+    let alu = preset("alu_8", &lib).expect("preset");
+    for n in LANE_SHAPES {
+        assert_ne!(n % MC_CHUNK_SAMPLES, 0, "{n} has a partial chunk");
+        assert!(check_at(&dag, &lib, &config, 0x5EED, n) > 0, "dag at {n}");
+        assert!(check_at(&alu, &lib, &config, 0xA1B, n) > 0, "alu_8 at {n}");
+    }
+}
+
+#[test]
 fn count_is_thread_count_invariant() {
     let lib = Library::synthetic_90nm();
     let config = SstaConfig::default();
     let n = preset("mult_8", &lib).expect("preset");
     let timer = MonteCarloTimer::new(&lib, &config).with_seed(5);
-    let exact = timer.with_threads(1).sample_parallel(&n, SAMPLES);
-    let deadline = exact.samples()[SAMPLES / 2];
-    let one = timer.with_threads(1).count_within(&n, SAMPLES, deadline);
-    for threads in [2, 4] {
-        assert_eq!(
-            timer
-                .with_threads(threads)
-                .count_within(&n, SAMPLES, deadline),
-            one
-        );
+    for samples in [SAMPLES, 2000, 4097] {
+        let exact = timer.with_threads(1).sample_parallel(&n, samples);
+        let deadline = exact.samples()[samples / 2];
+        let one = timer.with_threads(1).count_within(&n, samples, deadline);
+        for threads in [2, 4] {
+            assert_eq!(
+                timer
+                    .with_threads(threads)
+                    .count_within(&n, samples, deadline),
+                one,
+                "{samples} samples, {threads} threads"
+            );
+        }
     }
 }

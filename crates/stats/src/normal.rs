@@ -138,7 +138,10 @@ impl std::fmt::Display for Normal {
 /// fast draws and redo, from the kept uniforms, only the samples whose
 /// fast result lies within the error band of the threshold (the
 /// certified count behind the service's `Yield`, `count_within` on the
-/// Monte Carlo timer).
+/// Monte Carlo timer). That count also runs up to four seeded streams in
+/// lockstep, but each stream still yields its uniforms in this order,
+/// two per gate, so the pairs it transforms are the ones this function
+/// would.
 pub fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let (u1, u2) = box_muller_uniforms(rng);
     box_muller(u1, u2)
