@@ -93,7 +93,20 @@ impl VariationModel {
     #[must_use]
     pub fn sigma(&self, nominal_delay: f64, drive: f64) -> f64 {
         assert!(drive > 0.0, "drive must be positive, got {drive}");
-        let prop = self.k_prop * nominal_delay / drive.powf(self.size_exponent);
+        self.sigma_attenuated(nominal_delay, self.attenuation(drive))
+    }
+
+    /// The drive-strength attenuation of the proportional component,
+    /// `drive^size_exponent`: a per-cell constant that callers timing many
+    /// gates can compute once per cell and pass to
+    /// [`VariationModel::delay_moments_attenuated`].
+    #[must_use]
+    pub fn attenuation(&self, drive: f64) -> f64 {
+        drive.powf(self.size_exponent)
+    }
+
+    fn sigma_attenuated(&self, nominal_delay: f64, attenuation: f64) -> f64 {
+        let prop = self.k_prop * nominal_delay / attenuation;
         (prop * prop + self.sigma_floor * self.sigma_floor).sqrt()
     }
 
@@ -106,6 +119,22 @@ impl VariationModel {
     pub fn delay_moments(&self, nominal_delay: f64, drive: f64) -> Moments {
         assert!(nominal_delay >= 0.0, "nominal delay must be non-negative");
         Moments::from_mean_std(nominal_delay, self.sigma(nominal_delay, drive))
+    }
+
+    /// [`VariationModel::delay_moments`] given the drive's
+    /// [`VariationModel::attenuation`] instead of the drive: the same
+    /// arithmetic, so the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nominal_delay < 0`.
+    #[must_use]
+    pub fn delay_moments_attenuated(&self, nominal_delay: f64, attenuation: f64) -> Moments {
+        assert!(nominal_delay >= 0.0, "nominal delay must be non-negative");
+        Moments::from_mean_std(
+            nominal_delay,
+            self.sigma_attenuated(nominal_delay, attenuation),
+        )
     }
 
     /// The μ→σ coupling constant used by the WNSS sensitivity tracer: the

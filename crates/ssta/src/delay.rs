@@ -10,10 +10,11 @@
 //! * **nominal delay** — the cell's NLDM delay at (input slew, load);
 //! * **delay moments** — the nominal delay widened into a random variable
 //!   by the library's variation model (proportional component shrinking
-//!   with drive strength, plus the random floor).
+//!   with drive strength, plus the random floor). Each library drive's
+//!   attenuation `drive^size_exponent` is computed once per snapshot.
 
 use crate::config::SstaConfig;
-use vartol_liberty::Library;
+use vartol_liberty::{Cell, Library, VariationModel};
 use vartol_netlist::{GateId, Netlist, Subcircuit};
 use vartol_stats::Moments;
 
@@ -43,6 +44,62 @@ pub struct CircuitTiming {
     slews: Vec<f64>,
     nominal_delays: Vec<f64>,
     delay_moments: Vec<Moments>,
+    attenuation: DriveAttenuation,
+}
+
+/// Each library drive's [`VariationModel::attenuation`] under one
+/// variation model, computed once per snapshot so that re-timing a gate
+/// reads it instead of calling `powf` again (the same call, so the same
+/// bits).
+#[derive(Debug, Clone, PartialEq)]
+struct DriveAttenuation {
+    /// The `size_exponent` the table holds.
+    exponent: f64,
+    /// Every distinct positive drive of the library, ascending, with its
+    /// attenuation.
+    drives: Vec<(f64, f64)>,
+}
+
+impl DriveAttenuation {
+    fn new(library: &Library, variation: &VariationModel) -> Self {
+        let mut drives: Vec<(f64, f64)> = library
+            .groups()
+            .iter()
+            .flat_map(|g| g.cells())
+            .map(Cell::drive)
+            .filter(|&d| d > 0.0)
+            .map(|d| (d, variation.attenuation(d)))
+            .collect();
+        drives.sort_by(|a, b| a.0.total_cmp(&b.0));
+        drives.dedup_by(|a, b| a.0.to_bits() == b.0.to_bits());
+        drives.shrink_to_fit();
+        Self {
+            exponent: variation.size_exponent,
+            drives,
+        }
+    }
+
+    /// The delay moments of `cell` at nominal delay `d`: with the table's
+    /// attenuation when it holds this exact drive and exponent, otherwise
+    /// (a cell of another library, another model) from the drive itself.
+    fn delay_moments(&self, variation: &VariationModel, d: f64, cell: &Cell) -> Moments {
+        match self.lookup(variation.size_exponent, cell.drive()) {
+            Some(attenuation) => variation.delay_moments_attenuated(d, attenuation),
+            None => variation.delay_moments(d, cell.drive()),
+        }
+    }
+
+    fn lookup(&self, exponent: f64, drive: f64) -> Option<f64> {
+        if exponent.to_bits() != self.exponent.to_bits() {
+            return None;
+        }
+        // `total_cmp` finds only the drive with these exact bits.
+        let k = self
+            .drives
+            .binary_search_by(|&(d, _)| d.total_cmp(&drive))
+            .ok()?;
+        Some(self.drives[k].1)
+    }
 }
 
 /// One node's freshly computed electrical values, produced by the pure
@@ -62,7 +119,7 @@ impl CircuitTiming {
     /// Computes loads, slews, and delays for the netlist's current sizes.
     #[must_use]
     pub fn compute(netlist: &Netlist, library: &Library, config: &SstaConfig) -> Self {
-        let mut timing = Self::empty(netlist, config);
+        let mut timing = Self::empty(netlist, library, config);
         // Topological node order: fanin slews are fresh by the time each
         // gate is visited, so one forward sweep settles everything.
         for id in netlist.node_ids() {
@@ -73,7 +130,7 @@ impl CircuitTiming {
 
     /// An all-zero snapshot (except primary-input slews) for incremental
     /// construction via [`CircuitTiming::refresh_node`].
-    pub(crate) fn empty(netlist: &Netlist, config: &SstaConfig) -> Self {
+    pub(crate) fn empty(netlist: &Netlist, library: &Library, config: &SstaConfig) -> Self {
         let n = netlist.node_count();
         let mut slews = vec![0.0f64; n];
         for &i in netlist.inputs() {
@@ -84,6 +141,7 @@ impl CircuitTiming {
             slews,
             nominal_delays: vec![0.0f64; n],
             delay_moments: vec![Moments::zero(); n],
+            attenuation: DriveAttenuation::new(library, &config.variation),
         }
     }
 
@@ -139,7 +197,7 @@ impl CircuitTiming {
             .fold(0.0f64, f64::max);
         let d = cell.delay(in_slew, load).max(0.0);
         let slew = cell.output_slew(in_slew, load).max(0.0);
-        let moments = config.variation.delay_moments(d, cell.drive());
+        let moments = self.attenuation.delay_moments(&config.variation, d, cell);
         NodeElectrical {
             load,
             slew,
@@ -266,7 +324,7 @@ impl CircuitTiming {
                 let load = Self::load_of(netlist, library, config, m);
                 let d = cell.delay(in_slew, load).max(0.0);
                 fresh_slews.push(cell.output_slew(in_slew, load).max(0.0));
-                config.variation.delay_moments(d, cell.drive())
+                self.attenuation.delay_moments(&config.variation, d, cell)
             })
             .collect()
     }
@@ -373,6 +431,33 @@ mod tests {
                 (got.mean - want.mean).abs() < 0.15 * want.mean.max(1.0),
                 "member {pos}: {got} vs {want}"
             );
+        }
+    }
+
+    #[test]
+    fn attenuation_table_gives_the_model_bits_for_every_cell() {
+        let lib = Library::synthetic_90nm();
+        for exponent in [1.0, 0.5, 0.0, 0.73] {
+            let model = VariationModel::new(0.35, exponent, 1.5);
+            let table = DriveAttenuation::new(&lib, &model);
+            assert!(table.drives.len() < lib.cell_count());
+            // Another exponent misses the table and takes the drive.
+            let other = VariationModel::new(0.35, exponent + 0.25, 1.5);
+            for cell in lib.groups().iter().flat_map(|g| g.cells()) {
+                for d in [0.0, 1.0, 17.25, 95.5] {
+                    for m in [model, other] {
+                        let want = m.delay_moments(d, cell.drive());
+                        let got = table.delay_moments(&m, d, cell);
+                        assert_eq!(
+                            (got.mean.to_bits(), got.var.to_bits()),
+                            (want.mean.to_bits(), want.var.to_bits()),
+                            "{} d={d} exponent={}",
+                            cell.name(),
+                            m.size_exponent
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -42,7 +42,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// A fixed-width pool of scoped worker threads.
 ///
@@ -56,11 +56,16 @@ pub struct ScopedPool {
 
 impl ScopedPool {
     /// Creates a pool with the given width. `0` means "one worker per
-    /// available CPU" (`std::thread::available_parallelism`).
+    /// available CPU" (`std::thread::available_parallelism`, asked once
+    /// per process: on Linux it reads cgroup files, which can take as long
+    /// as a small incremental refresh).
     #[must_use]
     pub fn new(threads: usize) -> Self {
+        static CPUS: OnceLock<usize> = OnceLock::new();
         let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            *CPUS.get_or_init(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
         } else {
             threads
         };

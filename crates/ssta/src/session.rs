@@ -65,7 +65,11 @@
 //! incremental-equals-scratch contract above. Any later resize, restore,
 //! rebuild or commit drops the log, and so does a refresh with work to
 //! do, so `undo` returns `false` and changes nothing; plain `refresh`
-//! logs nothing. The log is bounded by one refresh's cone.
+//! logs nothing. The log is bounded by one refresh's cone. Dropping the
+//! log or undoing it keeps its buffers for the next undoable refresh, and
+//! the propagation keeps its scratch between refreshes, so on a warm
+//! session a DSTA or FASSTA trial, rejected or kept, allocates nothing
+//! (`tests/refresh_allocations.rs`).
 //!
 //! # Example
 //!
@@ -95,7 +99,6 @@ use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingReport};
 use crate::slack::StatisticalSlacks;
 use crate::state::{CircuitSummary, TimingState, UndoLog};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist, NetlistError};
@@ -121,13 +124,14 @@ pub struct TimingSession {
     netlist: Netlist,
     state: TimingState,
     summary: CircuitSummary,
-    /// Gate indices resized since the last refresh.
-    dirty: BTreeSet<usize>,
+    /// Gate indices resized since the last refresh, ascending.
+    dirty: Vec<usize>,
     /// Sizes as of the last refresh, for no-op resize detection.
     analyzed_sizes: Vec<usize>,
     /// What [`TimingSession::undo`] restores, if the last refresh was
-    /// undoable and nothing has changed since.
-    undo: Option<UndoRecord>,
+    /// undoable and nothing has changed since; otherwise empty buffers
+    /// kept for the next undoable refresh.
+    undo: UndoRecord,
     /// Where [`TimingSession::fork`] branched this session off; `None`
     /// for a session opened by `new`/`with_kind`.
     fork_point: Option<ForkPoint>,
@@ -181,13 +185,25 @@ impl std::fmt::Display for BranchError {
 
 impl std::error::Error for BranchError {}
 
-/// The pre-refresh state an undoable refresh replaced.
-#[derive(Debug, Clone)]
+/// The pre-refresh state an undoable refresh replaced. A discarded record
+/// keeps its buffers for the next undoable refresh.
+#[derive(Debug, Clone, Default)]
 struct UndoRecord {
     state: UndoLog,
-    summary: CircuitSummary,
+    /// The summary before the refresh: `Some` exactly while the record
+    /// can be undone.
+    summary: Option<CircuitSummary>,
     /// `(gate index, analyzed size before the refresh)`.
     sizes: Vec<(usize, usize)>,
+}
+
+impl UndoRecord {
+    /// Forgets the record, keeping its buffers.
+    fn discard(&mut self) {
+        self.state.clear();
+        self.summary = None;
+        self.sizes.clear();
+    }
 }
 
 impl TimingSession {
@@ -230,9 +246,9 @@ impl TimingSession {
             netlist,
             state,
             summary,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             analyzed_sizes,
-            undo: None,
+            undo: UndoRecord::default(),
             fork_point: None,
         }
     }
@@ -332,11 +348,14 @@ impl TimingSession {
     /// Propagates [`Netlist::try_set_size`] errors.
     pub fn try_resize(&mut self, id: GateId, size: usize) -> Result<(), NetlistError> {
         self.netlist.try_set_size(id, size)?;
-        self.undo = None;
-        if self.analyzed_sizes[id.index()] == size {
-            self.dirty.remove(&id.index());
-        } else {
-            self.dirty.insert(id.index());
+        self.undo.discard();
+        let i = id.index();
+        match (self.dirty.binary_search(&i), self.analyzed_sizes[i] == size) {
+            (Ok(at), true) => {
+                self.dirty.remove(at);
+            }
+            (Err(at), false) => self.dirty.insert(at, i),
+            _ => {}
         }
         Ok(())
     }
@@ -377,15 +396,15 @@ impl TimingSession {
     /// Propagates [`Netlist::try_restore_sizes`] errors.
     pub fn try_restore_sizes(&mut self, sizes: &[usize]) -> Result<(), NetlistError> {
         self.netlist.try_restore_sizes(sizes)?;
-        self.undo = None;
-        for id in self.netlist.gate_ids() {
-            let i = id.index();
-            if sizes[i] == self.analyzed_sizes[i] {
-                self.dirty.remove(&i);
-            } else {
-                self.dirty.insert(i);
-            }
-        }
+        self.undo.discard();
+        let analyzed = &self.analyzed_sizes;
+        self.dirty.clear();
+        self.dirty.extend(
+            self.netlist
+                .gate_ids()
+                .map(GateId::index)
+                .filter(|&i| sizes[i] != analyzed[i]),
+        );
         Ok(())
     }
 
@@ -436,7 +455,7 @@ impl TimingSession {
     /// ```
     pub fn refresh_undoable(&mut self) -> Moments {
         if self.dirty.is_empty() {
-            self.undo = None;
+            self.undo.discard();
         } else {
             self.propagate(true);
         }
@@ -449,12 +468,12 @@ impl TimingSession {
     /// nothing when there is no log to undo (nothing was logged, or a
     /// resize, restore, rebuild, commit or working refresh came since).
     pub fn undo(&mut self) -> bool {
-        let Some(record) = self.undo.take() else {
+        let Some(summary) = self.undo.summary.take() else {
             return false;
         };
-        self.state.undo(record.state);
-        self.summary = record.summary;
-        for (i, size) in record.sizes {
+        self.state.undo(&mut self.undo.state);
+        self.summary = summary;
+        for (i, size) in self.undo.sizes.drain(..) {
             self.netlist.set_size(GateId::from_index(i), size);
             self.analyzed_sizes[i] = size;
         }
@@ -464,29 +483,26 @@ impl TimingSession {
     /// Re-times the cone of the dirty gates, logging the overwritten
     /// state for [`TimingSession::undo`] when `undoable`.
     fn propagate(&mut self, undoable: bool) {
-        let mut seeds: BTreeSet<usize> = BTreeSet::new();
-        for &i in &self.dirty {
-            // The resized gate's own drive and delay change, and its
-            // input capacitance changes the load (hence delay and output
-            // slew) of every fanin.
-            seeds.insert(i);
-            for &f in self.netlist.gate(GateId::from_index(i)).fanins() {
-                seeds.insert(f.index());
-            }
-        }
-        let mut log = undoable.then(UndoLog::default);
+        self.undo.discard();
+        // The resized gate's own drive and delay change, and its input
+        // capacitance changes the load (hence delay and output slew) of
+        // every fanin.
+        let netlist = &self.netlist;
+        let seeds = self.dirty.iter().flat_map(|&i| {
+            let fanins = netlist.gate(GateId::from_index(i)).fanins();
+            std::iter::once(i).chain(fanins.iter().map(|f| f.index()))
+        });
         self.state.update(
-            &self.netlist,
+            netlist,
             &self.library,
             &self.config,
             seeds,
-            log.as_mut(),
+            undoable.then_some(&mut self.undo.state),
         );
         let fresh = self.state.circuit(&self.netlist, &self.config);
         let summary = std::mem::replace(&mut self.summary, fresh);
         // Only the dirty gates can differ from the analyzed snapshot, so
         // the bookkeeping stays proportional to the cone.
-        let mut sizes = Vec::new();
         for &i in &self.dirty {
             let size = self
                 .netlist
@@ -495,15 +511,13 @@ impl TimingSession {
                 .expect("dirty nodes are cells");
             let old = std::mem::replace(&mut self.analyzed_sizes[i], size);
             if undoable {
-                sizes.push((i, old));
+                self.undo.sizes.push((i, old));
             }
         }
         self.dirty.clear();
-        self.undo = log.map(|state| UndoRecord {
-            state,
-            summary,
-            sizes,
-        });
+        if undoable {
+            self.undo.summary = Some(summary);
+        }
     }
 
     /// Discards the incremental analysis state and rebuilds it from
@@ -517,7 +531,7 @@ impl TimingSession {
         self.summary = self.state.circuit(&self.netlist, &self.config);
         self.analyzed_sizes = self.netlist.sizes();
         self.dirty.clear();
-        self.undo = None;
+        self.undo.discard();
     }
 
     /// Circuit output moments as of the last refresh.
@@ -645,7 +659,7 @@ impl TimingSession {
         );
         let mut fork = self.clone();
         fork.state.visits = 0;
-        fork.undo = None;
+        fork.undo = UndoRecord::default();
         let sizes = fork.sizes();
         fork.fork_point = Some(ForkPoint {
             fingerprint: crate::fingerprint::size_fingerprint(&sizes),
@@ -777,7 +791,7 @@ impl TimingSession {
         self.state = branch.state;
         self.summary = branch.summary;
         self.analyzed_sizes = branch.analyzed_sizes;
-        self.undo = None;
+        self.undo.discard();
         Ok(self.summary.moments)
     }
 }

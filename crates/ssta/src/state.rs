@@ -84,22 +84,44 @@
 //! change comparison still compares vectors of equal length (one node's
 //! old and new vector).
 //!
+//! # The propagation workspace
+//!
+//! [`TimingState::update`] keeps its scratch in one reused workspace: the
+//! per-level frontier buckets, the level's electrical results, its gate
+//! list with their change flags, and the kernel results (bare [`Moments`]
+//! for DSTA and FASSTA lanes; moments, PDF and bucket vector for
+//! FULLSSTA). Each update clears and refills these instead of allocating
+//! them per level, so once a session's trials have sized them, a DSTA or
+//! FASSTA refresh allocates nothing and a FULLSSTA refresh allocates only
+//! its kernels' results. A from-scratch build ([`TimingState::full`])
+//! seeds every node, so it walks each level's schedule slots instead of a
+//! frontier and chases no fanout, and it drops the workspace when it
+//! returns: its result buffers are as wide as the widest level, while an
+//! incremental refresh needs only its cone's share. A from-scratch
+//! analysis therefore keeps no level-wide buffers, and a copied state (a
+//! fork) starts with an empty workspace and grows its own.
+//!
 //! # Undo
 //!
-//! An update can log every value it overwrites into an [`UndoLog`]:
-//! electrical values, each lane's moments, PDFs and bucket vectors (moved
-//! out, never cloned) and the unconditional mirror.
-//! [`TimingState::undo`] writes them back, so a rejected trial returns to
-//! the exact pre-update state without visiting a node. An update visits
-//! each node at most once, so the log is bounded by the update's cone.
+//! An update can log every value it overwrites into an [`UndoLog`], typed
+//! by what it holds: electrical values per node; lane moments per arena
+//! index (every flavor, `(u32, Moments)`); for FULLSSTA only, each lane's
+//! PDF and bucket vector, moved out, never cloned; and, for conditioned
+//! arenas only, the unconditional mirror. A laneless mirror entry is its
+//! lane-0 moments, so [`TimingState::undo`] rewrites it from the restored
+//! lane instead of logging it. `undo` writes everything back, so a
+//! rejected trial returns to the exact pre-update state without visiting
+//! a node. An update visits each node at most once, so the log is bounded
+//! by the update's cone. `undo` drains the log and [`UndoLog::clear`]
+//! empties it, both keeping the buffers, so a session reuses one log for
+//! every trial.
 
 use crate::config::{CorrelationMode, SstaConfig};
 use crate::delay::{CircuitTiming, NodeElectrical};
 use crate::engine::{EngineKind, TimingReport};
 use crate::pool::ScopedPool;
-use crate::variation::{condition_moments, mix_conditional_moments};
+use crate::variation::{condition_moments, mix_conditional_moments, mix_lanes};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
 use vartol_stats::clark::clark_max_correlated;
@@ -302,62 +324,43 @@ impl LaneArena {
         }
     }
 
-    /// Writes one `(lane, slot)` kernel result and reports whether
-    /// anything observable downstream changed, using the exact legacy
-    /// comparisons (`PartialEq` on moments, PDFs, and bucket vectors).
-    /// The replaced values move into `log` when one is given.
-    fn store(
-        &mut self,
-        kind: EngineKind,
-        lane: usize,
-        slot: usize,
-        value: LaneValue,
-        log: Option<&mut Vec<(usize, LaneValue)>>,
-    ) -> bool {
-        let i = self.idx(lane, slot);
-        let (changed, old) = match kind {
-            EngineKind::Dsta | EngineKind::Fassta => {
-                let changed = value.moments != self.arrivals[i];
-                let old = LaneValue {
-                    moments: std::mem::replace(&mut self.arrivals[i], value.moments),
-                    pdf: None,
-                    contrib: Vec::new(),
-                };
-                (changed, old)
-            }
-            EngineKind::FullSsta => {
-                let pdf = value.pdf.expect("pdf kernels always produce a pdf");
-                let track = self.track();
-                let changed = pdf != self.pdfs[i] || (track && value.contrib != self.contribs[i]);
-                let old = LaneValue {
-                    moments: std::mem::replace(&mut self.arrivals[i], value.moments),
-                    pdf: Some(std::mem::replace(&mut self.pdfs[i], pdf)),
-                    contrib: if track {
-                        std::mem::replace(&mut self.contribs[i], value.contrib)
-                    } else {
-                        Vec::new()
-                    },
-                };
-                (changed, old)
-            }
-            EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
-        };
+    /// Writes one DSTA/FASSTA kernel result at arena index `i` and
+    /// reports whether it changed (`PartialEq` on moments, the legacy
+    /// comparison). The replaced moments go into `log` when one is given.
+    fn store_moments(&mut self, i: usize, value: Moments, log: Option<&mut UndoLog>) -> bool {
+        let changed = value != self.arrivals[i];
+        let old = std::mem::replace(&mut self.arrivals[i], value);
         if let Some(log) = log {
-            log.push((i, old));
+            log.moments.push((arena_index(i), old));
         }
         changed
     }
 
-    /// Writes back one entry saved by [`LaneArena::store`].
-    fn restore(&mut self, i: usize, old: LaneValue) {
-        self.arrivals[i] = old.moments;
-        if let Some(pdf) = old.pdf {
-            self.pdfs[i] = pdf;
+    /// Writes one FULLSSTA kernel result at arena index `i` and reports
+    /// whether anything observable downstream changed (`PartialEq` on
+    /// PDFs and bucket vectors, the legacy comparisons). The replaced
+    /// moments, PDF and bucket vector move into `log` when one is given.
+    fn store_pdf(&mut self, i: usize, value: PdfValue, log: Option<&mut UndoLog>) -> bool {
+        let track = self.track();
+        let changed = value.pdf != self.pdfs[i] || (track && value.contrib != self.contribs[i]);
+        let moments = std::mem::replace(&mut self.arrivals[i], value.moments);
+        let pdf = std::mem::replace(&mut self.pdfs[i], value.pdf);
+        let contrib = if track {
+            std::mem::replace(&mut self.contribs[i], value.contrib)
+        } else {
+            Vec::new()
+        };
+        if let Some(log) = log {
+            log.moments.push((arena_index(i), moments));
+            log.pdfs.push((arena_index(i), pdf, contrib));
         }
-        if self.track() {
-            self.contribs[i] = old.contrib;
-        }
+        changed
     }
+}
+
+/// An arena index as the undo log stores it.
+fn arena_index(i: usize) -> u32 {
+    u32::try_from(i).expect("lanes × nodes fit in u32")
 }
 
 /// Slot-addressed read access to one lane's arrival state, keyed by node
@@ -391,27 +394,72 @@ impl<'a> LaneView<'a> {
     }
 }
 
-/// One `(node, lane)` kernel result, produced by the pure compute phase
-/// and written back by [`LaneArena::store`] in the join phase.
-#[derive(Debug, Clone)]
-struct LaneValue {
+/// One `(node, lane)` FULLSSTA kernel result, produced by the pure
+/// compute phase and moved into the arena by [`LaneArena::store_pdf`] in
+/// the join phase. DSTA and FASSTA kernels produce bare [`Moments`].
+#[derive(Debug)]
+struct PdfValue {
+    /// The PDF's own moments.
     moments: Moments,
-    /// `Some` for `FullSsta` kernels only.
-    pdf: Option<DiscretePdf>,
+    pdf: DiscretePdf,
     /// Empty unless tracking level buckets.
     contrib: Vec<f64>,
 }
 
 /// The values one logged [`TimingState::update`] overwrote, for
-/// [`TimingState::undo`] (see the [module docs](self#undo)).
+/// [`TimingState::undo`] (see the [module docs](self#undo)). Its
+/// buffers are meant to be reused: [`TimingState::undo`] drains them and
+/// [`UndoLog::clear`] empties them, both keeping their capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UndoLog {
     /// Node index → electrical values before the update.
     electrical: Vec<(u32, NodeElectrical)>,
-    /// Arena index → lane values before the update.
-    lanes: Vec<(usize, LaneValue)>,
-    /// Node index → unconditional mirror entry before the update.
+    /// Arena index → lane moments before the update (every flavor).
+    moments: Vec<(u32, Moments)>,
+    /// Arena index → FULLSSTA PDF and bucket vector (empty unless
+    /// tracking) before the update, moved out.
+    pdfs: Vec<(u32, DiscretePdf, Vec<f64>)>,
+    /// Node index → unconditional mirror entry before the update;
+    /// conditioned arenas only (a laneless mirror is its lane).
     mirror: Vec<(u32, Moments)>,
+}
+
+impl UndoLog {
+    /// Forgets the logged values, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.electrical.clear();
+        self.moments.clear();
+        self.pdfs.clear();
+        self.mirror.clear();
+    }
+}
+
+/// The scratch of [`TimingState::update`], kept between updates so that a
+/// warm incremental refresh allocates none of it (see the
+/// [module docs](self#the-propagation-workspace)).
+#[derive(Debug, Default)]
+struct Workspace {
+    /// Level → frontier node indices, unsorted and possibly repeated until
+    /// the level runs.
+    frontier: Vec<Vec<u32>>,
+    /// Fresh electrical values of the running level's nodes.
+    electrical: Vec<NodeElectrical>,
+    /// The running level's gates (inputs left out), each with whether
+    /// its electrical values changed.
+    gates: Vec<(u32, bool)>,
+    /// DSTA and FASSTA kernel results, lane-major over `gates`.
+    moments: Vec<Moments>,
+    /// FULLSSTA kernel results, lane-major over `gates`.
+    pdfs: Vec<PdfValue>,
+    /// Whether each kernel result changed its slot, lane-major.
+    changed: Vec<bool>,
+}
+
+impl Clone for Workspace {
+    /// A copied state starts with empty scratch: a fork grows its own.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// Per-node propagation state for one engine flavor.
@@ -432,6 +480,8 @@ pub(crate) struct TimingState {
     arena: LaneArena,
     /// Residual variance fraction after conditioning (1 without lanes).
     resid: f64,
+    /// Reused update scratch; empty after [`TimingState::full`].
+    workspace: Workspace,
 }
 
 impl TimingState {
@@ -451,7 +501,7 @@ impl TimingState {
         let arena = LaneArena::build(kind, config, &schedule);
         let mut state = Self {
             kind,
-            timing: CircuitTiming::empty(netlist, config),
+            timing: CircuitTiming::empty(netlist, library, config),
             arrivals: vec![Moments::zero(); n],
             visits: 0,
             schedule,
@@ -468,15 +518,26 @@ impl TimingState {
             } else {
                 config.model.conditioned_residual_fraction()
             },
+            workspace: Workspace::default(),
         };
-        state.update(netlist, library, config, (0..n).collect(), None);
+        state.sweep(
+            netlist,
+            library,
+            config,
+            None::<std::ops::Range<usize>>,
+            None,
+        );
+        // A from-scratch build fills scratch as wide as the widest level;
+        // an incremental refresh needs only its cone's share, so keep none.
+        state.workspace = Workspace::default();
         state
     }
 
     /// Propagates a seed set level by level, recomputing electrical and
-    /// arrival state and chasing changes into the fanout cone. Returns
-    /// the number of nodes visited. With a `log`, every overwritten value
-    /// is saved there for [`TimingState::undo`].
+    /// arrival state and chasing changes into the fanout cone. Seeds may
+    /// come in any order and repeat. Returns the number of nodes visited.
+    /// With a `log`, every overwritten value is saved there for
+    /// [`TimingState::undo`].
     ///
     /// Each level runs compute (parallel when wide, inline when narrow)
     /// then a serial node-ordered join; see the module docs for why the
@@ -487,145 +548,213 @@ impl TimingState {
         netlist: &Netlist,
         library: &Library,
         config: &SstaConfig,
-        queue: BTreeSet<usize>,
+        seeds: impl IntoIterator<Item = usize>,
+        log: Option<&mut UndoLog>,
+    ) -> u64 {
+        self.sweep(netlist, library, config, Some(seeds), log)
+    }
+
+    /// [`TimingState::update`], where `None` seeds every node (the
+    /// from-scratch build): each level's nodes are then its schedule
+    /// slots, already in ascending index order, and no fanout is chased
+    /// into a frontier, since every node is visited anyway.
+    fn sweep<I: IntoIterator<Item = usize>>(
+        &mut self,
+        netlist: &Netlist,
+        library: &Library,
+        config: &SstaConfig,
+        seeds: Option<I>,
         mut log: Option<&mut UndoLog>,
     ) -> u64 {
         let pool = ScopedPool::new(config.threads);
         let levels = self.schedule.level_count();
-        let mut frontier: Vec<Vec<u32>> = vec![Vec::new(); levels];
-        for i in queue {
-            frontier[self.schedule.level_of[i]].push(u32::try_from(i).expect("node index"));
+        let lanes = self.arena.lanes();
+        let kind = self.kind;
+        let every = seeds.is_none();
+        let mut ws = std::mem::take(&mut self.workspace);
+        if let Some(seeds) = seeds {
+            ws.frontier.resize_with(levels, Vec::new);
+            for i in seeds {
+                ws.frontier[self.schedule.level_of[i]].push(u32::try_from(i).expect("node index"));
+            }
         }
         let mut visited = 0u64;
         for level in 0..levels {
-            let mut nodes = std::mem::take(&mut frontier[level]);
-            if nodes.is_empty() {
+            let mut bucket = Vec::new();
+            let nodes: &[u32] = if every {
+                &self.schedule.order[self.schedule.starts[level]..self.schedule.starts[level + 1]]
+            } else if ws.frontier[level].is_empty() {
                 continue;
-            }
-            // Seeds arrive sorted (BTreeSet order) but fanout pushes from
-            // lower levels appended after them in discovery order.
-            nodes.sort_unstable();
-            nodes.dedup();
+            } else {
+                bucket = std::mem::take(&mut ws.frontier[level]);
+                // Seeds and fanout pushes from lower levels arrive in
+                // discovery order.
+                bucket.sort_unstable();
+                bucket.dedup();
+                &bucket
+            };
             visited += nodes.len() as u64;
 
             // Phase 1a: electrical compute — pure against the snapshot,
             // since fanin slews live at lower levels (already applied)
             // and loads read only the netlist's sizes.
             let timing = &self.timing;
-            let electrical = run_level(&pool, nodes.len(), |k| {
-                timing.compute_node(
-                    netlist,
-                    library,
-                    config,
-                    GateId::from_index(nodes[k] as usize),
-                )
-            });
-            // Join 1a: bit-compare writes, ascending node order.
-            let mut elec_changed = Vec::with_capacity(nodes.len());
-            for (k, fresh) in electrical.into_iter().enumerate() {
-                let id = GateId::from_index(nodes[k] as usize);
+            run_level(
+                &pool,
+                nodes.len(),
+                |k| {
+                    let id = GateId::from_index(nodes[k] as usize);
+                    timing.compute_node(netlist, library, config, id)
+                },
+                &mut ws.electrical,
+            );
+            // Join 1a: bit-compare writes, ascending node order. Primary
+            // inputs carry no arrival state and never chase fanouts
+            // (their load is bookkeeping only) — same as the legacy
+            // worklist's early `continue`.
+            ws.gates.clear();
+            for (&i, &fresh) in nodes.iter().zip(&ws.electrical) {
+                let id = GateId::from_index(i as usize);
                 if let Some(log) = log.as_deref_mut() {
-                    log.electrical.push((nodes[k], self.timing.node(id)));
+                    log.electrical.push((i, self.timing.node(id)));
                 }
                 let (slew_changed, delay_changed) = self.timing.apply_node(netlist, id, fresh);
-                elec_changed.push(slew_changed || delay_changed);
+                if !netlist.gate(id).is_input() {
+                    ws.gates.push((i, slew_changed || delay_changed));
+                }
             }
-
-            // Primary inputs carry no arrival state and never chase
-            // fanouts (their load is bookkeeping only) — same as the
-            // legacy worklist's early `continue`.
-            let gates: Vec<(u32, bool)> = nodes
-                .iter()
-                .zip(&elec_changed)
-                .filter(|&(&i, _)| !netlist.gate(GateId::from_index(i as usize)).is_input())
-                .map(|(&i, &c)| (i, c))
-                .collect();
-            if gates.is_empty() {
+            if !every {
+                bucket.clear();
+                ws.frontier[level] = bucket;
+            }
+            if ws.gates.is_empty() {
                 continue;
             }
 
             // Phase 1b: arrival kernels over (node × lane) work items —
             // conditioning lanes are independent parallel work, so a
             // w-node level with q lanes exposes w·q-way parallelism.
-            let lanes = self.arena.lanes();
-            let m = gates.len();
+            let m = ws.gates.len();
+            let items = m * lanes;
             let arena = &self.arena;
             let schedule = &self.schedule;
             let timing = &self.timing;
             let resid = self.resid;
-            let kind = self.kind;
-            let values = run_level(&pool, m * lanes, |t| {
-                let (lane, k) = (t / m, t % m);
-                let id = GateId::from_index(gates[k].0 as usize);
-                let view = arena.lane(lane, schedule);
-                match kind {
-                    EngineKind::Dsta => lane_nominal(netlist, timing, id, &view),
-                    EngineKind::Fassta => lane_moments(netlist, timing, id, resid, &view),
-                    EngineKind::FullSsta => {
+            let gates = &ws.gates;
+            let item = |t: usize| {
+                let id = GateId::from_index(gates[t % m].0 as usize);
+                (id, arena.lane(t / m, schedule))
+            };
+            match kind {
+                EngineKind::Dsta => run_level(
+                    &pool,
+                    items,
+                    |t| {
+                        let (id, view) = item(t);
+                        lane_nominal(netlist, timing, id, &view)
+                    },
+                    &mut ws.moments,
+                ),
+                EngineKind::Fassta => run_level(
+                    &pool,
+                    items,
+                    |t| {
+                        let (id, view) = item(t);
+                        lane_moments(netlist, timing, id, resid, &view)
+                    },
+                    &mut ws.moments,
+                ),
+                EngineKind::FullSsta => run_level(
+                    &pool,
+                    items,
+                    |t| {
+                        let (id, view) = item(t);
                         lane_pdf(netlist, config, timing, schedule, id, resid, &view)
-                    }
-                    EngineKind::MonteCarlo => {
-                        unreachable!("monte carlo has no propagation state")
-                    }
-                }
-            });
+                    },
+                    &mut ws.pdfs,
+                ),
+                EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
+            }
 
             // Join 1b: store every (lane, node) result with the legacy
             // change comparisons, then refresh the unconditional mirror
             // and chase the fanouts of changed nodes.
-            let mut item_changed = vec![false; m * lanes];
-            for (t, value) in values.into_iter().enumerate() {
-                let (lane, k) = (t / m, t % m);
-                let slot = self.schedule.slot(GateId::from_index(gates[k].0 as usize));
-                let lanes_log = log.as_deref_mut().map(|l| &mut l.lanes);
-                item_changed[t] = self.arena.store(kind, lane, slot, value, lanes_log);
+            ws.changed.clear();
+            let slot = |k: usize| {
+                self.schedule
+                    .slot(GateId::from_index(ws.gates[k].0 as usize))
+            };
+            if kind == EngineKind::FullSsta {
+                for (t, value) in ws.pdfs.drain(..).enumerate() {
+                    let i = self.arena.idx(t / m, slot(t % m));
+                    let changed = self.arena.store_pdf(i, value, log.as_deref_mut());
+                    ws.changed.push(changed);
+                }
+            } else {
+                for (t, &value) in ws.moments.iter().enumerate() {
+                    let i = self.arena.idx(t / m, slot(t % m));
+                    let changed = self.arena.store_moments(i, value, log.as_deref_mut());
+                    ws.changed.push(changed);
+                }
             }
-            for (k, &(i, electrical)) in gates.iter().enumerate() {
+            for (k, &(i, electrical)) in ws.gates.iter().enumerate() {
                 let id = GateId::from_index(i as usize);
                 let slot = self.schedule.slot(id);
                 let mut changed = electrical;
                 for lane in 0..lanes {
-                    changed |= item_changed[lane * m + k];
-                }
-                if let Some(log) = log.as_deref_mut() {
-                    log.mirror.push((i, self.arrivals[i as usize]));
+                    changed |= ws.changed[lane * m + k];
                 }
                 if self.arena.conditioned {
-                    let mixed = mix_conditional_moments((0..lanes).map(|lane| {
-                        (
-                            self.arena.weights[lane],
-                            self.arena.arrivals[self.arena.idx(lane, slot)],
-                        )
-                    }));
+                    if let Some(log) = log.as_deref_mut() {
+                        log.mirror.push((i, self.arrivals[i as usize]));
+                    }
+                    let arena = &self.arena;
+                    let mixed =
+                        mix_lanes((0..lanes).map(|lane| {
+                            (arena.weights[lane], arena.arrivals[arena.idx(lane, slot)])
+                        }));
                     changed |= mixed != self.arrivals[i as usize];
                     self.arrivals[i as usize] = mixed;
                 } else {
                     self.arrivals[i as usize] = self.arena.arrivals[slot];
                 }
-                if changed {
+                if changed && !every {
                     for &f in netlist.gate(id).fanouts() {
-                        frontier[self.schedule.level_of[f.index()]]
+                        ws.frontier[self.schedule.level_of[f.index()]]
                             .push(u32::try_from(f.index()).expect("node index"));
                     }
                 }
             }
         }
+        self.workspace = ws;
         self.visits += visited;
         visited
     }
 
     /// Writes back every value a logged [`TimingState::update`]
-    /// overwrote, newest first. Nothing is recomputed, so `visits` does
-    /// not move.
-    pub fn undo(&mut self, log: UndoLog) {
-        for (i, saved) in log.electrical.into_iter().rev() {
+    /// overwrote, newest first, and leaves `log` empty with its buffers
+    /// kept. A laneless mirror entry is rewritten from its restored lane.
+    /// Nothing is recomputed, so `visits` does not move.
+    pub fn undo(&mut self, log: &mut UndoLog) {
+        for (i, saved) in log.electrical.drain(..).rev() {
             self.timing
                 .restore_node(GateId::from_index(i as usize), saved);
         }
-        for (i, old) in log.lanes.into_iter().rev() {
-            self.arena.restore(i, old);
+        let track = self.arena.track();
+        for (i, pdf, contrib) in log.pdfs.drain(..).rev() {
+            self.arena.pdfs[i as usize] = pdf;
+            if track {
+                self.arena.contribs[i as usize] = contrib;
+            }
         }
-        for (i, m) in log.mirror.into_iter().rev() {
+        for (i, m) in log.moments.drain(..).rev() {
+            self.arena.arrivals[i as usize] = m;
+            if !self.arena.conditioned {
+                // Laneless, the arena index is the slot.
+                self.arrivals[self.schedule.order[i as usize] as usize] = m;
+            }
+        }
+        for (i, m) in log.mirror.drain(..).rev() {
             self.arrivals[i as usize] = m;
         }
     }
@@ -856,18 +985,20 @@ impl TimingState {
     }
 }
 
-/// Runs `job` over `0..tasks`, fanning out over the pool only when the
-/// level is wide enough to amortize the spawn cost
-/// ([`PARALLEL_LEVEL_MIN`]); narrow levels run inline.
-fn run_level<T, F>(pool: &ScopedPool, tasks: usize, job: F) -> Vec<T>
+/// Runs `job` over `0..tasks` into `out` (cleared first, capacity
+/// kept), fanning out over the pool only when the level is wide enough
+/// to amortize the spawn cost ([`PARALLEL_LEVEL_MIN`]); narrow levels
+/// run inline.
+fn run_level<T, F>(pool: &ScopedPool, tasks: usize, job: F, out: &mut Vec<T>)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    out.clear();
     if tasks >= PARALLEL_LEVEL_MIN && pool.threads() > 1 {
-        pool.map(tasks, job)
+        out.extend(pool.map(tasks, job));
     } else {
-        (0..tasks).map(job).collect()
+        out.extend((0..tasks).map(job));
     }
 }
 
@@ -878,7 +1009,7 @@ fn lane_nominal(
     timing: &CircuitTiming,
     id: GateId,
     view: &LaneView<'_>,
-) -> LaneValue {
+) -> Moments {
     let g = netlist.gate(id);
     let worst_in = g
         .fanins()
@@ -886,11 +1017,7 @@ fn lane_nominal(
         .map(|&f| view.arrival(f).mean)
         .fold(0.0f64, f64::max);
     let delay = timing.nominal_delay(id) + timing.delay_moments(id).var.sqrt() * view.shift();
-    LaneValue {
-        moments: Moments::new(worst_in + delay, 0.0),
-        pdf: None,
-        contrib: Vec::new(),
-    }
+    Moments::new(worst_in + delay, 0.0)
 }
 
 /// The FASSTA per-node kernel in one lane: moment propagation with
@@ -901,7 +1028,7 @@ fn lane_moments(
     id: GateId,
     resid: f64,
     view: &LaneView<'_>,
-) -> LaneValue {
+) -> Moments {
     let g = netlist.gate(id);
     let arrival = g
         .fanins()
@@ -909,12 +1036,7 @@ fn lane_moments(
         .map(|&f| view.arrival(f))
         .reduce(fast_max_moments)
         .unwrap_or_else(Moments::zero);
-    let moments = arrival + condition_moments(timing.delay_moments(id), view.shift(), resid);
-    LaneValue {
-        moments,
-        pdf: None,
-        contrib: Vec::new(),
-    }
+    arrival + condition_moments(timing.delay_moments(id), view.shift(), resid)
 }
 
 /// The FULLSSTA per-node kernel in one lane: discrete-PDF propagation
@@ -928,7 +1050,7 @@ fn lane_pdf(
     id: GateId,
     resid: f64,
     view: &LaneView<'_>,
-) -> LaneValue {
+) -> PdfValue {
     let g = netlist.gate(id);
     let n = config.pdf_samples;
     let track = view.arena.track();
@@ -963,9 +1085,9 @@ fn lane_pdf(
     if track {
         v[level] += delay_m.var;
     }
-    LaneValue {
+    PdfValue {
         moments: pdf.moments(),
-        pdf: Some(pdf),
+        pdf,
         contrib: v,
     }
 }

@@ -504,12 +504,18 @@ pub fn condition_moments(m: Moments, shift: f64, resid: f64) -> Moments {
 #[must_use]
 pub fn mix_conditional_moments(lanes: impl Iterator<Item = (f64, Moments)>) -> Moments {
     let lanes: Vec<(f64, Moments)> = lanes.collect();
+    mix_lanes(lanes.iter().copied())
+}
+
+/// [`mix_conditional_moments`] over an iterator it can walk twice, so
+/// nothing is collected: the propagation join's per-node mixture.
+pub(crate) fn mix_lanes(lanes: impl Iterator<Item = (f64, Moments)> + Clone) -> Moments {
     let mut mean = 0.0f64;
-    for (w, m) in &lanes {
+    for (w, m) in lanes.clone() {
         mean += w * m.mean;
     }
     let mut var = 0.0f64;
-    for (w, m) in &lanes {
+    for (w, m) in lanes {
         let d = m.mean - mean;
         var += w * (m.var + d * d);
     }

@@ -1,0 +1,221 @@
+//! Allocation counts of a session's incremental refresh. Once a session
+//! has run a trial, its propagation scratch and undo buffers are sized:
+//!
+//! - under DSTA and FASSTA a rejected trial (`resize`,
+//!   `refresh_undoable`, `undo`) and a kept one (`resize`,
+//!   `refresh_undoable`) allocate nothing;
+//! - under FULLSSTA they allocate only the kernels' results: per visited
+//!   node its delay PDF, its sum and its bucket vector, per extra fanin
+//!   one max and its blended bucket vector, and the same for the
+//!   circuit's reduction over the outputs.
+//!
+//! These run laneless (the default model) at pool width 1: a
+//! conditioned circuit reduction collects its per-lane values, and a
+//! wide level fans out over spawned threads, which free on their own
+//! thread some blocks this one allocated. A from-scratch build keeps no
+//! level-wide scratch: a new session holds exactly the blocks its fork
+//! copies.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use vartol_liberty::Library;
+use vartol_netlist::generators::{random_dag, RandomDagConfig};
+use vartol_netlist::{GateId, Netlist};
+use vartol_ssta::{CorrelationMode, EngineKind, SstaConfig, TimingSession};
+
+/// The system allocator, counting each thread's allocations and live
+/// blocks.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counters are const-initialized thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        let _ = LIVE.try_with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - 1));
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with how many more blocks are live on
+/// this thread afterwards.
+fn held<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
+}
+
+fn dag(gates: usize, seed: u64, lib: &Library) -> Netlist {
+    random_dag(
+        RandomDagConfig {
+            inputs: 32,
+            gates,
+            window: 64,
+        },
+        seed,
+        lib,
+    )
+}
+
+/// Every 97th resizable gate, with a size other than its own.
+fn trial_gates(session: &TimingSession) -> Vec<(GateId, usize, usize)> {
+    let n = session.netlist();
+    n.gate_ids()
+        .step_by(97)
+        .filter_map(|g| {
+            let gate = n.gate(g);
+            let len = session
+                .library()
+                .group(gate.function()?, gate.fanins().len())?
+                .len();
+            let size = gate.size()?;
+            (len > 1).then_some((g, size, (size + 1) % len))
+        })
+        .collect()
+}
+
+/// Allocations and node visits of each trial in one pass over `gates`:
+/// a rejected trial, then a kept one that a second kept trial reverts,
+/// so the pass ends at the sizes it started from.
+fn trial_pass(
+    session: &mut TimingSession,
+    gates: &[(GateId, usize, usize)],
+) -> Vec<(&'static str, usize, u64)> {
+    let mut rows = Vec::new();
+    for &(g, original, other) in gates {
+        let mut trial = |what, size| {
+            let visits = session.recompute_count();
+            let ((), allocs) = counted(|| {
+                session.resize(g, size);
+                session.refresh_undoable();
+                if what == "rejected" {
+                    assert!(session.undo());
+                }
+            });
+            rows.push((what, allocs, session.recompute_count() - visits));
+        };
+        trial("rejected", other);
+        trial("kept", other);
+        trial("kept back", original);
+    }
+    rows
+}
+
+/// A warm session: one pass sizes the buffers, so the second pass, over
+/// the same cones, must not grow them.
+fn warm_trials(
+    kind: EngineKind,
+    config: SstaConfig,
+) -> (TimingSession, Vec<(&'static str, usize, u64)>) {
+    let lib = Arc::new(Library::synthetic_90nm());
+    let n = dag(2_000, 0xA110C, &lib);
+    let mut session = TimingSession::with_kind(lib, config.with_threads(1), n, kind);
+    let gates = trial_gates(&session);
+    assert!(gates.len() >= 15, "{} trial gates", gates.len());
+    let before = session.sizes();
+    trial_pass(&mut session, &gates);
+    let rows = trial_pass(&mut session, &gates);
+    assert_eq!(session.sizes(), before);
+    assert!(rows.iter().all(|&(_, _, visits)| visits > 0));
+    (session, rows)
+}
+
+#[test]
+fn warm_dsta_and_fassta_trials_allocate_nothing() {
+    for kind in [EngineKind::Dsta, EngineKind::Fassta] {
+        let (_, rows) = warm_trials(kind, SstaConfig::default());
+        for (k, (what, allocs, visits)) in rows.into_iter().enumerate() {
+            assert_eq!(allocs, 0, "{kind} trial {k} ({what}, {visits} visits)");
+        }
+    }
+}
+
+#[test]
+fn warm_fullssta_trials_allocate_only_kernel_results() {
+    for correlation in [CorrelationMode::LevelBuckets, CorrelationMode::Independent] {
+        let config = SstaConfig::default().with_correlation(correlation);
+        let (session, rows) = warm_trials(EngineKind::FullSsta, config);
+        let n = session.netlist();
+        let track = usize::from(correlation == CorrelationMode::LevelBuckets);
+        let max_fanin = n
+            .gate_ids()
+            .map(|g| n.gate(g).fanins().len())
+            .max()
+            .unwrap_or(1);
+        // Per visit: the delay PDF and the sum (two vectors each), the
+        // bucket vector, and per extra fanin a max (two vectors) and its
+        // blend. The circuit reduction: a max and a blend per output
+        // past the first, or one copy of a single output's PDF.
+        let per_visit = 4 + track + (max_fanin - 1) * (2 + track);
+        let circuit = n.outputs().len() * (2 + track) + 2;
+        for (k, (what, allocs, visits)) in rows.into_iter().enumerate() {
+            let bound = visits as usize * per_visit + circuit;
+            assert!(
+                allocs <= bound,
+                "{correlation:?} trial {k} ({what}): {allocs} allocations, \
+                 bound {bound} for {visits} visits"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_new_session_holds_no_level_wide_scratch() {
+    let lib = Arc::new(Library::synthetic_90nm());
+    let n = dag(2_500, 0x5C7A, &lib);
+    // FULLSSTA's PDF kernels keep their per-thread scratch after the
+    // first call; size it before counting.
+    let config = SstaConfig::default().with_threads(1);
+    drop(TimingSession::new(
+        Arc::clone(&lib),
+        config.clone(),
+        n.clone(),
+    ));
+    for kind in [EngineKind::Dsta, EngineKind::Fassta, EngineKind::FullSsta] {
+        let config = config.clone();
+        let netlist = n.clone();
+        let (_, netlist_blocks) = held(|| netlist.clone());
+        let (_, config_blocks) = held(|| config.clone());
+        let (session, session_blocks) =
+            held(|| TimingSession::with_kind(Arc::clone(&lib), config, netlist, kind));
+        // A fork copies every block the session holds, except scratch it
+        // starts without, plus its own netlist and config and the
+        // fork-point sizes.
+        let (fork, fork_blocks) = held(|| session.fork());
+        assert_eq!(
+            session_blocks + netlist_blocks + config_blocks + 1,
+            fork_blocks,
+            "{kind}: the session holds blocks its fork does not copy"
+        );
+        drop(fork);
+    }
+}

@@ -9,9 +9,17 @@
 //! electrical values, circuit moments and PDF, worst output and every
 //! node's report PDF. `undo` never visits a node, and with nothing to
 //! undo it returns `false` and changes nothing.
+//!
+//! The node visits of every session build and every step (its
+//! `recompute_count` delta) must also equal
+//! `tests/fixtures/trial_undo_visits.txt`: the refresh layer's
+//! deterministic work counter. Regenerate it with
+//! `cargo test -p vartol-ssta --test trial_undo -- --ignored` only when a
+//! change to what a refresh visits is intended and documented.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use vartol_liberty::Library;
 use vartol_netlist::generators::{random_dag, RandomDagConfig};
 use vartol_netlist::iscas::parse_bench;
@@ -20,6 +28,11 @@ use vartol_ssta::{CorrelationMode, EngineKind, SstaConfig, TimingSession, Variat
 use vartol_stats::{DiscretePdf, Moments};
 
 const KINDS: [EngineKind; 3] = [EngineKind::Dsta, EngineKind::Fassta, EngineKind::FullSsta];
+
+const VISITS_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/trial_undo_visits.txt"
+);
 
 /// Laneless, die-to-die conditioned, and level-bucket configurations.
 fn configs() -> [(&'static str, SstaConfig); 3] {
@@ -119,7 +132,9 @@ fn resizable(netlist: &Netlist, lib: &Library) -> Vec<(GateId, usize)> {
 }
 
 /// Runs one seeded operation sequence and returns how many undos
-/// actually reverted a trial.
+/// actually reverted a trial, with the node visits of the build and of
+/// each step. With `pinned`, every one of those counts must equal its
+/// pinned value.
 fn run_sequence(
     lib: &Library,
     config: &SstaConfig,
@@ -127,12 +142,35 @@ fn run_sequence(
     netlist: &Netlist,
     seed: u64,
     steps: usize,
-) -> usize {
+    pinned: Option<&[u64]>,
+) -> (usize, Vec<u64>) {
     let gates = resizable(netlist, lib);
     assert!(!gates.is_empty(), "{}: nothing to resize", netlist.name());
     let mut session = TimingSession::with_kind(lib, config.clone(), netlist.clone(), kind);
     let mut rng = StdRng::seed_from_u64(seed);
     let what = |step: usize| format!("{} {kind} seed {seed} step {step}", netlist.name());
+    // visits[0] is the build, visits[s + 1] step s; each entry is checked
+    // when the next step starts (a step may `continue`) or after the loop.
+    let mut visits = vec![session.recompute_count()];
+    let mut counted = session.recompute_count();
+    let mut close_step = |session: &TimingSession, visits: &mut Vec<u64>| {
+        let delta = session.recompute_count() - counted;
+        counted = session.recompute_count();
+        visits.push(delta);
+    };
+    let check = |visits: &[u64]| {
+        if let Some(pinned) = pinned {
+            let at = visits.len() - 1;
+            assert_eq!(
+                visits[at],
+                pinned[at],
+                "{}: node visits moved",
+                at.checked_sub(1)
+                    .map_or_else(|| what(0) + " (build)", &what)
+            );
+        }
+    };
+    check(&visits);
 
     // The state as of the last refresh that did work (or an undo), and
     // the state an undo would return to, if the log is still live.
@@ -142,6 +180,10 @@ fn run_sequence(
     let mut reverted = 0;
 
     for step in 0..steps {
+        if step > 0 {
+            close_step(&session, &mut visits);
+            check(&visits);
+        }
         let op = rng.gen_range(0..10u8);
         match op {
             0 | 1 => {
@@ -212,52 +254,134 @@ fn run_sequence(
             }
         }
     }
-    reverted
+    if steps > 0 {
+        close_step(&session, &mut visits);
+        check(&visits);
+    }
+    (reverted, visits)
 }
 
-fn check_all_engines(lib: &Library, netlist: &Netlist, seed: u64, steps: usize) {
+/// The pinned visit counts, keyed by `"<circuit> <config> <kind> <seed>"`.
+fn pinned_visits() -> HashMap<String, Vec<u64>> {
+    let text = std::fs::read_to_string(VISITS_PATH)
+        .unwrap_or_else(|e| panic!("{VISITS_PATH}: {e} (run the ignored regeneration test)"));
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (key, counts) = l.split_once(':').expect("`key: counts`");
+            let counts = counts
+                .split_whitespace()
+                .map(|c| c.parse().expect("a visit count"))
+                .collect();
+            (key.to_owned(), counts)
+        })
+        .collect()
+}
+
+/// Runs every configuration and engine on one circuit; returns the
+/// fixture line of each run.
+fn check_all_engines(
+    lib: &Library,
+    netlist: &Netlist,
+    seed: u64,
+    steps: usize,
+    pinned: Option<&HashMap<String, Vec<u64>>>,
+) -> Vec<String> {
+    let mut lines = Vec::new();
     for (name, config) in configs() {
         for kind in KINDS {
-            let reverted = run_sequence(lib, &config, kind, netlist, seed, steps);
+            let key = format!("{} {name} {kind} {seed:#x}", netlist.name());
+            let want = pinned.map(|p| {
+                p.get(&key)
+                    .unwrap_or_else(|| panic!("{key}: not pinned"))
+                    .as_slice()
+            });
+            let (reverted, visits) = run_sequence(lib, &config, kind, netlist, seed, steps, want);
             assert!(
                 reverted > 0,
                 "{} {name} {kind}: the sequence must undo something",
                 netlist.name()
             );
+            let counts: Vec<String> = visits.iter().map(u64::to_string).collect();
+            lines.push(format!("{key}: {}", counts.join(" ")));
         }
     }
+    lines
+}
+
+fn random_dag_cases(lib: &Library) -> Vec<(Netlist, u64, usize)> {
+    (0..4u64)
+        .map(|seed| {
+            let cfg = RandomDagConfig {
+                inputs: 4 + seed as usize,
+                gates: 30 + 25 * seed as usize,
+                window: 3 + 4 * seed as usize,
+            };
+            (random_dag(cfg, seed, lib), 0x7a1 ^ seed, 60)
+        })
+        .collect()
+}
+
+fn shipped_bench_cases() -> Vec<(Netlist, u64, usize)> {
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data");
+    let mut paths: Vec<_> = std::fs::read_dir(data)
+        .expect("data directory")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "bench"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path).expect("readable");
+            let name = path.file_stem().expect("stem").to_string_lossy();
+            let n = parse_bench(&text, &name).expect("parses").endpoint_marked();
+            (n, 0xbe7c, 40)
+        })
+        .collect()
 }
 
 #[test]
 fn undo_restores_the_pre_trial_state_on_random_dags() {
     let lib = Library::synthetic_90nm();
-    for seed in 0..4u64 {
-        let cfg = RandomDagConfig {
-            inputs: 4 + seed as usize,
-            gates: 30 + 25 * seed as usize,
-            window: 3 + 4 * seed as usize,
-        };
-        let n = random_dag(cfg, seed, &lib);
-        check_all_engines(&lib, &n, 0x7a1 ^ seed, 60);
+    let pinned = pinned_visits();
+    for (n, seed, steps) in random_dag_cases(&lib) {
+        check_all_engines(&lib, &n, seed, steps, Some(&pinned));
     }
 }
 
 #[test]
 fn undo_restores_the_pre_trial_state_on_shipped_benches() {
     let lib = Library::synthetic_90nm();
-    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data");
-    let mut benches = 0;
-    for entry in std::fs::read_dir(data).expect("data directory") {
-        let path = entry.expect("entry").path();
-        if path.extension().is_some_and(|e| e == "bench") {
-            let text = std::fs::read_to_string(&path).expect("readable");
-            let name = path.file_stem().expect("stem").to_string_lossy();
-            let n = parse_bench(&text, &name).expect("parses").endpoint_marked();
-            check_all_engines(&lib, &n, 0xbe7c, 40);
-            benches += 1;
+    let pinned = pinned_visits();
+    let cases = shipped_bench_cases();
+    assert!(cases.len() >= 5, "found {} .bench files", cases.len());
+    for (n, seed, steps) in cases {
+        check_all_engines(&lib, &n, seed, steps, Some(&pinned));
+    }
+}
+
+/// Rewrites the visit fixture from the current implementation; run only
+/// for an intended, documented change to what a refresh visits.
+#[test]
+#[ignore = "rewrites the trial visit fixture; run only for an intended change in node visits"]
+fn regenerate_trial_visit_fixture() {
+    let lib = Library::synthetic_90nm();
+    let mut text = String::from(
+        "# Node visits (recompute_count deltas) of the seeded trial_undo\n\
+         # histories: the session build, then each step. See\n\
+         # crates/ssta/tests/trial_undo.rs for the cases.\n",
+    );
+    let cases = random_dag_cases(&lib)
+        .into_iter()
+        .chain(shipped_bench_cases());
+    for (n, seed, steps) in cases {
+        for line in check_all_engines(&lib, &n, seed, steps, None) {
+            text.push_str(&line);
+            text.push('\n');
         }
     }
-    assert!(benches >= 5, "found {benches} .bench files");
+    std::fs::write(VISITS_PATH, text).expect("fixture write");
 }
 
 #[test]
