@@ -50,6 +50,13 @@ fn bench_engines(c: &mut Criterion) {
                 black_box(session.refresh())
             });
         });
+        // What a `Fork` or a `WhatIf` worker pays before its first trial:
+        // a copy of the session's flat state.
+        group.bench_with_input(BenchmarkId::new("session_fork", name), &base, |b, base| {
+            let session =
+                TimingSession::with_kind(&lib, config.clone(), base.clone(), EngineKind::FullSsta);
+            b.iter(|| black_box(session.fork()));
+        });
         group.bench_with_input(BenchmarkId::new("from_scratch", name), &base, |b, base| {
             let mut n = base.clone();
             let engine = FullSsta::new(&lib, &config);

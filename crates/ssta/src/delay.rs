@@ -42,7 +42,7 @@ use vartol_stats::Moments;
 pub struct CircuitTiming {
     loads: Vec<f64>,
     slews: Vec<f64>,
-    nominal_delays: Vec<f64>,
+    /// Per node; the mean is the nominal delay.
     delay_moments: Vec<Moments>,
     attenuation: DriveAttenuation,
 }
@@ -111,7 +111,7 @@ impl DriveAttenuation {
 pub(crate) struct NodeElectrical {
     pub load: f64,
     pub slew: f64,
-    pub nominal_delay: f64,
+    /// The mean is the nominal delay.
     pub delay_moments: Moments,
 }
 
@@ -139,7 +139,6 @@ impl CircuitTiming {
         Self {
             loads: vec![0.0f64; n],
             slews,
-            nominal_delays: vec![0.0f64; n],
             delay_moments: vec![Moments::zero(); n],
             attenuation: DriveAttenuation::new(library, &config.variation),
         }
@@ -185,7 +184,6 @@ impl CircuitTiming {
             return NodeElectrical {
                 load,
                 slew: self.slews[id.index()],
-                nominal_delay: 0.0,
                 delay_moments: Moments::zero(),
             };
         }
@@ -201,7 +199,6 @@ impl CircuitTiming {
         NodeElectrical {
             load,
             slew,
-            nominal_delay: d,
             delay_moments: moments,
         }
     }
@@ -222,10 +219,8 @@ impl CircuitTiming {
             return (false, false);
         }
         let slew_changed = fresh.slew.to_bits() != self.slews[id.index()].to_bits();
-        let delay_changed = fresh.delay_moments != self.delay_moments[id.index()]
-            || fresh.nominal_delay.to_bits() != self.nominal_delays[id.index()].to_bits();
+        let delay_changed = fresh.delay_moments != self.delay_moments[id.index()];
         self.slews[id.index()] = fresh.slew;
-        self.nominal_delays[id.index()] = fresh.nominal_delay;
         self.delay_moments[id.index()] = fresh.delay_moments;
         (slew_changed, delay_changed)
     }
@@ -237,7 +232,6 @@ impl CircuitTiming {
         NodeElectrical {
             load: self.loads[i],
             slew: self.slews[i],
-            nominal_delay: self.nominal_delays[i],
             delay_moments: self.delay_moments[i],
         }
     }
@@ -247,7 +241,6 @@ impl CircuitTiming {
         let i = id.index();
         self.loads[i] = saved.load;
         self.slews[i] = saved.slew;
-        self.nominal_delays[i] = saved.nominal_delay;
         self.delay_moments[i] = saved.delay_moments;
     }
 
@@ -275,10 +268,12 @@ impl CircuitTiming {
         self.slews[id.index()]
     }
 
-    /// Nominal delay through gate `id` (0 for primary inputs).
+    /// Nominal delay through gate `id` (0 for primary inputs): the mean
+    /// of its [`delay_moments`](Self::delay_moments), which keep the
+    /// nominal delay as their mean.
     #[must_use]
     pub fn nominal_delay(&self, id: GateId) -> f64 {
-        self.nominal_delays[id.index()]
+        self.delay_moments[id.index()].mean
     }
 
     /// Random-variable delay of gate `id` (zero moments for inputs).

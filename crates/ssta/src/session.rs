@@ -193,6 +193,9 @@ struct UndoRecord {
     /// The summary before the refresh: `Some` exactly while the record
     /// can be undone.
     summary: Option<CircuitSummary>,
+    /// A summary no one reads any more, whose PDF buffers the next
+    /// refresh reduces into.
+    spare: Option<CircuitSummary>,
     /// `(gate index, analyzed size before the refresh)`.
     sizes: Vec<(usize, usize)>,
 }
@@ -201,7 +204,9 @@ impl UndoRecord {
     /// Forgets the record, keeping its buffers.
     fn discard(&mut self) {
         self.state.clear();
-        self.summary = None;
+        if let Some(summary) = self.summary.take() {
+            self.spare = Some(summary);
+        }
         self.sizes.clear();
     }
 }
@@ -472,7 +477,7 @@ impl TimingSession {
             return false;
         };
         self.state.undo(&mut self.undo.state);
-        self.summary = summary;
+        self.undo.spare = Some(std::mem::replace(&mut self.summary, summary));
         for (i, size) in self.undo.sizes.drain(..) {
             self.netlist.set_size(GateId::from_index(i), size);
             self.analyzed_sizes[i] = size;
@@ -499,7 +504,13 @@ impl TimingSession {
             seeds,
             undoable.then_some(&mut self.undo.state),
         );
-        let fresh = self.state.circuit(&self.netlist, &self.config);
+        let mut fresh = self
+            .undo
+            .spare
+            .take()
+            .unwrap_or_else(|| self.summary.clone());
+        self.state
+            .circuit_into(&self.netlist, &self.config, &mut fresh);
         let summary = std::mem::replace(&mut self.summary, fresh);
         // Only the dirty gates can differ from the analyzed snapshot, so
         // the bookkeeping stays proportional to the cone.
@@ -517,6 +528,8 @@ impl TimingSession {
         self.dirty.clear();
         if undoable {
             self.undo.summary = Some(summary);
+        } else {
+            self.undo.spare = Some(summary);
         }
     }
 
@@ -657,15 +670,23 @@ impl TimingSession {
             "fork requires a refreshed session (pending resizes would \
              make the frozen snapshot inconsistent)"
         );
-        let mut fork = self.clone();
-        fork.state.visits = 0;
-        fork.undo = UndoRecord::default();
-        let sizes = fork.sizes();
-        fork.fork_point = Some(ForkPoint {
-            fingerprint: crate::fingerprint::size_fingerprint(&sizes),
-            sizes,
-        });
-        fork
+        let mut state = self.state.clone();
+        state.visits = 0;
+        let sizes = self.sizes();
+        TimingSession {
+            library: Arc::clone(&self.library),
+            config: self.config.clone(),
+            netlist: self.netlist.clone(),
+            state,
+            summary: self.summary.clone(),
+            dirty: Vec::new(),
+            analyzed_sizes: self.analyzed_sizes.clone(),
+            undo: UndoRecord::default(),
+            fork_point: Some(ForkPoint {
+                fingerprint: crate::fingerprint::size_fingerprint(&sizes),
+                sizes,
+            }),
+        }
     }
 
     fn fork_point(&self) -> &ForkPoint {

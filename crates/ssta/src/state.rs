@@ -7,9 +7,10 @@
 //! discrete PDFs with optional per-level correlation buckets). Arrival
 //! state lives in a struct-of-arrays [`LaneArena`]: nodes are permuted
 //! once at levelization into **level-contiguous slots**
-//! ([`LevelSchedule`]) and each conditioning lane's moments/PDFs/bucket
-//! vectors are flat arrays indexed by `lane * nodes + slot`, so a level's
-//! kernels read their fanins from the adjacent lower-level span instead
+//! ([`LevelSchedule`]) and the lanes' moments, PDFs and bucket vectors
+//! are flat arrays in **arena order**, `slot · lanes + lane`, so a
+//! level's entries (every lane's) are one run above every lower level's
+//! and its kernels read their fanins from the lower-level span instead
 //! of chasing node indices across the whole array.
 //!
 //! # Level-frontier propagation
@@ -66,14 +67,31 @@
 //! visits each frontier node once and refreshes all lanes for it, so a
 //! resize still only recomputes the affected fanout cone.
 //!
+//! # FULLSSTA state in flat slabs
+//!
+//! A FULLSSTA arena holds no heap block per node. Its PDFs live in one
+//! slab: each `(lane, slot)` owns a fixed stride of `2·pdf_samples`
+//! `f64`s (support values, then masses) plus a point count. A stored PDF
+//! never has more than `pdf_samples` points, because every kernel ends
+//! in a rebin to that many points, an `n`-point normal or a point mass.
+//! The kernels are the slice forms of `vartol_stats` ([`PdfOut`]): they
+//! read borrowed PDFs and write into the caller's stride, so a node
+//! visit allocates nothing: an incremental refresh's kernels write into
+//! the level's reused result buffers, which the join compares with the
+//! slots and copies in, and a from-scratch build's kernels write
+//! straight into the level's slots, split off the lower levels they
+//! read. Reports build their [`DiscretePdf`]s from the slab at the end.
+//!
 //! # Level-prefix buckets
 //!
 //! Under [`CorrelationMode::LevelBuckets`] each `(lane, node)` carries a
 //! per-level variance vector for the FULLSSTA overlap correlation. A
-//! node at level `L` stores exactly `L + 1` entries (levels `0..=L`), in
-//! one allocation of exactly that capacity, instead of one entry per
-//! circuit level. The answers are those of the full-length layout bit
-//! for bit, because every entry above a node's level would be `+0.0`
+//! node at level `L` stores exactly `L + 1` entries (levels `0..=L`)
+//! instead of one entry per circuit level, in one bucket slab in arena
+//! order. Slots are sorted by level, so lane `q` of slot `s` at level `L`
+//! starts at `base[L] + ((s − starts[L])·lanes + q)·(L + 1)` and needs
+//! no offset of its own. The answers are those of the full-length layout
+//! bit for bit, because every entry above a node's level would be `+0.0`
 //! there: inputs start at `+0.0`, a blend `t·0 + (1−t)·0` with
 //! `t ∈ [0, 1]` stays `+0.0`, and a node adds its delay variance only at
 //! its own level. So [`correlated_max`] blends vectors of unequal length
@@ -89,44 +107,48 @@
 //! [`TimingState::update`] keeps its scratch in one reused workspace: the
 //! per-level frontier buckets, the level's electrical results, its gate
 //! list with their change flags, and the kernel results (bare [`Moments`]
-//! for DSTA and FASSTA lanes; moments, PDF and bucket vector for
-//! FULLSSTA). Each update clears and refills these instead of allocating
-//! them per level, so once a session's trials have sized them, a DSTA or
-//! FASSTA refresh allocates nothing and a FULLSSTA refresh allocates only
-//! its kernels' results. A from-scratch build ([`TimingState::full`])
-//! seeds every node, so it walks each level's schedule slots instead of a
-//! frontier and chases no fanout, and it drops the workspace when it
-//! returns: its result buffers are as wide as the widest level, while an
-//! incremental refresh needs only its cone's share. A from-scratch
-//! analysis therefore keeps no level-wide buffers, and a copied state (a
-//! fork) starts with an empty workspace and grows its own.
+//! for DSTA and FASSTA lanes; for FULLSSTA, moments and point counts
+//! beside one PDF stride and one `level + 1` bucket vector per result,
+//! in two flat buffers). Each update clears and refills these instead of
+//! allocating them per level, and the kernels' own temporaries (the
+//! running max of a fanin fold, a gate's delay PDF) are reused per
+//! thread, so once a session's trials have sized them, a refresh of any
+//! flavor allocates nothing. A from-scratch build ([`TimingState::full`])
+//! seeds every node, so it walks each level's schedule slots instead of
+//! a frontier, chases no fanout and writes FULLSSTA results straight
+//! into their slots, and it drops the workspace when it returns: its
+//! buffers are as wide as the widest level, while an incremental refresh
+//! needs only its cone's share. A from-scratch analysis therefore keeps
+//! no level-wide buffers, and a copied state (a fork) starts with an
+//! empty workspace and grows its own.
 //!
 //! # Undo
 //!
 //! An update can log every value it overwrites into an [`UndoLog`], typed
 //! by what it holds: electrical values per node; lane moments per arena
-//! index (every flavor, `(u32, Moments)`); for FULLSSTA only, each lane's
-//! PDF and bucket vector, moved out, never cloned; and, for conditioned
-//! arenas only, the unconditional mirror. A laneless mirror entry is its
-//! lane-0 moments, so [`TimingState::undo`] rewrites it from the restored
-//! lane instead of logging it. `undo` writes everything back, so a
-//! rejected trial returns to the exact pre-update state without visiting
-//! a node. An update visits each node at most once, so the log is bounded
-//! by the update's cone. `undo` drains the log and [`UndoLog::clear`]
-//! empties it, both keeping the buffers, so a session reuses one log for
-//! every trial.
+//! index (every flavor, `(u32, Moments)`); for FULLSSTA only, each
+//! slot's old points and bucket prefix, copied into flat buffers; and,
+//! for conditioned arenas only, the unconditional mirror. A laneless
+//! mirror entry is its lane-0 moments, so [`TimingState::undo`] rewrites
+//! it from the restored lane instead of logging it. `undo` writes
+//! everything back, so a rejected trial returns to the exact pre-update
+//! state without visiting a node. An update visits each node at most
+//! once, so the log is bounded by the update's cone. `undo` and
+//! [`UndoLog::clear`] empty the log, keeping the buffers, so a session
+//! reuses one log for every trial.
 
 use crate::config::{CorrelationMode, SstaConfig};
 use crate::delay::{CircuitTiming, NodeElectrical};
 use crate::engine::{EngineKind, TimingReport};
 use crate::pool::ScopedPool;
 use crate::variation::{condition_moments, mix_conditional_moments, mix_lanes};
-use std::borrow::Cow;
+use std::cell::RefCell;
+use std::ops::Range;
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
 use vartol_stats::clark::clark_max_correlated;
 use vartol_stats::fast_max::fast_max_moments;
-use vartol_stats::{DiscretePdf, Moments};
+use vartol_stats::{DiscretePdf, Moments, PdfOut, PdfRef};
 
 /// Minimum per-level work items (frontier nodes × lanes) before the
 /// compute phase fans out over the pool; narrower levels run inline on
@@ -215,6 +237,11 @@ impl LevelSchedule {
         self.slot_of[id.index()] as usize
     }
 
+    /// Level of the node in a slot.
+    fn slot_level(&self, slot: usize) -> usize {
+        self.level_of[self.order[slot] as usize]
+    }
+
     /// Widest level (the parallelism ceiling of one propagation).
     pub(crate) fn max_width(&self) -> usize {
         (0..self.level_count())
@@ -224,10 +251,115 @@ impl LevelSchedule {
     }
 }
 
-/// Struct-of-arrays arrival storage: per lane, flat slot-indexed arrays
-/// of moments (all flavors), PDFs (`FullSsta`), and per-level variance
-/// buckets (`FullSsta` + [`CorrelationMode::LevelBuckets`]; see the
-/// [module docs](self#level-prefix-buckets) for their layout).
+/// FULLSSTA's arrival PDFs and level buckets in flat slabs, indexed like
+/// the arena's moments ([`LaneArena::idx`]); empty for other flavors.
+/// PDF entry `i` is one stride of `2·cap` values in the [`PdfOut::new`]
+/// layout (support values, then masses) plus its point count. Every
+/// stored PDF fits, since every kernel ends in a rebin to `cap` points, a
+/// `cap`-point normal or a point mass (module docs).
+#[derive(Debug, Clone, Default)]
+struct Slabs {
+    /// Points per PDF at most: the config's `pdf_samples`.
+    cap: usize,
+    points: Vec<f64>,
+    lens: Vec<u32>,
+    /// Every entry's bucket vector at [`LaneArena::bucket_span`]; empty
+    /// unless tracking level buckets.
+    buckets: Vec<f64>,
+}
+
+impl Slabs {
+    /// `entries` point masses at `0.0`, the value of a PDF no kernel has
+    /// written, and `buckets` entries of `+0.0`.
+    fn new(cap: usize, entries: usize, buckets: usize) -> Self {
+        let mut points = vec![0.0; 2 * cap * entries];
+        for stride in points.chunks_exact_mut(2 * cap) {
+            stride[cap] = 1.0;
+        }
+        Self {
+            cap,
+            points,
+            lens: vec![1; entries],
+            buckets: vec![0.0; buckets],
+        }
+    }
+
+    /// `f64`s per PDF entry.
+    fn stride(&self) -> usize {
+        2 * self.cap
+    }
+
+    fn view(&self) -> SlabView<'_> {
+        SlabView {
+            stride: self.stride(),
+            points: &self.points,
+            lens: &self.lens,
+            buckets: &self.buckets,
+        }
+    }
+
+    /// Copies `pdf` into entry `i`.
+    fn set_pdf(&mut self, i: usize, pdf: PdfRef<'_>) {
+        let s = self.stride();
+        PdfOut::new(&mut self.points[i * s..(i + 1) * s]).copy(pdf);
+        self.lens[i] = point_count(pdf.len());
+    }
+
+    /// Writes one FULLSSTA kernel result — the PDF's moments into
+    /// `arrival`, the PDF into entry `i`, the bucket vector at `span` —
+    /// and reports whether anything observable downstream changed
+    /// (`PartialEq` on PDFs and bucket vectors, the legacy comparisons).
+    /// The replaced values are copied into `log` when one is given.
+    fn store(
+        &mut self,
+        i: usize,
+        span: Range<usize>,
+        arrival: &mut Moments,
+        (moments, pdf, bucket): (Moments, PdfRef<'_>, &[f64]),
+        log: Option<&mut UndoLog>,
+    ) -> bool {
+        let old = self.view().pdf(i);
+        let changed = pdf != old || bucket != &self.buckets[span.clone()];
+        if let Some(log) = log {
+            log.moments.push((arena_index(i), *arrival));
+            log.pdfs.push((arena_index(i), point_count(old.len())));
+            log.pdf_points.extend_from_slice(old.values());
+            log.pdf_points.extend_from_slice(old.probs());
+            log.buckets.extend_from_slice(&self.buckets[span.clone()]);
+        }
+        *arrival = moments;
+        self.set_pdf(i, pdf);
+        self.buckets[span].copy_from_slice(bucket);
+        changed
+    }
+}
+
+/// Read access to [`Slabs`], or (in a from-scratch build's kernels) to
+/// the part of them below the running level.
+#[derive(Debug, Clone, Copy)]
+struct SlabView<'a> {
+    stride: usize,
+    points: &'a [f64],
+    lens: &'a [u32],
+    buckets: &'a [f64],
+}
+
+impl<'a> SlabView<'a> {
+    fn pdf(&self, i: usize) -> PdfRef<'a> {
+        let s = self.stride;
+        PdfRef::from_stride(&self.points[i * s..(i + 1) * s], self.lens[i] as usize)
+    }
+}
+
+/// A PDF's point count as the slab and the undo log store it.
+fn point_count(len: usize) -> u32 {
+    u32::try_from(len).expect("pdf point counts fit in u32")
+}
+
+/// Struct-of-arrays arrival storage: flat arrays of moments (all
+/// flavors) indexed by [`LaneArena::idx`], plus the layout of the
+/// FULLSSTA [`Slabs`] beside them (see the
+/// [module docs](self#level-prefix-buckets) for the buckets').
 ///
 /// Laneless propagation is lane 0 with `shift = 0, weight = 1` — same
 /// storage, same kernels, bit-identical arithmetic to the pre-arena
@@ -239,16 +371,12 @@ pub(crate) struct LaneArena {
     shifts: Vec<f64>,
     /// Per-lane quadrature weights.
     weights: Vec<f64>,
-    /// `lane * nodes + slot` → arrival moments.
+    /// Arena index → arrival moments.
     arrivals: Vec<Moments>,
-    /// `lane * nodes + slot` → arrival PDF; empty unless `FullSsta`.
-    pdfs: Vec<DiscretePdf>,
-    /// `lane * nodes + slot` → per-level variance contributions of
-    /// levels `0..=level` of the slot's node: exactly `level + 1`
-    /// entries, allocated at exactly that capacity. Higher levels are
-    /// implicitly `+0.0` (module docs). Empty unless tracking level
-    /// buckets.
-    contribs: Vec<Vec<f64>>,
+    /// Level → bucket-slab offset of its first slot's first lane;
+    /// `bucket_base[level_count]` is the slab's length. Empty unless
+    /// tracking level buckets.
+    bucket_base: Vec<usize>,
     /// Whether the lanes are real Gauss–Hermite conditioning lanes
     /// (true) or the single implicit laneless lane (false) — picks the
     /// reconvergence damping and whether reports must mix lanes.
@@ -256,7 +384,7 @@ pub(crate) struct LaneArena {
 }
 
 impl LaneArena {
-    fn build(kind: EngineKind, config: &SstaConfig, schedule: &LevelSchedule) -> Self {
+    fn build(kind: EngineKind, config: &SstaConfig, schedule: &LevelSchedule) -> (Self, Slabs) {
         let nodes = schedule.order.len();
         let track =
             kind == EngineKind::FullSsta && config.correlation == CorrelationMode::LevelBuckets;
@@ -268,26 +396,32 @@ impl LaneArena {
             (s, w, true)
         };
         let lanes = shifts.len();
-        Self {
+        let bucket_base: Vec<usize> = if track {
+            // A level-`l` slot holds `l + 1` entries per lane.
+            std::iter::once(0)
+                .chain((0..schedule.level_count()).scan(0, |base, l| {
+                    *base += (schedule.starts[l + 1] - schedule.starts[l]) * lanes * (l + 1);
+                    Some(*base)
+                }))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let slabs = if kind == EngineKind::FullSsta {
+            let buckets = bucket_base.last().copied().unwrap_or(0);
+            Slabs::new(config.pdf_samples, lanes * nodes, buckets)
+        } else {
+            Slabs::default()
+        };
+        let arena = Self {
             nodes,
             shifts,
             weights,
             arrivals: vec![Moments::zero(); lanes * nodes],
-            pdfs: if kind == EngineKind::FullSsta {
-                vec![DiscretePdf::deterministic(0.0); lanes * nodes]
-            } else {
-                Vec::new()
-            },
-            contribs: if track {
-                (0..lanes)
-                    .flat_map(|_| &schedule.order)
-                    .map(|&node| vec![0.0; schedule.level_of[node as usize] + 1])
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            bucket_base,
             conditioned,
-        }
+        };
+        (arena, slabs)
     }
 
     /// Number of lanes (1 when laneless).
@@ -297,7 +431,7 @@ impl LaneArena {
 
     /// Whether per-level variance buckets are tracked.
     fn track(&self) -> bool {
-        !self.contribs.is_empty()
+        !self.bucket_base.is_empty()
     }
 
     /// The reconvergence-overlap damping of this arena's kernels:
@@ -311,16 +445,50 @@ impl LaneArena {
         }
     }
 
+    /// The arena index of `(lane, slot)`: slot-major, so a level's
+    /// entries, every lane's, are one contiguous run above all lower
+    /// levels' (laneless, the index is the slot).
     fn idx(&self, lane: usize, slot: usize) -> usize {
-        lane * self.nodes + slot
+        slot * self.lanes() + lane
     }
 
-    /// A read view of one lane, for the kernels and circuit reductions.
-    fn lane<'a>(&'a self, lane: usize, schedule: &'a LevelSchedule) -> LaneView<'a> {
+    /// Where the buckets of `(lane, slot)` live in the bucket slab, for
+    /// a slot at `level`: entries are in arena order, `level + 1` per
+    /// entry of a level. Empty unless tracking.
+    fn bucket_span(
+        &self,
+        lane: usize,
+        slot: usize,
+        level: usize,
+        schedule: &LevelSchedule,
+    ) -> Range<usize> {
+        if !self.track() {
+            return 0..0;
+        }
+        let start = self.bucket_base[level]
+            + (self.idx(lane, slot) - self.idx(0, schedule.starts[level])) * (level + 1);
+        start..start + level + 1
+    }
+
+    /// [`LaneArena::bucket_span`] of arena index `i`.
+    fn bucket_span_of(&self, i: usize, schedule: &LevelSchedule) -> Range<usize> {
+        let (slot, lane) = (i / self.lanes(), i % self.lanes());
+        self.bucket_span(lane, slot, schedule.slot_level(slot), schedule)
+    }
+
+    /// A read view of one lane over `slabs`, for the kernels and circuit
+    /// reductions.
+    fn lane<'a>(
+        &'a self,
+        lane: usize,
+        schedule: &'a LevelSchedule,
+        slabs: SlabView<'a>,
+    ) -> LaneView<'a> {
         LaneView {
             arena: self,
             lane,
             schedule,
+            slabs,
         }
     }
 
@@ -332,27 +500,6 @@ impl LaneArena {
         let old = std::mem::replace(&mut self.arrivals[i], value);
         if let Some(log) = log {
             log.moments.push((arena_index(i), old));
-        }
-        changed
-    }
-
-    /// Writes one FULLSSTA kernel result at arena index `i` and reports
-    /// whether anything observable downstream changed (`PartialEq` on
-    /// PDFs and bucket vectors, the legacy comparisons). The replaced
-    /// moments, PDF and bucket vector move into `log` when one is given.
-    fn store_pdf(&mut self, i: usize, value: PdfValue, log: Option<&mut UndoLog>) -> bool {
-        let track = self.track();
-        let changed = value.pdf != self.pdfs[i] || (track && value.contrib != self.contribs[i]);
-        let moments = std::mem::replace(&mut self.arrivals[i], value.moments);
-        let pdf = std::mem::replace(&mut self.pdfs[i], value.pdf);
-        let contrib = if track {
-            std::mem::replace(&mut self.contribs[i], value.contrib)
-        } else {
-            Vec::new()
-        };
-        if let Some(log) = log {
-            log.moments.push((arena_index(i), moments));
-            log.pdfs.push((arena_index(i), pdf, contrib));
         }
         changed
     }
@@ -370,6 +517,7 @@ pub(crate) struct LaneView<'a> {
     arena: &'a LaneArena,
     lane: usize,
     schedule: &'a LevelSchedule,
+    slabs: SlabView<'a>,
 }
 
 impl<'a> LaneView<'a> {
@@ -377,12 +525,19 @@ impl<'a> LaneView<'a> {
         self.arena.arrivals[self.arena.idx(self.lane, self.schedule.slot(id))]
     }
 
-    fn pdf(&self, id: GateId) -> &'a DiscretePdf {
-        &self.arena.pdfs[self.arena.idx(self.lane, self.schedule.slot(id))]
+    fn pdf(&self, id: GateId) -> PdfRef<'a> {
+        self.slabs
+            .pdf(self.arena.idx(self.lane, self.schedule.slot(id)))
     }
 
     fn contrib(&self, id: GateId) -> &'a [f64] {
-        &self.arena.contribs[self.arena.idx(self.lane, self.schedule.slot(id))]
+        let span = self.arena.bucket_span(
+            self.lane,
+            self.schedule.slot(id),
+            self.schedule.level(id),
+            self.schedule,
+        );
+        &self.slabs.buckets[span]
     }
 
     fn shift(&self) -> f64 {
@@ -394,31 +549,24 @@ impl<'a> LaneView<'a> {
     }
 }
 
-/// One `(node, lane)` FULLSSTA kernel result, produced by the pure
-/// compute phase and moved into the arena by [`LaneArena::store_pdf`] in
-/// the join phase. DSTA and FASSTA kernels produce bare [`Moments`].
-#[derive(Debug)]
-struct PdfValue {
-    /// The PDF's own moments.
-    moments: Moments,
-    pdf: DiscretePdf,
-    /// Empty unless tracking level buckets.
-    contrib: Vec<f64>,
-}
-
 /// The values one logged [`TimingState::update`] overwrote, for
 /// [`TimingState::undo`] (see the [module docs](self#undo)). Its
-/// buffers are meant to be reused: [`TimingState::undo`] drains them and
-/// [`UndoLog::clear`] empties them, both keeping their capacity.
+/// buffers are meant to be reused: [`TimingState::undo`] and
+/// [`UndoLog::clear`] empty them, keeping their capacity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UndoLog {
     /// Node index → electrical values before the update.
     electrical: Vec<(u32, NodeElectrical)>,
     /// Arena index → lane moments before the update (every flavor).
     moments: Vec<(u32, Moments)>,
-    /// Arena index → FULLSSTA PDF and bucket vector (empty unless
-    /// tracking) before the update, moved out.
-    pdfs: Vec<(u32, DiscretePdf, Vec<f64>)>,
+    /// Arena index → point count of its FULLSSTA PDF before the update;
+    /// the points follow one another in `pdf_points` (values, then
+    /// masses).
+    pdfs: Vec<(u32, u32)>,
+    pdf_points: Vec<f64>,
+    /// The bucket vectors of `pdfs`' entries before the update, one after
+    /// another; empty unless tracking.
+    buckets: Vec<f64>,
     /// Node index → unconditional mirror entry before the update;
     /// conditioned arenas only (a laneless mirror is its lane).
     mirror: Vec<(u32, Moments)>,
@@ -430,6 +578,8 @@ impl UndoLog {
         self.electrical.clear();
         self.moments.clear();
         self.pdfs.clear();
+        self.pdf_points.clear();
+        self.buckets.clear();
         self.mirror.clear();
     }
 }
@@ -449,8 +599,12 @@ struct Workspace {
     gates: Vec<(u32, bool)>,
     /// DSTA and FASSTA kernel results, lane-major over `gates`.
     moments: Vec<Moments>,
-    /// FULLSSTA kernel results, lane-major over `gates`.
-    pdfs: Vec<PdfValue>,
+    /// FULLSSTA kernel results, lane-major over `gates`: each PDF's
+    /// moments and point count; the PDF itself is one stride of `pdfs`
+    /// and its bucket vector `level + 1` entries of `buckets`.
+    kernel: Vec<(Moments, usize)>,
+    pdfs: Vec<f64>,
+    buckets: Vec<f64>,
     /// Whether each kernel result changed its slot, lane-major.
     changed: Vec<bool>,
 }
@@ -478,6 +632,8 @@ pub(crate) struct TimingState {
     pub(crate) schedule: LevelSchedule,
     /// The SoA arrival storage.
     arena: LaneArena,
+    /// FULLSSTA's PDFs and buckets.
+    slabs: Slabs,
     /// Residual variance fraction after conditioning (1 without lanes).
     resid: f64,
     /// Reused update scratch; empty after [`TimingState::full`].
@@ -498,7 +654,7 @@ impl TimingState {
         );
         let n = netlist.node_count();
         let schedule = LevelSchedule::build(netlist);
-        let arena = LaneArena::build(kind, config, &schedule);
+        let (arena, slabs) = LaneArena::build(kind, config, &schedule);
         let mut state = Self {
             kind,
             timing: CircuitTiming::empty(netlist, library, config),
@@ -506,6 +662,7 @@ impl TimingState {
             visits: 0,
             schedule,
             arena,
+            slabs,
             // The per-gate variance multiplier the kernels apply. Empty
             // model: exactly 1.0 (the bit-identical legacy path). With a
             // model but no global source (nothing to condition on), the
@@ -634,6 +791,7 @@ impl TimingState {
             // Phase 1b: arrival kernels over (node × lane) work items —
             // conditioning lanes are independent parallel work, so a
             // w-node level with q lanes exposes w·q-way parallelism.
+            // Items run node-major, the arena's order.
             let m = ws.gates.len();
             let items = m * lanes;
             let arena = &self.arena;
@@ -641,17 +799,18 @@ impl TimingState {
             let timing = &self.timing;
             let resid = self.resid;
             let gates = &ws.gates;
-            let item = |t: usize| {
-                let id = GateId::from_index(gates[t % m].0 as usize);
-                (id, arena.lane(t / m, schedule))
-            };
+            let gate = |t: usize| GateId::from_index(gates[t / lanes].0 as usize);
+            // A FULLSSTA result's PDF stride, and its bucket vector: every
+            // node of this level has `level + 1` entries.
+            let stride = self.slabs.stride();
+            let width = if arena.track() { level + 1 } else { 0 };
             match kind {
                 EngineKind::Dsta => run_level(
                     &pool,
                     items,
                     |t| {
-                        let (id, view) = item(t);
-                        lane_nominal(netlist, timing, id, &view)
+                        let view = arena.lane(t % lanes, schedule, self.slabs.view());
+                        lane_nominal(netlist, timing, gate(t), &view)
                     },
                     &mut ws.moments,
                 ),
@@ -659,40 +818,117 @@ impl TimingState {
                     &pool,
                     items,
                     |t| {
-                        let (id, view) = item(t);
-                        lane_moments(netlist, timing, id, resid, &view)
+                        let view = arena.lane(t % lanes, schedule, self.slabs.view());
+                        lane_moments(netlist, timing, gate(t), resid, &view)
                     },
                     &mut ws.moments,
                 ),
-                EngineKind::FullSsta => run_level(
-                    &pool,
-                    items,
-                    |t| {
-                        let (id, view) = item(t);
-                        lane_pdf(netlist, config, timing, schedule, id, resid, &view)
-                    },
-                    &mut ws.pdfs,
-                ),
+                EngineKind::FullSsta if every => {
+                    // A from-scratch build writes each result straight
+                    // into its slot: the level's entries follow every
+                    // lower level's, which its kernels read.
+                    let Slabs {
+                        points,
+                        lens,
+                        buckets,
+                        ..
+                    } = &mut self.slabs;
+                    let first = arena.idx(0, schedule.starts[level]);
+                    let (below, here) = points.split_at_mut(first * stride);
+                    let bucket_start = arena.bucket_base.get(level).copied().unwrap_or(0);
+                    let (buckets_below, buckets_here) = buckets.split_at_mut(bucket_start);
+                    let slabs = SlabView {
+                        stride,
+                        points: below,
+                        lens,
+                        buckets: buckets_below,
+                    };
+                    // One stride per (node, lane) of the level, inputs
+                    // skipped as the gate list skips them.
+                    let nodes = &schedule.order[schedule.starts[level]..schedule.starts[level + 1]];
+                    let entries = nodes.len() * lanes;
+                    let slots = strides(here, stride, entries)
+                        .zip(strides(buckets_here, width, entries))
+                        .enumerate()
+                        .filter(|(e, _)| {
+                            !netlist
+                                .gate(GateId::from_index(nodes[e / lanes] as usize))
+                                .is_input()
+                        })
+                        .map(|(_, entry)| entry);
+                    run_level_into(
+                        &pool,
+                        items,
+                        slots,
+                        |t, pdf, bucket| {
+                            let view = arena.lane(t % lanes, schedule, slabs);
+                            let out = PdfOut::new(pdf);
+                            lane_pdf(netlist, config, timing, gate(t), resid, &view, out, bucket)
+                        },
+                        &mut ws.kernel,
+                    );
+                }
+                EngineKind::FullSsta => {
+                    grow(&mut ws.pdfs, items * stride);
+                    grow(&mut ws.buckets, items * width);
+                    let slabs = self.slabs.view();
+                    let results = strides(&mut ws.pdfs, stride, items).zip(strides(
+                        &mut ws.buckets,
+                        width,
+                        items,
+                    ));
+                    run_level_into(
+                        &pool,
+                        items,
+                        results,
+                        |t, pdf, bucket| {
+                            let view = arena.lane(t % lanes, schedule, slabs);
+                            let out = PdfOut::new(pdf);
+                            lane_pdf(netlist, config, timing, gate(t), resid, &view, out, bucket)
+                        },
+                        &mut ws.kernel,
+                    );
+                }
                 EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
             }
 
-            // Join 1b: store every (lane, node) result with the legacy
+            // Join 1b: store every (node, lane) result with the legacy
             // change comparisons, then refresh the unconditional mirror
             // and chase the fanouts of changed nodes.
             ws.changed.clear();
-            let slot = |k: usize| {
-                self.schedule
-                    .slot(GateId::from_index(ws.gates[k].0 as usize))
+            let index = |t: usize| {
+                let slot = self
+                    .schedule
+                    .slot(GateId::from_index(ws.gates[t / lanes].0 as usize));
+                (t % lanes, slot)
             };
             if kind == EngineKind::FullSsta {
-                for (t, value) in ws.pdfs.drain(..).enumerate() {
-                    let i = self.arena.idx(t / m, slot(t % m));
-                    let changed = self.arena.store_pdf(i, value, log.as_deref_mut());
+                for (t, &(moments, len)) in ws.kernel.iter().enumerate() {
+                    let (lane, s) = index(t);
+                    let i = self.arena.idx(lane, s);
+                    let changed = if every {
+                        // Its kernel wrote the PDF and buckets in place.
+                        self.arena.arrivals[i] = moments;
+                        self.slabs.lens[i] = point_count(len);
+                        true
+                    } else {
+                        let span = self.arena.bucket_span(lane, s, level, &self.schedule);
+                        let pdf = PdfRef::from_stride(&ws.pdfs[t * stride..(t + 1) * stride], len);
+                        let bucket = &ws.buckets[t * width..(t + 1) * width];
+                        self.slabs.store(
+                            i,
+                            span,
+                            &mut self.arena.arrivals[i],
+                            (moments, pdf, bucket),
+                            log.as_deref_mut(),
+                        )
+                    };
                     ws.changed.push(changed);
                 }
             } else {
                 for (t, &value) in ws.moments.iter().enumerate() {
-                    let i = self.arena.idx(t / m, slot(t % m));
+                    let (lane, s) = index(t);
+                    let i = self.arena.idx(lane, s);
                     let changed = self.arena.store_moments(i, value, log.as_deref_mut());
                     ws.changed.push(changed);
                 }
@@ -701,9 +937,7 @@ impl TimingState {
                 let id = GateId::from_index(i as usize);
                 let slot = self.schedule.slot(id);
                 let mut changed = electrical;
-                for lane in 0..lanes {
-                    changed |= ws.changed[lane * m + k];
-                }
+                changed |= ws.changed[k * lanes..(k + 1) * lanes].contains(&true);
                 if self.arena.conditioned {
                     if let Some(log) = log.as_deref_mut() {
                         log.mirror.push((i, self.arrivals[i as usize]));
@@ -732,21 +966,30 @@ impl TimingState {
     }
 
     /// Writes back every value a logged [`TimingState::update`]
-    /// overwrote, newest first, and leaves `log` empty with its buffers
-    /// kept. A laneless mirror entry is rewritten from its restored lane.
-    /// Nothing is recomputed, so `visits` does not move.
+    /// overwrote and leaves `log` empty with its buffers kept. A laneless
+    /// mirror entry is rewritten from its restored lane. Nothing is
+    /// recomputed, so `visits` does not move.
     pub fn undo(&mut self, log: &mut UndoLog) {
         for (i, saved) in log.electrical.drain(..).rev() {
             self.timing
                 .restore_node(GateId::from_index(i as usize), saved);
         }
-        let track = self.arena.track();
-        for (i, pdf, contrib) in log.pdfs.drain(..).rev() {
-            self.arena.pdfs[i as usize] = pdf;
-            if track {
-                self.arena.contribs[i as usize] = contrib;
-            }
+        // An update visits each node once, so each arena index is logged
+        // at most once and these copies may go in any order.
+        let (mut points, mut buckets) = (&log.pdf_points[..], &log.buckets[..]);
+        for &(i, len) in &log.pdfs {
+            let (i, len) = (i as usize, len as usize);
+            let (pdf, rest) = points.split_at(2 * len);
+            points = rest;
+            self.slabs.set_pdf(i, PdfRef::new(&pdf[..len], &pdf[len..]));
+            let span = self.arena.bucket_span_of(i, &self.schedule);
+            let (bucket, rest) = buckets.split_at(span.len());
+            buckets = rest;
+            self.slabs.buckets[span].copy_from_slice(bucket);
         }
+        log.pdfs.clear();
+        log.pdf_points.clear();
+        log.buckets.clear();
         for (i, m) in log.moments.drain(..).rev() {
             self.arena.arrivals[i as usize] = m;
             if !self.arena.conditioned {
@@ -762,11 +1005,29 @@ impl TimingState {
     /// Reduces the primary outputs into the circuit-level RV and picks
     /// the statistically-worst output.
     pub fn circuit(&self, netlist: &Netlist, config: &SstaConfig) -> CircuitSummary {
+        let mut summary = CircuitSummary {
+            moments: Moments::zero(),
+            pdf: None,
+            worst_output: GateId::from_index(0),
+        };
+        self.circuit_into(netlist, config, &mut summary);
+        summary
+    }
+
+    /// [`TimingState::circuit`] into `summary`, reusing its PDF's
+    /// buffers: a laneless FULLSSTA reduction then allocates nothing
+    /// once this thread's kernel scratch is sized.
+    pub fn circuit_into(
+        &self,
+        netlist: &Netlist,
+        config: &SstaConfig,
+        summary: &mut CircuitSummary,
+    ) {
         if !self.arena.conditioned {
-            return self.circuit_unconditioned(netlist, config);
+            return self.circuit_unconditioned(netlist, config, summary);
         }
         let lanes = self.arena.lanes();
-        let views = (0..lanes).map(|l| self.arena.lane(l, &self.schedule));
+        let views = (0..lanes).map(|l| self.lane(l));
         match self.kind {
             EngineKind::Dsta => {
                 // Per lane: the deterministic longest path under that
@@ -786,11 +1047,11 @@ impl TimingState {
                     .map(|o| (o, self.arrivals[o.index()].mean))
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("netlists have at least one output");
-                CircuitSummary {
+                *summary = CircuitSummary {
                     moments,
                     pdf: None,
                     worst_output,
-                }
+                };
             }
             EngineKind::Fassta => {
                 let moments = mix_conditional_moments(views.map(|v| {
@@ -802,47 +1063,42 @@ impl TimingState {
                         .expect("netlists have at least one output");
                     (v.weight(), m)
                 }));
-                CircuitSummary {
+                *summary = CircuitSummary {
                     moments,
                     pdf: None,
                     worst_output: self.rank_worst_output(netlist, config),
-                }
+                };
             }
             EngineKind::FullSsta => {
                 let n = config.pdf_samples;
-                let track = self.arena.track();
-                let damp = self.arena.damp();
                 let lane_pdfs: Vec<(f64, DiscretePdf)> = views
                     .map(|v| {
-                        let pdf = reduce_correlated_outputs(
-                            &v,
-                            netlist.outputs().iter().copied(),
-                            n,
-                            track,
-                            damp,
-                            self.schedule.level_count(),
+                        (
+                            v.weight(),
+                            self.output_pdf(&v, netlist, config, |p| p.to_pdf()),
                         )
-                        .expect("netlists have at least one output")
-                        .0
-                        .into_owned();
-                        (v.weight(), pdf)
                     })
                     .collect();
                 let moments =
                     mix_conditional_moments(lane_pdfs.iter().map(|(w, p)| (*w, p.moments())));
-                let pdf = mix_lane_pdfs(lane_pdfs.iter().map(|(w, p)| (*w, p)), n);
-                CircuitSummary {
+                let pdf = mix_lane_pdfs(lane_pdfs.iter().map(|(w, p)| (*w, p.view())), n);
+                *summary = CircuitSummary {
                     moments,
                     pdf: Some(pdf),
                     worst_output: self.rank_worst_output(netlist, config),
-                }
+                };
             }
             EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
         }
     }
 
     /// The legacy (laneless) circuit reduction over lane 0.
-    fn circuit_unconditioned(&self, netlist: &Netlist, config: &SstaConfig) -> CircuitSummary {
+    fn circuit_unconditioned(
+        &self,
+        netlist: &Netlist,
+        config: &SstaConfig,
+        summary: &mut CircuitSummary,
+    ) {
         match self.kind {
             EngineKind::Dsta => {
                 let (&worst_output, max_delay) = netlist
@@ -851,11 +1107,11 @@ impl TimingState {
                     .map(|o| (o, self.arrivals[o.index()].mean))
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("netlists have at least one output");
-                CircuitSummary {
+                *summary = CircuitSummary {
                     moments: Moments::new(max_delay, 0.0),
                     pdf: None,
                     worst_output,
-                }
+                };
             }
             EngineKind::Fassta => {
                 let moments = netlist
@@ -864,35 +1120,55 @@ impl TimingState {
                     .map(|o| self.arrivals[o.index()])
                     .reduce(fast_max_moments)
                     .expect("netlists have at least one output");
-                CircuitSummary {
+                *summary = CircuitSummary {
                     moments,
                     pdf: None,
                     worst_output: self.rank_worst_output(netlist, config),
-                }
+                };
             }
             EngineKind::FullSsta => {
-                let n = config.pdf_samples;
-                let view = self.arena.lane(0, &self.schedule);
-                let track = self.arena.track();
-                let pdf = reduce_correlated_outputs(
-                    &view,
-                    netlist.outputs().iter().copied(),
-                    n,
-                    track,
-                    1.0,
-                    self.schedule.level_count(),
-                )
-                .expect("netlists have at least one output")
-                .0
-                .into_owned();
-                CircuitSummary {
-                    moments: pdf.moments(),
-                    pdf: Some(pdf),
-                    worst_output: self.rank_worst_output(netlist, config),
-                }
+                let view = self.lane(0);
+                let pdf = &mut summary.pdf;
+                summary.moments = self.output_pdf(&view, netlist, config, |reduced| {
+                    match pdf {
+                        Some(pdf) => pdf.assign(reduced),
+                        None => *pdf = Some(reduced.to_pdf()),
+                    }
+                    reduced.moments()
+                });
+                summary.worst_output = self.rank_worst_output(netlist, config);
             }
             EngineKind::MonteCarlo => unreachable!("monte carlo has no propagation state"),
         }
+    }
+
+    /// Reduces the outputs' PDFs in one lane with [`correlated_max`] and
+    /// hands the result to `take`.
+    fn output_pdf<R>(
+        &self,
+        view: &LaneView<'_>,
+        netlist: &Netlist,
+        config: &SstaConfig,
+        take: impl FnOnce(PdfRef<'_>) -> R,
+    ) -> R {
+        TEMPS.with(|temps| {
+            let mut temps = temps.borrow_mut();
+            let (pdf, _) = reduce_correlated(
+                view,
+                netlist.outputs(),
+                config.pdf_samples,
+                self.arena.damp(),
+                self.schedule.level_count(),
+                &mut temps.fold,
+            )
+            .expect("netlists have at least one output");
+            take(pdf)
+        })
+    }
+
+    /// A read view of one lane.
+    fn lane(&self, lane: usize) -> LaneView<'_> {
+        self.arena.lane(lane, &self.schedule, self.slabs.view())
     }
 
     /// Statistically-worst output by pairwise dominance/sensitivity
@@ -903,25 +1179,25 @@ impl TimingState {
             .worst_output(netlist, &self.arrivals)
     }
 
-    /// Node-indexed **unconditional** arrival PDFs, materialized from the
-    /// arena at report time: laneless, lane 0 in node order; with lanes,
-    /// the weighted per-node lane mixture. Mixing at report time instead
-    /// of per visit is observationally identical — the mixture depends
-    /// only on the final lane PDFs, and the legacy per-visit mixture
-    /// never fed the change detection.
+    /// Node-indexed **unconditional** arrival PDFs, built from the arena
+    /// at report time: laneless, lane 0 in node order; with lanes, the
+    /// weighted per-node lane mixture. Mixing at report time instead of
+    /// per visit is observationally identical — the mixture depends only
+    /// on the final lane PDFs, and the legacy per-visit mixture never fed
+    /// the change detection.
     fn report_pdfs(&self, config: &SstaConfig) -> Vec<DiscretePdf> {
         let lanes = self.arena.lanes();
         (0..self.arena.nodes)
             .map(|node| {
                 let slot = self.schedule.slot_of[node] as usize;
                 if !self.arena.conditioned {
-                    return self.arena.pdfs[slot].clone();
+                    return self.slabs.view().pdf(slot).to_pdf();
                 }
                 mix_lane_pdfs(
                     (0..lanes).map(|lane| {
                         (
                             self.arena.weights[lane],
-                            &self.arena.pdfs[self.arena.idx(lane, slot)],
+                            self.slabs.view().pdf(self.arena.idx(lane, slot)),
                         )
                     }),
                     config.pdf_samples,
@@ -931,30 +1207,12 @@ impl TimingState {
     }
 
     /// Packages the state as a [`TimingReport`], consuming it: the
-    /// buckets are dropped once the circuit summary is reduced, and the
-    /// laneless slot-ordered PDFs are permuted into node order in place
-    /// (cycle-following swaps) instead of cloned.
+    /// bucket slab is freed once the circuit summary is reduced, before
+    /// the report's PDFs are built, so the two never coexist.
     pub fn into_report(mut self, netlist: &Netlist, config: &SstaConfig) -> TimingReport {
         let summary = self.circuit(netlist, config);
-        self.arena.contribs = Vec::new();
-        let pdfs = match self.kind {
-            EngineKind::FullSsta if self.arena.conditioned => Some(self.report_pdfs(config)),
-            EngineKind::FullSsta => {
-                let mut pdfs = std::mem::take(&mut self.arena.pdfs);
-                // `dest[s]` is the node whose PDF sits in slot `s`; each
-                // swap puts one PDF at its node index for good.
-                let mut dest = std::mem::take(&mut self.schedule.order);
-                for s in 0..dest.len() {
-                    while dest[s] as usize != s {
-                        let d = dest[s] as usize;
-                        pdfs.swap(s, d);
-                        dest.swap(s, d);
-                    }
-                }
-                Some(pdfs)
-            }
-            _ => None,
-        };
+        self.slabs.buckets = Vec::new();
+        let pdfs = (self.kind == EngineKind::FullSsta).then(|| self.report_pdfs(config));
         TimingReport {
             kind: self.kind,
             arrivals: self.arrivals,
@@ -985,6 +1243,13 @@ impl TimingState {
     }
 }
 
+/// Grows `buf` to at least `len` entries; what it holds is scratch.
+fn grow(buf: &mut Vec<f64>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
 /// Runs `job` over `0..tasks` into `out` (cleared first, capacity
 /// kept), fanning out over the pool only when the level is wide enough
 /// to amortize the spawn cost ([`PARALLEL_LEVEL_MIN`]); narrow levels
@@ -1000,6 +1265,42 @@ where
     } else {
         out.extend((0..tasks).map(job));
     }
+}
+
+/// [`run_level`] for FULLSSTA's kernels, which also write task `t`'s
+/// PDF and bucket vector into the `t`-th pair of `outputs`.
+fn run_level_into<'o, T, F>(
+    pool: &ScopedPool,
+    tasks: usize,
+    outputs: impl Iterator<Item = (&'o mut [f64], &'o mut [f64])>,
+    job: F,
+    out: &mut Vec<T>,
+) where
+    T: Send,
+    F: Fn(usize, &mut [f64], &mut [f64]) -> T + Sync,
+{
+    out.clear();
+    if tasks >= PARALLEL_LEVEL_MIN && pool.threads() > 1 {
+        out.extend(pool.map_items(outputs.collect(), |t, (pdf, bucket)| job(t, pdf, bucket)));
+    } else {
+        out.extend(
+            outputs
+                .enumerate()
+                .map(|(t, (pdf, bucket))| job(t, pdf, bucket)),
+        );
+    }
+    debug_assert_eq!(out.len(), tasks);
+}
+
+/// The first `count` consecutive `stride`-long pieces of `buf` (empty
+/// pieces for a zero stride).
+fn strides(buf: &mut [f64], stride: usize, count: usize) -> impl Iterator<Item = &mut [f64]> {
+    let mut rest = buf;
+    (0..count).map(move |_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(stride);
+        rest = tail;
+        head
+    })
 }
 
 /// The DSTA per-node kernel in one lane: nominal longest path with the
@@ -1041,97 +1342,130 @@ fn lane_moments(
 
 /// The FULLSSTA per-node kernel in one lane: discrete-PDF propagation
 /// (with optional level-bucket correlation tracking) under conditioned
-/// delays.
+/// delays. Writes the node's PDF into `out` and, when tracking, its
+/// `level + 1` buckets into `bucket`; returns the PDF's moments and point
+/// count.
+#[allow(clippy::too_many_arguments)]
 fn lane_pdf(
     netlist: &Netlist,
     config: &SstaConfig,
     timing: &CircuitTiming,
-    schedule: &LevelSchedule,
     id: GateId,
     resid: f64,
     view: &LaneView<'_>,
-) -> PdfValue {
+    out: PdfOut<'_>,
+    bucket: &mut [f64],
+) -> (Moments, usize) {
     let g = netlist.gate(id);
     let n = config.pdf_samples;
-    let track = view.arena.track();
-    let damp = view.arena.damp();
-    let level = schedule.level(id);
-    let acc =
-        reduce_correlated_outputs(view, g.fanins().iter().copied(), n, track, damp, level + 1);
-    let (arrival, v) = acc.unwrap_or_else(|| {
-        (
-            Cow::Owned(DiscretePdf::deterministic(0.0)),
-            Cow::Borrowed(&[]),
-        )
-    });
-    // Fanins sit at lower levels, so their vectors (and a blend of them,
-    // already `level + 1` long) fit; one exact-capacity allocation.
-    let mut v = if track {
-        match v {
-            Cow::Owned(v) => v,
-            Cow::Borrowed(v) => {
-                let mut own = Vec::with_capacity(level + 1);
-                own.extend_from_slice(v);
-                own.resize(level + 1, 0.0);
-                own
-            }
+    let level = view.schedule.level(id);
+    TEMPS.with(|temps| {
+        let Temps { fold, delay } = &mut *temps.borrow_mut();
+        let acc = reduce_correlated(view, g.fanins(), n, view.arena.damp(), level + 1, fold);
+        let (arrival, v) = acc.unwrap_or((PdfRef::new(&[0.0], &[1.0]), &[]));
+        // Fanins sit at lower levels, so their vectors (and a blend of
+        // them, already `level + 1` long) fit; the rest stays `+0.0`.
+        let (head, tail) = bucket.split_at_mut(v.len());
+        head.copy_from_slice(v);
+        tail.fill(0.0);
+        let delay_m = condition_moments(timing.delay_moments(id), view.shift(), resid);
+        grow(delay, 2 * n);
+        let delay = PdfOut::new(&mut delay[..2 * n]).from_moments(delay_m, n);
+        let pdf = out.add_rebinned(arrival, delay, n);
+        if let Some(own) = bucket.get_mut(level) {
+            *own += delay_m.var;
         }
-    } else {
-        Vec::new()
-    };
-    let delay_m = condition_moments(timing.delay_moments(id), view.shift(), resid);
-    let delay = DiscretePdf::from_moments(delay_m, n);
-    let pdf = arrival.add_rebinned(&delay, n);
-    if track {
-        v[level] += delay_m.var;
-    }
-    PdfValue {
-        moments: pdf.moments(),
-        pdf,
-        contrib: v,
-    }
+        (pdf.moments(), pdf.len())
+    })
 }
 
-/// Folds the arrival PDFs (and contribution vectors) of `ids` with
-/// [`correlated_max`] — the one reduction both node propagation and the
-/// circuit-level output RV use, reading one lane of the arena. A single
-/// id comes back borrowed: nothing is copied until a max needs it.
-/// Blended vectors are `len` entries long, which must cover every id's
-/// vector.
-fn reduce_correlated_outputs<'a>(
-    view: &LaneView<'a>,
-    mut ids: impl Iterator<Item = GateId>,
+/// A thread's reused buffers for [`lane_pdf`] and the circuit reduction.
+#[derive(Default)]
+struct Temps {
+    fold: Fold,
+    /// A gate's delay PDF.
+    delay: Vec<f64>,
+}
+
+/// The buffers of [`reduce_correlated`].
+#[derive(Default)]
+struct Fold {
+    /// The running max and the next one, one PDF stride each.
+    pdfs: [Vec<f64>; 2],
+    /// Their blended bucket vectors.
+    buckets: [Vec<f64>; 2],
+}
+
+thread_local! {
+    static TEMPS: RefCell<Temps> = RefCell::new(Temps::default());
+}
+
+/// Folds the arrival PDFs (and bucket vectors, when the arena tracks
+/// them) of `ids` with [`correlated_max`] — the one reduction both node
+/// propagation and the circuit-level output RV use, reading one lane of
+/// the arena. A single id comes back borrowed from the arena; a fold
+/// ends in `fold`. Blended vectors are `len` entries long, which must
+/// cover every id's vector.
+fn reduce_correlated<'r>(
+    view: &LaneView<'r>,
+    ids: &[GateId],
     n: usize,
-    track: bool,
     damp: f64,
     len: usize,
-) -> Option<(Cow<'a, DiscretePdf>, Cow<'a, [f64]>)> {
-    let contrib = |id| if track { view.contrib(id) } else { &[] };
-    let first = ids.next()?;
-    // The arena stores each PDF's moments; a max's result has none.
-    let mut acc = (
-        Cow::Borrowed(view.pdf(first)),
-        Cow::Borrowed(contrib(first)),
-        Some(view.arrival(first)),
-    );
-    for id in ids {
-        let (pdf, v) = correlated_max(
-            (&acc.0, &acc.1, acc.2),
-            (view.pdf(id), contrib(id), view.arrival(id)),
-            n,
-            track,
-            damp,
-            len,
-        );
-        acc = (Cow::Owned(pdf), Cow::Owned(v), None);
+    fold: &'r mut Fold,
+) -> Option<(PdfRef<'r>, &'r [f64])> {
+    let (&first, rest) = ids.split_first()?;
+    let Some((&second, rest)) = rest.split_first() else {
+        return Some((view.pdf(first), view.contrib(first)));
+    };
+    let width = if view.arena.track() { len } else { 0 };
+    let Fold {
+        pdfs: [pa, pb],
+        buckets: [va, vb],
+    } = fold;
+    for (buf, want) in [
+        (&mut *pa, 2 * n),
+        (&mut *pb, 2 * n),
+        (&mut *va, width),
+        (&mut *vb, width),
+    ] {
+        grow(buf, want);
     }
-    Some((acc.0, acc.1))
+    let (mut pa, mut pb) = (&mut pa[..2 * n], &mut pb[..2 * n]);
+    let (mut va, mut vb) = (&mut va[..width], &mut vb[..width]);
+    // The arena stores each PDF's moments; a max's result has none.
+    let mut acc = correlated_max(
+        (
+            view.pdf(first),
+            view.contrib(first),
+            Some(view.arrival(first)),
+        ),
+        (view.pdf(second), view.contrib(second), view.arrival(second)),
+        n,
+        damp,
+        (PdfOut::new(pa), va),
+    )
+    .len();
+    for &id in rest {
+        acc = correlated_max(
+            (PdfRef::from_stride(pa, acc), va, None),
+            (view.pdf(id), view.contrib(id), view.arrival(id)),
+            n,
+            damp,
+            (PdfOut::new(pb), vb),
+        )
+        .len();
+        std::mem::swap(&mut pa, &mut pb);
+        std::mem::swap(&mut va, &mut vb);
+    }
+    let (pa, va): (&'r [f64], &'r [f64]) = (pa, va);
+    Some((PdfRef::from_stride(pa, acc), va))
 }
 
 /// The weighted mixture of per-lane PDFs, rebinned to `n` support points
 /// — the unconditional distribution of a quantity whose conditional
 /// distributions the lanes hold.
-fn mix_lane_pdfs<'a>(lanes: impl Iterator<Item = (f64, &'a DiscretePdf)>, n: usize) -> DiscretePdf {
+fn mix_lane_pdfs<'a>(lanes: impl Iterator<Item = (f64, PdfRef<'a>)>, n: usize) -> DiscretePdf {
     let mut points: Vec<(f64, f64)> = Vec::new();
     for (w, pdf) in lanes {
         points.extend(
@@ -1158,43 +1492,48 @@ fn mix_lane_pdfs<'a>(lanes: impl Iterator<Item = (f64, &'a DiscretePdf)>, n: usi
 /// keeps the historical estimator (damping 1) bit for bit.
 pub(crate) const CONDITIONED_OVERLAP_DAMPING: f64 = 0.5;
 
-/// One pairwise PDF max with optional correlation handling; returns the
-/// result PDF and the blended per-level contribution vector, `len`
-/// entries long (the FULLSSTA kernel, shared by from-scratch and
-/// incremental analysis). Each input comes with its moments when the
-/// arena stores them (`a.moments()` otherwise).
-fn correlated_max(
-    (a, av, ma): (&DiscretePdf, &[f64], Option<Moments>),
-    (b, bv, mb): (&DiscretePdf, &[f64], Moments),
+/// One pairwise PDF max with optional correlation handling (the
+/// FULLSSTA kernel, shared by from-scratch and incremental analysis):
+/// writes the result PDF and, when tracking (a non-empty `out_v`), the
+/// blended bucket vector, `out_v.len()` entries long, into `out`. Each
+/// input comes with its moments when the arena stores them
+/// (`a.moments()` otherwise).
+fn correlated_max<'o>(
+    (a, av, ma): (PdfRef<'_>, &[f64], Option<Moments>),
+    (b, bv, mb): (PdfRef<'_>, &[f64], Moments),
     n: usize,
-    track: bool,
     damp: f64,
-    len: usize,
-) -> (DiscretePdf, Vec<f64>) {
-    if !track {
-        return (a.max_rebinned(b, n), Vec::new());
+    (out, out_v): (PdfOut<'o>, &mut [f64]),
+) -> PdfRef<'o> {
+    if out_v.is_empty() {
+        return out.max_rebinned(a, b, n);
     }
     let ma = ma.unwrap_or_else(|| a.moments());
     let rho = overlap_correlation(av, bv, ma.var, mb.var, damp);
     let cm = clark_max_correlated(ma, mb, rho);
-    let pdf = a.max_with_moments(b, cm.max, n);
-    (pdf, blend(av, bv, cm.tightness_a, len))
+    let pdf = out.max_with_moments(a, b, cm.max, n);
+    blend(av, bv, cm.tightness_a, out_v);
+    pdf
 }
 
-/// The tightness-weighted blend `t·a + (1−t)·b` of two prefix vectors,
-/// `len` (≥ both lengths) entries long at exactly that capacity. A level
-/// past a vector's end is its implicit `+0.0`, fed into the same
-/// expression, so the entries equal the full-length blend's bit for bit.
-fn blend(av: &[f64], bv: &[f64], t: f64, len: usize) -> Vec<f64> {
-    debug_assert!(av.len() <= len && bv.len() <= len);
+/// The tightness-weighted blend `t·a + (1−t)·b` of two prefix vectors
+/// into `out` (at least as long as both). A level past a vector's end is
+/// its implicit `+0.0`, fed into the same expression, so the entries
+/// equal the full-length blend's bit for bit.
+fn blend(av: &[f64], bv: &[f64], t: f64, out: &mut [f64]) {
+    debug_assert!(av.len() <= out.len() && bv.len() <= out.len());
     let mix = |x: f64, y: f64| t * x + (1.0 - t) * y;
     let common = av.len().min(bv.len());
-    let mut v = Vec::with_capacity(len);
-    v.extend(av.iter().zip(bv).map(|(&x, &y)| mix(x, y)));
-    v.extend(av[common..].iter().map(|&x| mix(x, 0.0)));
-    v.extend(bv[common..].iter().map(|&y| mix(0.0, y)));
-    v.resize(len, mix(0.0, 0.0));
-    v
+    for (o, (&x, &y)) in out.iter_mut().zip(av.iter().zip(bv)) {
+        *o = mix(x, y);
+    }
+    for (o, &x) in out[common..].iter_mut().zip(&av[common..]) {
+        *o = mix(x, 0.0);
+    }
+    for (o, &y) in out[common..].iter_mut().zip(&bv[common..]) {
+        *o = mix(0.0, y);
+    }
+    out[av.len().max(bv.len())..].fill(mix(0.0, 0.0));
 }
 
 /// Correlation estimate from shared per-level variance: the bucket-wise
@@ -1327,6 +1666,13 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`blend`] into a new `len`-entry vector.
+    fn blended(av: &[f64], bv: &[f64], t: f64, len: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; len];
+        blend(av, bv, t, &mut out);
+        out
+    }
+
     #[test]
     fn prefix_blend_and_overlap_equal_the_full_length_forms_bit_for_bit() {
         const DEPTH: usize = 7;
@@ -1348,16 +1694,14 @@ mod tests {
                 let len = av.len().max(bv.len());
                 for t in tightness {
                     let full = full_length_blend(&fa, &fb, t);
-                    let prefix = blend(av, bv, t, len);
-                    assert_eq!(prefix.len(), len);
-                    assert_eq!(prefix.capacity(), len, "exact capacity");
+                    let prefix = blended(av, bv, t, len);
                     assert_eq!(
                         bits(&full_length(&prefix, DEPTH)),
                         bits(&full),
                         "{av:?} {bv:?} t={t}"
                     );
                     assert_eq!(
-                        bits(&blend(av, bv, t, DEPTH)),
+                        bits(&blended(av, bv, t, DEPTH)),
                         bits(&full),
                         "{av:?} {bv:?} t={t}"
                     );
@@ -1375,16 +1719,23 @@ mod tests {
         assert!(unequal > 0);
     }
 
-    /// Asserts that every stored bucket vector holds exactly `level + 1`
-    /// entries at exactly that capacity; returns the total entry count.
+    /// Asserts that the `(lane, slot)` bucket spans, in arena order, tile
+    /// the bucket slab exactly, each `level + 1` entries long, and that
+    /// the slab never grew; returns its entry count.
     fn checked_bucket_entries(state: &TimingState) -> usize {
         let arena = &state.arena;
-        for (i, v) in arena.contribs.iter().enumerate() {
-            let node = state.schedule.order[i % arena.nodes] as usize;
-            let want = state.schedule.level_of[node] + 1;
-            assert_eq!((v.len(), v.capacity()), (want, want), "node {node}");
+        let mut end = 0;
+        for i in 0..arena.lanes() * arena.nodes {
+            let span = arena.bucket_span_of(i, &state.schedule);
+            let node = state.schedule.order[i / arena.lanes()] as usize;
+            assert_eq!(span.start, end, "node {node}");
+            assert_eq!(span.len(), state.schedule.level_of[node] + 1, "node {node}");
+            end = span.end;
         }
-        arena.contribs.iter().map(Vec::len).sum()
+        let buckets = &state.slabs.buckets;
+        assert_eq!(end, buckets.len());
+        assert_eq!(buckets.capacity(), buckets.len(), "exact capacity");
+        end
     }
 
     #[test]
@@ -1440,9 +1791,9 @@ mod tests {
     /// recomputing them.
     fn assert_stored_moments(state: &TimingState, what: &str) {
         let arena = &state.arena;
-        assert_eq!(arena.pdfs.len(), arena.arrivals.len());
-        for (i, (pdf, stored)) in arena.pdfs.iter().zip(&arena.arrivals).enumerate() {
-            let m = pdf.moments();
+        assert_eq!(state.slabs.lens.len(), arena.arrivals.len());
+        for (i, stored) in arena.arrivals.iter().enumerate() {
+            let m = state.slabs.view().pdf(i).moments();
             assert_eq!(
                 (stored.mean.to_bits(), stored.var.to_bits()),
                 (m.mean.to_bits(), m.var.to_bits()),
@@ -1471,9 +1822,13 @@ mod tests {
         ] {
             let mut session = crate::TimingSession::new(&lib, config, n.clone());
             // Primary inputs keep the initial slot values.
+            let state = session.state();
             assert!(n.inputs().iter().all(|&i| {
-                let slot = session.state().schedule.slot(i);
-                session.state().arena.pdfs[slot] == DiscretePdf::deterministic(0.0)
+                let slot = state.schedule.slot(i);
+                (0..state.arena.lanes()).all(|lane| {
+                    let pdf = state.slabs.view().pdf(state.arena.idx(lane, slot));
+                    pdf == DiscretePdf::deterministic(0.0).view()
+                })
             }));
             assert_stored_moments(session.state(), "build");
             session.resize(gates[5], 3);

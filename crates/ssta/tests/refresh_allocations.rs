@@ -1,27 +1,27 @@
 //! Allocation counts of a session's incremental refresh. Once a session
-//! has run a trial, its propagation scratch and undo buffers are sized:
-//!
-//! - under DSTA and FASSTA a rejected trial (`resize`,
-//!   `refresh_undoable`, `undo`) and a kept one (`resize`,
-//!   `refresh_undoable`) allocate nothing;
-//! - under FULLSSTA they allocate only the kernels' results: per visited
-//!   node its delay PDF, its sum and its bucket vector, per extra fanin
-//!   one max and its blended bucket vector, and the same for the
-//!   circuit's reduction over the outputs.
+//! has run a trial, its propagation scratch, undo buffers and spare
+//! circuit summary are sized, so under DSTA, FASSTA and FULLSSTA (level
+//! buckets or independent) a rejected trial (`resize`,
+//! `refresh_undoable`, `undo`) and a kept one (`resize`,
+//! `refresh_undoable`) allocate nothing: FULLSSTA's kernels write into
+//! the level's reused result buffers and the state's flat slabs, and the
+//! circuit reduction into the spare summary's PDF.
 //!
 //! These run laneless (the default model) at pool width 1: a
-//! conditioned circuit reduction collects its per-lane values, and a
-//! wide level fans out over spawned threads, which free on their own
-//! thread some blocks this one allocated. A from-scratch build keeps no
+//! conditioned circuit reduction collects its per-lane PDFs, and a wide
+//! level fans out over spawned threads, which free on their own thread
+//! some blocks this one allocated. A from-scratch build keeps no
 //! level-wide scratch: a new session holds exactly the blocks its fork
-//! copies.
+//! copies, and a fork copies the same handful of blocks whatever the
+//! circuit's size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use vartol_liberty::Library;
-use vartol_netlist::generators::{random_dag, RandomDagConfig};
+use vartol_netlist::generators::{benchmark, random_dag, RandomDagConfig};
+use vartol_netlist::iscas::parse_bench;
 use vartol_netlist::{GateId, Netlist};
 use vartol_ssta::{CorrelationMode, EngineKind, SstaConfig, TimingSession};
 
@@ -160,31 +160,55 @@ fn warm_dsta_and_fassta_trials_allocate_nothing() {
 }
 
 #[test]
-fn warm_fullssta_trials_allocate_only_kernel_results() {
+fn warm_fullssta_trials_allocate_nothing() {
     for correlation in [CorrelationMode::LevelBuckets, CorrelationMode::Independent] {
         let config = SstaConfig::default().with_correlation(correlation);
-        let (session, rows) = warm_trials(EngineKind::FullSsta, config);
-        let n = session.netlist();
-        let track = usize::from(correlation == CorrelationMode::LevelBuckets);
-        let max_fanin = n
-            .gate_ids()
-            .map(|g| n.gate(g).fanins().len())
-            .max()
-            .unwrap_or(1);
-        // Per visit: the delay PDF and the sum (two vectors each), the
-        // bucket vector, and per extra fanin a max (two vectors) and its
-        // blend. The circuit reduction: a max and a blend per output
-        // past the first, or one copy of a single output's PDF.
-        let per_visit = 4 + track + (max_fanin - 1) * (2 + track);
-        let circuit = n.outputs().len() * (2 + track) + 2;
+        let (_, rows) = warm_trials(EngineKind::FullSsta, config);
         for (k, (what, allocs, visits)) in rows.into_iter().enumerate() {
-            let bound = visits as usize * per_visit + circuit;
-            assert!(
-                allocs <= bound,
-                "{correlation:?} trial {k} ({what}): {allocs} allocations, \
-                 bound {bound} for {visits} visits"
+            assert_eq!(
+                allocs, 0,
+                "{correlation:?} trial {k} ({what}, {visits} visits)"
             );
         }
+    }
+}
+
+#[test]
+fn a_fork_copies_a_constant_number_of_blocks() {
+    let lib = Arc::new(Library::synthetic_90nm());
+    let c17 = parse_bench(
+        &std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/c17.bench"))
+            .expect("readable"),
+        "c17",
+    )
+    .expect("parses");
+    let circuits = [
+        c17,
+        benchmark("c880", &lib).expect("known benchmark"),
+        dag(2_000, 0xA110C, &lib),
+    ];
+    for correlation in [CorrelationMode::LevelBuckets, CorrelationMode::Independent] {
+        let config = SstaConfig::default()
+            .with_correlation(correlation)
+            .with_threads(1);
+        let blocks: Vec<usize> = circuits
+            .iter()
+            .map(|n| {
+                let mut session = TimingSession::new(Arc::clone(&lib), config.clone(), n.clone());
+                // Warm: a trial sizes the session's buffers, which a fork
+                // does not copy.
+                let gates = trial_gates(&session);
+                trial_pass(&mut session, &gates[..gates.len().min(3)]);
+                drop(session.fork());
+                let (fork, allocs) = counted(|| session.fork());
+                assert_eq!(fork.circuit_moments(), session.circuit_moments());
+                allocs
+            })
+            .collect();
+        assert!(
+            blocks.iter().all(|&b| b == blocks[0]),
+            "{correlation:?}: fork blocks {blocks:?} on c17, c880 and a 2,000-gate DAG"
+        );
     }
 }
 

@@ -23,12 +23,21 @@
 //! [`max_with_moments`](DiscretePdf::max_with_moments) — gets there with
 //! less work:
 //!
+//! * **One slice form per kernel.** [`PdfOut`] runs each of
+//!   FULLSSTA's kernels — [`from_moments`](PdfOut::from_moments),
+//!   [`add_rebinned`](PdfOut::add_rebinned),
+//!   [`max_rebinned`](PdfOut::max_rebinned) and
+//!   [`max_with_moments`](PdfOut::max_with_moments) — on borrowed
+//!   inputs ([`PdfRef`]) and writes the result into the caller's
+//!   buffers, one stride of a flat PDF store, allocating nothing. The
+//!   [`DiscretePdf`] methods of the same names run the same code into a
+//!   thread-local stride and copy the result out: its two vectors are
+//!   their only allocations.
 //! * **One fused pass per kernel.** The convolution or the max goes into
 //!   a thread's reused scratch arrays, is deduplicated and normalized
-//!   there, and is rebinned straight from those arrays; only the result
-//!   is allocated. Inputs too large for the retained scratch (over 256
-//!   points) get scratch of their own, so what a thread keeps stays
-//!   bounded.
+//!   there, and is rebinned straight from those arrays into the result.
+//!   Inputs too large for the retained scratch (over 256 points) get
+//!   scratch of their own, so what a thread keeps stays bounded.
 //! * **sum** merges the convolution's rows instead of sorting them. Row
 //!   `i` (`a_i + b_j` over increasing `j`) is already sorted, since
 //!   rounding is monotone and `x + y` is -0.0 only when both terms are.
@@ -51,7 +60,9 @@
 //!   rebins it, instead of building the max and the stretched copy.
 //! * **from_normal** shares a bin edge's CDF with the next bin when the
 //!   two edges are the same `f64`: the CDF is a pure function of its
-//!   argument, so the shared value is the one a second call returns.
+//!   argument, so the shared value is the one a second call returns. Its
+//!   bins are already in `total_cmp` order, so they are normalized where
+//!   they are written, with no sort.
 //!
 //! The rules that keep the bits equal:
 //!
@@ -65,8 +76,9 @@
 //! `-0.0`. Debug builds assert it.
 //!
 //! `tests/proptest_stats.rs` pins all of this against a verbatim copy of
-//! the old algorithms, and `tests/kernel_allocations.rs` counts the fused
-//! kernels' allocations.
+//! the old algorithms, and `tests/kernel_allocations.rs` counts the
+//! kernels' allocations: two for a warm [`DiscretePdf`] kernel, none for
+//! a slice form.
 
 use std::cell::RefCell;
 
@@ -121,27 +133,27 @@ impl DiscretePdf {
     #[must_use]
     pub fn from_points(points: Vec<(f64, f64)>) -> Self {
         let mut points: Vec<Keyed> = points.into_iter().map(keyed).collect();
-        Self::from_keyed(&mut points)
-    }
-
-    /// [`from_points`](Self::from_points) of keyed points: checks them,
-    /// stably sorts them by key, then merges and normalizes them.
-    fn from_keyed(points: &mut [Keyed]) -> Self {
-        check_points(points);
+        check_points(&points);
         points.sort_by_key(|x| x.0);
-        Self::from_sorted(points)
+        Self::from_sorted(&points)
     }
 
     /// The tail of [`from_points`](Self::from_points): merges duplicate
     /// values and normalizes `points`, which are checked and stably
     /// sorted by key.
     fn from_sorted(points: &[Keyed]) -> Self {
-        let mut pdf = Self {
-            values: Vec::with_capacity(points.len()),
-            probs: Vec::with_capacity(points.len()),
-        };
-        normalize(points, &mut pdf.values, &mut pdf.probs);
-        pdf
+        let mut values = vec![0.0; points.len()];
+        let mut probs = vec![0.0; points.len()];
+        let len = normalize(
+            points,
+            &mut PdfOut {
+                values: &mut values,
+                probs: &mut probs,
+            },
+        );
+        values.truncate(len);
+        probs.truncate(len);
+        Self { values, probs }
     }
 
     /// A deterministic distribution: all mass on one value.
@@ -159,42 +171,31 @@ impl DiscretePdf {
     /// Panics if `n == 0` or `sigma < 0`.
     #[must_use]
     pub fn from_normal(mean: f64, sigma: f64, n: usize) -> Self {
-        assert!(n > 0, "need at least one sample point");
-        if sigma == 0.0 {
-            return Self::deterministic(mean);
-        }
-        let dist = Normal::new(mean, sigma);
-        let lo = mean - SUPPORT_SIGMAS * sigma;
-        let hi = mean + SUPPORT_SIGMAS * sigma;
-        let width = (hi - lo) / n as f64;
-        let mut points = Vec::with_capacity(n);
-        // The previous bin's upper edge and its CDF: a lower edge that is
-        // the same `f64` has the same CDF.
-        let mut edge: Option<(u64, f64)> = None;
-        for i in 0..n {
-            let a = lo + i as f64 * width;
-            let b = a + width;
-            let cdf_a = match edge {
-                Some((bits, cdf)) if bits == a.to_bits() => cdf,
-                _ => dist.cdf(a),
-            };
-            let cdf_b = dist.cdf(b);
-            points.push((0.5 * (a + b), cdf_b - cdf_a));
-            edge = Some((b.to_bits(), cdf_b));
-        }
-        // A σ below the mean's resolution rounds every bin edge to one
-        // value, leaving no mass anywhere: that is the point mass σ = 0
-        // gives.
-        if points.iter().all(|&(_, mass)| mass == 0.0) {
-            return Self::deterministic(mean);
-        }
-        Self::from_points(points)
+        with_out(n, n, |s, out| s.normal(mean, sigma, n, out))
     }
 
     /// Discretizes a normal given as [`Moments`].
     #[must_use]
     pub fn from_moments(m: Moments, n: usize) -> Self {
         Self::from_normal(m.mean, m.std(), n)
+    }
+
+    /// This distribution borrowed, as the slice kernels read it.
+    #[must_use]
+    pub fn view(&self) -> PdfRef<'_> {
+        PdfRef {
+            values: &self.values,
+            probs: &self.probs,
+        }
+    }
+
+    /// Overwrites this distribution with `src`, reusing its buffers: no
+    /// allocation when they already hold `src.len()` points.
+    pub fn assign(&mut self, src: PdfRef<'_>) {
+        self.values.clear();
+        self.values.extend_from_slice(src.values);
+        self.probs.clear();
+        self.probs.extend_from_slice(src.probs);
     }
 
     /// The support values (strictly increasing).
@@ -230,13 +231,13 @@ impl DiscretePdf {
     /// Mean of the distribution.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        mean_of(&self.values, &self.probs)
+        self.view().mean()
     }
 
     /// Variance of the distribution.
     #[must_use]
     pub fn var(&self) -> f64 {
-        var_about(&self.values, &self.probs, self.mean())
+        self.view().var()
     }
 
     /// Standard deviation.
@@ -248,7 +249,7 @@ impl DiscretePdf {
     /// First two moments as a [`Moments`] value.
     #[must_use]
     pub fn moments(&self) -> Moments {
-        Moments::new(self.mean(), self.var())
+        self.view().moments()
     }
 
     /// Smallest support value.
@@ -329,8 +330,8 @@ impl DiscretePdf {
     #[must_use]
     pub fn add(&self, other: &Self) -> Self {
         with_scratch(self.len() * other.len(), |s| {
-            s.convolve(self, other);
-            Self::from_sorted(&s.points)
+            s.work.convolve(self.view(), other.view());
+            Self::from_sorted(&s.work.points)
         })
     }
 
@@ -339,8 +340,8 @@ impl DiscretePdf {
     #[must_use]
     pub fn max(&self, other: &Self) -> Self {
         with_scratch(self.len() + other.len(), |s| {
-            s.max_points(self, other);
-            Self::from_sorted(&s.points)
+            s.work.max_points(self.view(), other.view());
+            Self::from_sorted(&s.work.points)
         })
     }
 
@@ -356,8 +357,9 @@ impl DiscretePdf {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn rebin(&self, n: usize) -> Self {
-        with_scratch(n.min(self.len()), |s| {
-            rebinned(&self.values, &self.probs, n, &mut s.points)
+        let cap = n.min(self.len());
+        with_out(cap, cap, |s, out| {
+            rebin_into(self.view(), n, &mut s.points, out)
         })
     }
 
@@ -373,30 +375,34 @@ impl DiscretePdf {
     #[must_use]
     pub fn with_moments(&self, target: Moments, fallback_samples: usize) -> Self {
         let mut values = self.values.clone();
-        stretch(&mut values, &self.probs, target, fallback_samples).unwrap_or_else(|| Self {
-            values,
-            probs: self.probs.clone(),
-        })
+        match stretch(&mut values, &self.probs, target) {
+            None => Self {
+                values,
+                probs: self.probs.clone(),
+            },
+            Some(Fallback::PointMass) => Self::deterministic(target.mean),
+            Some(Fallback::Normal) => Self::from_moments(target, fallback_samples),
+        }
     }
 
     /// `add` followed by `rebin(n)`, without building the convolution as
-    /// a PDF: FULLSSTA's per-node sum.
+    /// a PDF: FULLSSTA's per-node sum ([`PdfOut::add_rebinned`], into a
+    /// new PDF).
     #[must_use]
     pub fn add_rebinned(&self, other: &Self, n: usize) -> Self {
-        with_scratch(self.len() * other.len(), |s| {
-            s.convolve(self, other);
-            s.normalize_points();
-            s.rebinned(n)
+        let points = self.len() * other.len();
+        with_out(points, n.min(points), |s, out| {
+            s.add_rebinned(self.view(), other.view(), n, out)
         })
     }
 
-    /// `max` followed by `rebin(n)`, without building the max as a PDF.
+    /// `max` followed by `rebin(n)`, without building the max as a PDF
+    /// ([`PdfOut::max_rebinned`], into a new PDF).
     #[must_use]
     pub fn max_rebinned(&self, other: &Self, n: usize) -> Self {
-        with_scratch(self.len() + other.len(), |s| {
-            s.max_points(self, other);
-            s.normalize_points();
-            s.rebinned(n)
+        let points = self.len() + other.len();
+        with_out(points, n.min(points), |s, out| {
+            s.max_rebinned(self.view(), other.view(), n, out)
         })
     }
 
@@ -404,21 +410,193 @@ impl DiscretePdf {
     /// stretched to `target` moments (Clark's correlated ones) and
     /// rebinned to `n` points. Equals
     /// `self.max(other).with_moments(target, n).rebin(n)` bit for bit,
-    /// without building the max or the stretched copy.
+    /// without building the max or the stretched copy
+    /// ([`PdfOut::max_with_moments`], into a new PDF).
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     #[must_use]
     pub fn max_with_moments(&self, other: &Self, target: Moments, n: usize) -> Self {
-        assert!(n > 0, "need at least one bin");
-        with_scratch(self.len() + other.len(), |s| {
-            s.max_points(self, other);
-            s.normalize_points();
-            // A fallback — a point mass or a normal of `n` points — is
-            // already rebinned.
-            stretch(&mut s.values, &s.probs, target, n).unwrap_or_else(|| s.rebinned(n))
+        with_out(self.len() + other.len(), n, |s, out| {
+            s.max_with_moments(self.view(), other.view(), target, n, out)
         })
+    }
+}
+
+/// A borrowed discrete PDF: sorted support values and their masses. The
+/// slice kernels ([`PdfOut`]) read it; [`DiscretePdf::view`] lends one
+/// and a flat store of PDFs ([`PdfRef::from_stride`]) holds them without
+/// a heap block each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PdfRef<'a> {
+    values: &'a [f64],
+    probs: &'a [f64],
+}
+
+impl<'a> PdfRef<'a> {
+    /// The PDF `(values, probs)`, as a [`DiscretePdf`] holds them:
+    /// values sorted and distinct, masses positive and summing to 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or are zero.
+    #[must_use]
+    pub fn new(values: &'a [f64], probs: &'a [f64]) -> Self {
+        assert!(
+            values.len() == probs.len() && !values.is_empty(),
+            "a pdf needs as many masses as values, and at least one"
+        );
+        Self { values, probs }
+    }
+
+    /// The first `len` points of one stride `buf` that a
+    /// [`PdfOut::new`] of the same buffer wrote: values in its first
+    /// half, masses in its second.
+    #[must_use]
+    pub fn from_stride(buf: &'a [f64], len: usize) -> Self {
+        let cap = buf.len() / 2;
+        Self::new(&buf[..len], &buf[cap..cap + len])
+    }
+
+    /// The support values.
+    #[must_use]
+    pub fn values(self) -> &'a [f64] {
+        self.values
+    }
+
+    /// The probability masses.
+    #[must_use]
+    pub fn probs(self) -> &'a [f64] {
+        self.probs
+    }
+
+    /// Number of support points.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.values.len()
+    }
+
+    /// Always false: a valid PDF has at least one point.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        false
+    }
+
+    /// Mean of the distribution.
+    #[must_use]
+    pub fn mean(self) -> f64 {
+        mean_of(self.values, self.probs)
+    }
+
+    /// Variance of the distribution.
+    #[must_use]
+    pub fn var(self) -> f64 {
+        var_about(self.values, self.probs, self.mean())
+    }
+
+    /// First two moments as a [`Moments`] value.
+    #[must_use]
+    pub fn moments(self) -> Moments {
+        Moments::new(self.mean(), self.var())
+    }
+
+    /// An owned copy.
+    #[must_use]
+    pub fn to_pdf(self) -> DiscretePdf {
+        DiscretePdf {
+            values: self.values.to_vec(),
+            probs: self.probs.to_vec(),
+        }
+    }
+}
+
+/// A caller's buffers that one slice kernel writes a PDF into: room for
+/// as many points as the kernel's result can have (`n` for a kernel
+/// given `n`). Each kernel returns the [`PdfRef`] of what it wrote and
+/// allocates nothing once this thread's scratch is sized.
+#[derive(Debug)]
+pub struct PdfOut<'a> {
+    values: &'a mut [f64],
+    probs: &'a mut [f64],
+}
+
+impl<'a> PdfOut<'a> {
+    /// One stride of a flat PDF store: values go into the first half of
+    /// `buf` and masses into the second ([`PdfRef::from_stride`] reads
+    /// them back).
+    #[must_use]
+    pub fn new(buf: &'a mut [f64]) -> Self {
+        let cap = buf.len() / 2;
+        let (values, rest) = buf.split_at_mut(cap);
+        Self {
+            values,
+            probs: &mut rest[..cap],
+        }
+    }
+
+    /// [`DiscretePdf::from_moments`]: `N(m)` in `n` bins.
+    pub fn from_moments(mut self, m: Moments, n: usize) -> PdfRef<'a> {
+        let len = with_scratch(n, |s| s.work.normal(m.mean, m.std(), n, &mut self));
+        self.written(len)
+    }
+
+    /// [`DiscretePdf::add_rebinned`] of `a` and `b`.
+    pub fn add_rebinned(mut self, a: PdfRef<'_>, b: PdfRef<'_>, n: usize) -> PdfRef<'a> {
+        let len = with_scratch(a.len() * b.len(), |s| {
+            s.work.add_rebinned(a, b, n, &mut self)
+        });
+        self.written(len)
+    }
+
+    /// [`DiscretePdf::max_rebinned`] of `a` and `b`.
+    pub fn max_rebinned(mut self, a: PdfRef<'_>, b: PdfRef<'_>, n: usize) -> PdfRef<'a> {
+        let len = with_scratch(a.len() + b.len(), |s| {
+            s.work.max_rebinned(a, b, n, &mut self)
+        });
+        self.written(len)
+    }
+
+    /// [`DiscretePdf::max_with_moments`] of `a` and `b`.
+    pub fn max_with_moments(
+        mut self,
+        a: PdfRef<'_>,
+        b: PdfRef<'_>,
+        target: Moments,
+        n: usize,
+    ) -> PdfRef<'a> {
+        let len = with_scratch((a.len() + b.len()).max(n), |s| {
+            s.work.max_with_moments(a, b, target, n, &mut self)
+        });
+        self.written(len)
+    }
+
+    /// A copy of `src`.
+    pub fn copy(self, src: PdfRef<'_>) -> PdfRef<'a> {
+        let len = src.len();
+        self.values[..len].copy_from_slice(src.values);
+        self.probs[..len].copy_from_slice(src.probs);
+        self.written(len)
+    }
+
+    /// The first `len` points written.
+    fn written(self, len: usize) -> PdfRef<'a> {
+        let (values, probs): (&'a [f64], &'a [f64]) = (self.values, self.probs);
+        PdfRef {
+            values: &values[..len],
+            probs: &probs[..len],
+        }
+    }
+
+    /// All mass on `value`, as [`DiscretePdf::deterministic`] builds it.
+    fn point_mass(&mut self, value: f64) -> usize {
+        assert!(
+            value.is_finite(),
+            "support value must be finite, got {value}"
+        );
+        self.values[0] = value;
+        self.probs[0] = 1.0;
+        1
     }
 }
 
@@ -479,24 +657,28 @@ fn var_about(values: &[f64], probs: &[f64], m: f64) -> f64 {
     v.max(0.0)
 }
 
+/// What [`stretch`] could not do: the distribution to use instead, at
+/// the target's moments.
+enum Fallback {
+    /// A target without spread: a point mass at its mean.
+    PointMass,
+    /// A shape without spread: a discretized normal.
+    Normal,
+}
+
 /// The stretch of [`DiscretePdf::with_moments`]: maps `values` in place,
 /// `x → target.mean + k·(x − m0)`, so that `(values, probs)` has the
 /// `target` moments, and returns `None`. When no stretch can — a target
 /// without spread, or a shape without spread — it leaves `values` alone
-/// and returns the distribution to use instead.
-fn stretch(
-    values: &mut [f64],
-    probs: &[f64],
-    target: Moments,
-    fallback_samples: usize,
-) -> Option<DiscretePdf> {
+/// and says what to use instead.
+fn stretch(values: &mut [f64], probs: &[f64], target: Moments) -> Option<Fallback> {
     if target.var <= 0.0 {
-        return Some(DiscretePdf::deterministic(target.mean));
+        return Some(Fallback::PointMass);
     }
     let m0 = mean_of(values, probs);
     let v0 = var_about(values, probs, m0);
     if v0 <= 0.0 {
-        return Some(DiscretePdf::from_moments(target, fallback_samples));
+        return Some(Fallback::Normal);
     }
     let k = (target.var / v0).sqrt();
     for x in values {
@@ -506,55 +688,53 @@ fn stretch(
 }
 
 /// Merges the duplicate values of checked, stably key-sorted `points`,
-/// dropping zero masses first, and normalizes them into `values` and
-/// `probs`.
-fn normalize(points: &[Keyed], values: &mut Vec<f64>, probs: &mut Vec<f64>) {
-    values.clear();
-    probs.clear();
-    values.reserve_exact(points.len());
-    probs.reserve_exact(points.len());
+/// dropping zero masses first, and normalizes them into `out`; returns
+/// how many points it wrote.
+fn normalize(points: &[Keyed], out: &mut PdfOut<'_>) -> usize {
+    let (values, probs) = (&mut *out.values, &mut *out.probs);
     // The total folds each merged mass once it is final, from -0.0 as
     // `f64`'s `Sum` does.
     let mut total = -0.0;
+    let mut len = 0;
     for &(key, p) in points {
         if p == 0.0 {
             continue;
         }
         let v = key_value(key);
-        if let (Some(last), Some(mass)) = (values.last(), probs.last_mut()) {
-            if v - last == 0.0 {
-                *mass += p;
+        if len > 0 {
+            if v - values[len - 1] == 0.0 {
+                probs[len - 1] += p;
                 continue;
             }
-            total += *mass;
+            total += probs[len - 1];
         }
-        values.push(v);
-        probs.push(p);
+        values[len] = v;
+        probs[len] = p;
+        len += 1;
     }
-    let last = probs
-        .last()
-        .expect("total probability mass must be positive");
-    total += last;
+    assert!(len > 0, "total probability mass must be positive");
+    total += probs[len - 1];
     assert!(total > 0.0, "total probability mass must be positive");
-    for p in probs {
+    for p in &mut probs[..len] {
         *p /= total;
     }
+    len
 }
 
-/// [`DiscretePdf::rebin`] of the distribution `(values, probs)`; `coarse`
-/// is scratch for the bins.
-fn rebinned(values: &[f64], probs: &[f64], n: usize, coarse: &mut Vec<Keyed>) -> DiscretePdf {
+/// [`DiscretePdf::rebin`] of `pdf` into `out`; `coarse` is scratch for
+/// the bins. Returns how many points it wrote.
+fn rebin_into(pdf: PdfRef<'_>, n: usize, coarse: &mut Vec<Keyed>, out: &mut PdfOut<'_>) -> usize {
     assert!(n > 0, "need at least one bin");
+    let (values, probs) = (pdf.values, pdf.probs);
     if values.len() <= n {
-        return DiscretePdf {
-            values: values.to_vec(),
-            probs: probs.to_vec(),
-        };
+        out.values[..values.len()].copy_from_slice(values);
+        out.probs[..probs.len()].copy_from_slice(probs);
+        return values.len();
     }
     let lo = values[0];
     let hi = values[values.len() - 1];
     if hi - lo <= 0.0 {
-        return DiscretePdf::deterministic(lo);
+        return out.point_mass(lo);
     }
     let width = (hi - lo) / n as f64;
     // One pass: the mean, plus the bins — sorted points visit them
@@ -581,25 +761,37 @@ fn rebinned(values: &[f64], probs: &[f64], n: usize, coarse: &mut Vec<Keyed>) ->
         coarse.push(keyed((weighted / mass, mass)));
     }
     let target_var = var_about(values, probs, target_mean);
-    let mut out = DiscretePdf::from_keyed(coarse);
+    check_points(coarse);
+    coarse.sort_by_key(|x| x.0);
+    let len = normalize(coarse, out);
 
     // Variance correction: stretch the support about the mean.
-    let got_var = out.var();
+    let got_var = PdfRef::new(&out.values[..len], &out.probs[..len]).var();
     if got_var <= 0.0 || target_var <= 0.0 {
-        return out;
+        return len;
     }
     let k = (target_var / got_var).sqrt();
-    for v in &mut out.values {
+    for v in &mut out.values[..len] {
         *v = target_mean + k * (*v - target_mean);
     }
-    out
+    len
+}
+
+/// A thread's reused kernel scratch: the working arrays, plus the result
+/// buffer of the allocating [`DiscretePdf`] wrappers.
+#[derive(Default)]
+struct Scratch {
+    work: Work,
+    /// One stride ([`PdfOut::new`]) a wrapper's result is written into
+    /// before it is copied out.
+    out: Vec<f64>,
 }
 
 /// The working arrays of the fused kernels.
 #[derive(Default)]
-struct Scratch {
-    /// Keyed points: a convolution or a max before normalization, then
-    /// a rebin's bins.
+struct Work {
+    /// Keyed points: a convolution, a max or a normal's bins before
+    /// normalization, then a rebin's bins.
     points: Vec<Keyed>,
     /// The merge's second buffer.
     spare: Vec<Keyed>,
@@ -621,16 +813,85 @@ fn with_scratch<R>(points: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-impl Scratch {
+/// Runs `kernel` on this thread's scratch into a result buffer of `cap`
+/// points and copies the result out: its two vectors are the only
+/// allocations once the scratch is sized.
+fn with_out(
+    points: usize,
+    cap: usize,
+    kernel: impl FnOnce(&mut Work, &mut PdfOut<'_>) -> usize,
+) -> DiscretePdf {
+    with_scratch(points.max(cap), |s| {
+        if s.out.len() < 2 * cap {
+            s.out.resize(2 * cap, 0.0);
+        }
+        let (values, rest) = s.out.split_at_mut(cap);
+        let probs = &mut rest[..cap];
+        let len = kernel(
+            &mut s.work,
+            &mut PdfOut {
+                values: &mut *values,
+                probs: &mut *probs,
+            },
+        );
+        DiscretePdf {
+            values: values[..len].to_vec(),
+            probs: probs[..len].to_vec(),
+        }
+    })
+}
+
+impl Work {
+    /// [`DiscretePdf::from_normal`] into `out`.
+    fn normal(&mut self, mean: f64, sigma: f64, n: usize, out: &mut PdfOut<'_>) -> usize {
+        assert!(n > 0, "need at least one sample point");
+        if sigma == 0.0 {
+            return out.point_mass(mean);
+        }
+        let dist = Normal::new(mean, sigma);
+        let lo = mean - SUPPORT_SIGMAS * sigma;
+        let hi = mean + SUPPORT_SIGMAS * sigma;
+        let width = (hi - lo) / n as f64;
+        let points = &mut self.points;
+        points.clear();
+        // The previous bin's upper edge and its CDF: a lower edge that is
+        // the same `f64` has the same CDF.
+        let mut edge: Option<(u64, f64)> = None;
+        for i in 0..n {
+            let a = lo + i as f64 * width;
+            let b = a + width;
+            let cdf_a = match edge {
+                Some((bits, cdf)) if bits == a.to_bits() => cdf,
+                _ => dist.cdf(a),
+            };
+            let cdf_b = dist.cdf(b);
+            points.push(keyed((0.5 * (a + b), cdf_b - cdf_a)));
+            edge = Some((b.to_bits(), cdf_b));
+        }
+        // A σ below the mean's resolution rounds every bin edge to one
+        // value, leaving no mass anywhere: that is the point mass σ = 0
+        // gives.
+        if points.iter().all(|&(_, mass)| mass == 0.0) {
+            return out.point_mass(mean);
+        }
+        check_points(points);
+        // Every step from `i` to a midpoint is a monotone rounding, and
+        // a midpoint is -0.0 only below every +0.0 one, so the bins are
+        // already in `total_cmp` order: the stable sort of `from_points`
+        // would move nothing.
+        debug_assert!(points.is_sorted_by_key(|x| x.0));
+        normalize(points, out)
+    }
+
     /// The convolution of `a` and `b` into `points`, checked and stably
     /// sorted by key.
-    fn convolve(&mut self, a: &DiscretePdf, b: &DiscretePdf) {
+    fn convolve(&mut self, a: PdfRef<'_>, b: PdfRef<'_>) {
         let points = &mut self.points;
         points.clear();
         points.reserve_exact(a.len() * b.len());
         let mut valid = true;
-        for (&va, &pa) in a.values.iter().zip(&a.probs) {
-            points.extend(b.values.iter().zip(&b.probs).map(|(&vb, &pb)| {
+        for (&va, &pa) in a.values.iter().zip(a.probs) {
+            points.extend(b.values.iter().zip(b.probs).map(|(&vb, &pb)| {
                 let (v, p) = (va + vb, pa * pb);
                 valid &= v.is_finite() & p.is_finite() & (p >= 0.0);
                 (total_key(v), p)
@@ -647,11 +908,11 @@ impl Scratch {
 
     /// The masses of `F_a · F_b` over the merged support of `a` and `b`
     /// into `points`, checked and sorted.
-    fn max_points(&mut self, a: &DiscretePdf, b: &DiscretePdf) {
+    fn max_points(&mut self, a: PdfRef<'_>, b: PdfRef<'_>) {
         let support = &mut self.values;
         support.clear();
         support.resize(a.len() + b.len(), 0.0);
-        merge_pair(&a.values, &b.values, support, total_key);
+        merge_pair(a.values, b.values, support, total_key);
 
         // Running CDFs over the merged support, then difference to masses.
         // A repeated value adds no mass.
@@ -682,12 +943,75 @@ impl Scratch {
 
     /// `points`, deduplicated and normalized into `values` and `probs`.
     fn normalize_points(&mut self) {
-        normalize(&self.points, &mut self.values, &mut self.probs);
+        let len = self.points.len();
+        self.values.resize(len, 0.0);
+        self.probs.resize(len, 0.0);
+        let kept = normalize(
+            &self.points,
+            &mut PdfOut {
+                values: &mut self.values,
+                probs: &mut self.probs,
+            },
+        );
+        self.values.truncate(kept);
+        self.probs.truncate(kept);
     }
 
-    /// `(values, probs)` rebinned to `n` points.
-    fn rebinned(&mut self, n: usize) -> DiscretePdf {
-        rebinned(&self.values, &self.probs, n, &mut self.points)
+    /// `(values, probs)` rebinned to `n` points into `out`.
+    fn rebinned(&mut self, n: usize, out: &mut PdfOut<'_>) -> usize {
+        rebin_into(
+            PdfRef::new(&self.values, &self.probs),
+            n,
+            &mut self.points,
+            out,
+        )
+    }
+
+    /// [`DiscretePdf::add_rebinned`] into `out`.
+    fn add_rebinned(
+        &mut self,
+        a: PdfRef<'_>,
+        b: PdfRef<'_>,
+        n: usize,
+        out: &mut PdfOut<'_>,
+    ) -> usize {
+        self.convolve(a, b);
+        self.normalize_points();
+        self.rebinned(n, out)
+    }
+
+    /// [`DiscretePdf::max_rebinned`] into `out`.
+    fn max_rebinned(
+        &mut self,
+        a: PdfRef<'_>,
+        b: PdfRef<'_>,
+        n: usize,
+        out: &mut PdfOut<'_>,
+    ) -> usize {
+        self.max_points(a, b);
+        self.normalize_points();
+        self.rebinned(n, out)
+    }
+
+    /// [`DiscretePdf::max_with_moments`] into `out`.
+    fn max_with_moments(
+        &mut self,
+        a: PdfRef<'_>,
+        b: PdfRef<'_>,
+        target: Moments,
+        n: usize,
+        out: &mut PdfOut<'_>,
+    ) -> usize {
+        assert!(n > 0, "need at least one bin");
+        self.max_points(a, b);
+        self.normalize_points();
+        // A fallback — a point mass or a normal of `n` points — is
+        // already rebinned.
+        match stretch(&mut self.values, &self.probs, target) {
+            None => self.rebinned(n, out),
+            Some(Fallback::PointMass) => out.point_mass(target.mean),
+            Some(Fallback::Normal) => self.normal(target.mean, target.std(), n, out),
+        }
     }
 }
 

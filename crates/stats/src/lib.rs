@@ -58,7 +58,7 @@ pub mod sensitivity;
 
 pub use accumulator::RunningMoments;
 pub use clark::{clark_max, ClarkMax};
-pub use discrete_pdf::DiscretePdf;
+pub use discrete_pdf::{DiscretePdf, PdfOut, PdfRef};
 pub use fast_max::{fast_max_moments, fast_max_with_dominance, Dominance, DOMINANCE_THRESHOLD};
 pub use moments::Moments;
 pub use normal::Normal;

@@ -1,12 +1,13 @@
 //! Allocation counts of FULLSSTA's fused PDF kernels. After the first
 //! call on a thread has sized its scratch, a kernel on 12-point inputs
-//! allocates only its result's two vectors; a count above that means
-//! the scratch stopped being reused.
+//! allocates only its result's two vectors, and its slice form
+//! (`PdfOut`) allocates nothing; a count above that means the scratch
+//! stopped being reused.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vartol_stats::{DiscretePdf, Moments};
+use vartol_stats::{DiscretePdf, Moments, PdfOut};
 
 /// The system allocator, counting each thread's allocations.
 struct Counting;
@@ -60,8 +61,14 @@ fn fused_kernels_allocate_only_their_results() {
     // Warm-up: the first call sizes this thread's scratch.
     let _ = arrival.add_rebinned(&delay, N);
     let _ = arrival.max_with_moments(&other, target, N);
+    let _ = DiscretePdf::from_moments(target, N);
+    let mut stride = vec![0.0; 2 * N];
 
     for round in 0..3 {
+        let (normal, allocs) = counted(|| DiscretePdf::from_moments(target, N));
+        assert_eq!(normal.len(), N);
+        assert_eq!(allocs, 2, "from_moments, round {round}");
+
         let (sum, allocs) = counted(|| arrival.add_rebinned(&delay, N));
         assert_eq!(sum.len(), N);
         assert_eq!(allocs, 2, "add_rebinned, round {round}");
@@ -73,6 +80,32 @@ fn fused_kernels_allocate_only_their_results() {
         let (max, allocs) = counted(|| arrival.max_rebinned(&other, N));
         assert_eq!(max.len(), N);
         assert_eq!(allocs, 2, "max_rebinned, round {round}");
+
+        // The slice forms write into the caller's stride.
+        let (len, allocs) = counted(|| PdfOut::new(&mut stride).from_moments(target, N).len());
+        assert_eq!((len, allocs), (N, 0), "slice from_moments, round {round}");
+        let (len, allocs) = counted(|| {
+            PdfOut::new(&mut stride)
+                .add_rebinned(arrival.view(), delay.view(), N)
+                .len()
+        });
+        assert_eq!((len, allocs), (N, 0), "slice add_rebinned, round {round}");
+        let (len, allocs) = counted(|| {
+            PdfOut::new(&mut stride)
+                .max_with_moments(arrival.view(), other.view(), target, N)
+                .len()
+        });
+        assert_eq!(
+            (len, allocs),
+            (N, 0),
+            "slice max_with_moments, round {round}"
+        );
+        let (len, allocs) = counted(|| {
+            PdfOut::new(&mut stride)
+                .max_rebinned(arrival.view(), other.view(), N)
+                .len()
+        });
+        assert_eq!((len, allocs), (N, 0), "slice max_rebinned, round {round}");
     }
 
     // Inputs past the retained scratch get scratch of their own and
