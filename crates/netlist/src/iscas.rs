@@ -45,7 +45,7 @@
 //! synthesized as a shared primary input (named `clk` unless that name is
 //! taken), each `Q = DFF(D)` becomes a [`LogicFunction::Dff`] Q gate fed
 //! by the clock, and the D reference is recorded as a
-//! [`Register`](crate::Register) cut — never a graph edge, so feedback
+//! [`Register`] cut — never a graph edge, so feedback
 //! through registers parses while register-free combinational loops are
 //! still rejected as cycles. [`write_bench`] inverts all of this exactly
 //! (the synthetic clock is omitted, registers print as `Q = DFF(D)`).

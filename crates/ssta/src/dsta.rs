@@ -6,8 +6,11 @@
 //! which is exactly deterministic STA-driven sizing.
 //!
 //! [`Dsta::analyze`] returns the unified [`TimingReport`] (zero-variance
-//! arrivals); [`Dsta::detailed`] returns the richer [`DstaResult`] with
-//! critical-path tracing and deterministic slacks.
+//! arrivals), on which [`TimingReport::critical_path`] traces the
+//! deterministic critical path. Deterministic slacks are
+//! [`StatisticalSlacks`](crate::StatisticalSlacks) of a DSTA report at
+//! [`SstaConfig::deterministic`]: with zero variance everywhere, Clark's
+//! `min` is the exact minimum.
 //!
 //! Under a correlated [`VariationModel`](crate::variation::VariationModel)
 //! with global sources, [`Dsta::analyze`] becomes a **corner sweep**: the
@@ -15,8 +18,7 @@
 //! (all gate delays shifted together by the lane's die-wide deviation)
 //! and the lanes recombine into circuit moments whose variance is purely
 //! the die-to-die spread — classical multi-corner STA, derived from the
-//! same model the statistical engines condition on. [`Dsta::detailed`]
-//! stays strictly nominal.
+//! same model the statistical engines condition on.
 //!
 //! Propagation runs through the level-ordered arena
 //! (`state.rs`): wide levels fan their (node × lane) kernels
@@ -25,26 +27,16 @@
 //! every thread width**.
 
 use crate::config::SstaConfig;
-use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingEngine, TimingReport};
 use crate::state::TimingState;
 use vartol_liberty::Library;
-use vartol_netlist::{GateId, Netlist};
+use vartol_netlist::Netlist;
 
 /// Deterministic static timing engine.
 #[derive(Debug, Clone, Copy)]
 pub struct Dsta<'a> {
     library: &'a Library,
     config: &'a SstaConfig,
-}
-
-/// Result of a detailed deterministic analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DstaResult {
-    arrivals: Vec<f64>,
-    max_delay: f64,
-    worst_output: GateId,
-    timing: CircuitTiming,
 }
 
 impl<'a> Dsta<'a> {
@@ -65,42 +57,6 @@ impl<'a> Dsta<'a> {
         TimingState::full(netlist, self.library, self.config, EngineKind::Dsta)
             .into_report(netlist, self.config)
     }
-
-    /// Runs nominal longest-path analysis with the deterministic extras
-    /// (critical-path tracing, slacks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist references cells missing from the library.
-    #[must_use]
-    pub fn detailed(&self, netlist: &Netlist) -> DstaResult {
-        let timing = CircuitTiming::compute(netlist, self.library, self.config);
-        let mut arrivals = vec![0.0f64; netlist.node_count()];
-        for id in netlist.node_ids() {
-            let g = netlist.gate(id);
-            if g.is_input() {
-                continue;
-            }
-            let worst_in = g
-                .fanins()
-                .iter()
-                .map(|f| arrivals[f.index()])
-                .fold(0.0f64, f64::max);
-            arrivals[id.index()] = worst_in + timing.nominal_delay(id);
-        }
-        let (&worst_output, max_delay) = netlist
-            .outputs()
-            .iter()
-            .map(|o| (o, arrivals[o.index()]))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("netlists have at least one output");
-        DstaResult {
-            arrivals,
-            max_delay,
-            worst_output,
-            timing,
-        }
-    }
 }
 
 impl TimingEngine for Dsta<'_> {
@@ -110,86 +66,6 @@ impl TimingEngine for Dsta<'_> {
 
     fn analyze(&self, netlist: &Netlist) -> TimingReport {
         Dsta::analyze(self, netlist)
-    }
-}
-
-impl DstaResult {
-    /// Nominal arrival time at a node.
-    #[must_use]
-    pub fn arrival(&self, id: GateId) -> f64 {
-        self.arrivals[id.index()]
-    }
-
-    /// The circuit's nominal longest delay.
-    #[must_use]
-    pub fn max_delay(&self) -> f64 {
-        self.max_delay
-    }
-
-    /// The output pin realizing the longest delay.
-    #[must_use]
-    pub fn worst_output(&self) -> GateId {
-        self.worst_output
-    }
-
-    /// The electrical snapshot the analysis used.
-    #[must_use]
-    pub fn timing(&self) -> &CircuitTiming {
-        &self.timing
-    }
-
-    /// Traces the deterministic critical (worst-slack) path from the worst
-    /// output back to a primary input, returned input-first. Contains cell
-    /// gates only.
-    #[must_use]
-    pub fn critical_path(&self, netlist: &Netlist) -> Vec<GateId> {
-        let mut path = Vec::new();
-        let mut cursor = self.worst_output;
-        loop {
-            let g = netlist.gate(cursor);
-            if g.is_input() {
-                break;
-            }
-            path.push(cursor);
-            let Some(&next) = g
-                .fanins()
-                .iter()
-                .max_by(|a, b| self.arrivals[a.index()].total_cmp(&self.arrivals[b.index()]))
-            else {
-                break;
-            };
-            cursor = next;
-        }
-        path.reverse();
-        path
-    }
-
-    /// Slack of every node against a required time `t_req` at all outputs
-    /// (required times propagate backward as `min` over fanouts).
-    #[must_use]
-    pub fn slacks(&self, netlist: &Netlist, t_req: f64) -> Vec<f64> {
-        let mut required = vec![f64::INFINITY; netlist.node_count()];
-        for &o in netlist.outputs() {
-            required[o.index()] = t_req;
-        }
-        // Reverse topological order.
-        let ids: Vec<GateId> = netlist.node_ids().collect();
-        for &id in ids.iter().rev() {
-            let g = netlist.gate(id);
-            if g.is_input() {
-                continue;
-            }
-            let req_here = required[id.index()];
-            let req_at_fanin = req_here - self.timing.nominal_delay(id);
-            for &f in g.fanins() {
-                if req_at_fanin < required[f.index()] {
-                    required[f.index()] = req_at_fanin;
-                }
-            }
-        }
-        (0..netlist.node_count())
-            .map(|i| required[i] - self.arrivals[i])
-            .collect()
     }
 }
 
@@ -210,27 +86,12 @@ mod tests {
         let g1 = b.gate("g1", LogicFunction::Inv, &[g0]);
         b.mark_output(g1);
         let n = b.build().expect("valid");
-        let r = Dsta::new(&lib, &config).detailed(&n);
-        assert!(r.arrival(g0) > 0.0);
-        assert!(r.arrival(g1) > r.arrival(g0));
-        assert_eq!(r.max_delay(), r.arrival(g1));
+        let r = Dsta::new(&lib, &config).analyze(&n);
+        assert!(r.arrival(g0).mean > 0.0);
+        assert!(r.arrival(g1).mean > r.arrival(g0).mean);
+        assert_eq!(r.max_delay(), r.arrival(g1).mean);
         assert_eq!(r.worst_output(), g1);
-    }
-
-    #[test]
-    fn unified_report_agrees_with_detailed_result() {
-        let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
-        let n = ripple_carry_adder(8, &lib);
-        let engine = Dsta::new(&lib, &config);
-        let detailed = engine.detailed(&n);
-        let report = engine.analyze(&n);
-        assert_eq!(report.max_delay(), detailed.max_delay());
-        assert_eq!(report.worst_output(), detailed.worst_output());
-        for id in n.node_ids() {
-            assert_eq!(report.arrival(id).mean, detailed.arrival(id));
-            assert_eq!(report.arrival(id).var, 0.0);
-        }
+        assert_eq!(r.arrival(g1).var, 0.0);
     }
 
     #[test]
@@ -238,7 +99,7 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(8, &lib);
-        let r = Dsta::new(&lib, &config).detailed(&n);
+        let r = Dsta::new(&lib, &config).analyze(&n);
         let path = r.critical_path(&n);
         assert!(!path.is_empty());
         // Consecutive path elements are fanin->fanout related.
@@ -271,18 +132,23 @@ mod tests {
 
     #[test]
     fn slacks_zero_on_critical_path_at_exact_requirement() {
+        // Deterministic slacks: with zero variance everywhere, Clark's
+        // min in the backward pass is the exact minimum.
+        use crate::StatisticalSlacks;
         let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
+        let config = SstaConfig::deterministic();
         let n = ripple_carry_adder(6, &lib);
-        let r = Dsta::new(&lib, &config).detailed(&n);
-        let slacks = r.slacks(&n, r.max_delay());
+        let r = Dsta::new(&lib, &config).analyze(&n);
+        let slacks =
+            StatisticalSlacks::compute_with_timing(&n, r.timing(), r.arrivals(), r.max_delay());
         let path = r.critical_path(&n);
         for &g in &path {
-            assert!(slacks[g.index()].abs() < 1e-9, "critical gate slack ~0");
+            assert!(slacks.slack(g).mean.abs() < 1e-9, "critical gate slack ~0");
         }
-        // All slacks non-negative at the exact requirement.
+        // All slacks non-negative and exact at the exact requirement.
         for id in n.node_ids() {
-            assert!(slacks[id.index()] >= -1e-9);
+            assert!(slacks.slack(id).mean >= -1e-9);
+            assert_eq!(slacks.slack(id).var, 0.0);
         }
     }
 

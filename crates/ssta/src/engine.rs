@@ -11,10 +11,15 @@
 //!
 //! and returns the same [`TimingReport`]: per-node arrival [`Moments`],
 //! the statistically-worst primary output, circuit-level moments, and —
-//! for engines that compute them — full arrival PDFs. [`EngineKind`]
-//! selects an engine dynamically; incremental re-analysis on top of the
-//! shared propagation kernels lives in
-//! [`TimingSession`](crate::TimingSession).
+//! for engines that compute them — full arrival PDFs. The report is the
+//! only result type: DSTA's critical path is traced on it too
+//! ([`TimingReport::critical_path`]). A FULLSSTA report keeps its
+//! per-node PDFs in the engine's own fixed-stride slab (moved in by a
+//! one-shot analysis, copied by
+//! [`TimingSession::current_report`](crate::TimingSession::current_report))
+//! and lends them out as [`PdfRef`]s. [`EngineKind`] selects an engine
+//! dynamically; incremental re-analysis on top of the shared propagation
+//! kernels lives in [`TimingSession`](crate::TimingSession).
 //!
 //! # Example
 //!
@@ -37,9 +42,10 @@
 
 use crate::config::SstaConfig;
 use crate::delay::CircuitTiming;
+use crate::state::{CircuitSummary, NodePdfs};
 use vartol_liberty::Library;
 use vartol_netlist::{GateId, Netlist};
-use vartol_stats::{DiscretePdf, Moments};
+use vartol_stats::{DiscretePdf, Moments, PdfRef};
 
 /// Which timing engine produced (or should produce) an analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -120,14 +126,15 @@ pub trait TimingEngine {
 /// PDFs are recombined over the engine's conditioning lanes (or, for
 /// Monte Carlo, sampled across dies), so consumers read the same shapes
 /// whether or not a model is configured.
+///
+/// Two reports are equal when their observable answers are: the per-node
+/// PDFs compare up to each PDF's point count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingReport {
     pub(crate) kind: EngineKind,
     pub(crate) arrivals: Vec<Moments>,
-    pub(crate) pdfs: Option<Vec<DiscretePdf>>,
-    pub(crate) circuit: Moments,
-    pub(crate) circuit_pdf: Option<DiscretePdf>,
-    pub(crate) worst_output: GateId,
+    pub(crate) pdfs: Option<NodePdfs>,
+    pub(crate) circuit: CircuitSummary,
     pub(crate) timing: CircuitTiming,
     pub(crate) samples: Option<Vec<f64>>,
 }
@@ -155,35 +162,62 @@ impl TimingReport {
 
     /// The full arrival PDF at a node, when the engine propagates PDFs.
     #[must_use]
-    pub fn arrival_pdf(&self, id: GateId) -> Option<&DiscretePdf> {
-        self.pdfs.as_ref().map(|p| &p[id.index()])
+    pub fn arrival_pdf(&self, id: GateId) -> Option<PdfRef<'_>> {
+        self.pdfs.as_ref().map(|p| p.pdf(id.index()))
     }
 
     /// Mean and variance of the circuit output RV `max over outputs` —
     /// the quantity the optimization problem in §3 minimizes.
     #[must_use]
     pub fn circuit_moments(&self) -> Moments {
-        self.circuit
+        self.circuit.moments
     }
 
     /// The circuit-level output distribution, when the engine computes one.
     #[must_use]
     pub fn circuit_pdf(&self) -> Option<&DiscretePdf> {
-        self.circuit_pdf.as_ref()
+        self.circuit.pdf.as_ref()
     }
 
     /// The statistically-worst primary output (for [`EngineKind::Dsta`],
     /// the output with the longest nominal arrival).
     #[must_use]
     pub fn worst_output(&self) -> GateId {
-        self.worst_output
+        self.circuit.worst_output
     }
 
     /// The circuit's worst delay: mean of the circuit output RV. For
     /// deterministic analyses this is exactly the longest nominal path.
     #[must_use]
     pub fn max_delay(&self) -> f64 {
-        self.circuit.mean
+        self.circuit.moments.mean
+    }
+
+    /// Traces the critical path from the worst output back to a primary
+    /// input by the latest mean arrival, returned input-first — for a
+    /// [`EngineKind::Dsta`] report, the deterministic critical
+    /// (worst-slack) path. Contains cell gates only.
+    #[must_use]
+    pub fn critical_path(&self, netlist: &Netlist) -> Vec<GateId> {
+        let mut path = Vec::new();
+        let mut cursor = self.worst_output();
+        loop {
+            let g = netlist.gate(cursor);
+            if g.is_input() {
+                break;
+            }
+            path.push(cursor);
+            let Some(&next) = g.fanins().iter().max_by(|a, b| {
+                self.arrivals[a.index()]
+                    .mean
+                    .total_cmp(&self.arrivals[b.index()].mean)
+            }) else {
+                break;
+            };
+            cursor = next;
+        }
+        path.reverse();
+        path
     }
 
     /// The electrical snapshot (loads, slews, delay moments) the analysis

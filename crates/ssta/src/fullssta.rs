@@ -124,7 +124,7 @@ mod tests {
         let n = ripple_carry_adder(8, &lib);
         let config = SstaConfig::default();
         let stat = FullSsta::new(&lib, &config).analyze(&n);
-        let det = Dsta::new(&lib, &config).detailed(&n);
+        let det = Dsta::new(&lib, &config).analyze(&n);
         // Statistical mean >= deterministic longest path (max of RVs
         // exceeds max of means) but within a few sigma of it.
         let m = stat.circuit_moments();
@@ -138,7 +138,7 @@ mod tests {
         let n = ripple_carry_adder(6, &lib);
         let config = SstaConfig::deterministic();
         let stat = FullSsta::new(&lib, &config).analyze(&n);
-        let det = Dsta::new(&lib, &config).detailed(&n);
+        let det = Dsta::new(&lib, &config).analyze(&n);
         let m = stat.circuit_moments();
         assert!((m.mean - det.max_delay()).abs() < 1e-6);
         assert!(m.std() < 1e-9);

@@ -104,7 +104,7 @@ pub mod wnss;
 pub use config::{CorrelationMode, SstaConfig};
 pub use criticality::Criticality;
 pub use delay::CircuitTiming;
-pub use dsta::{Dsta, DstaResult};
+pub use dsta::Dsta;
 pub use engine::{EngineKind, TimingEngine, TimingReport};
 pub use fassta::Fassta;
 pub use fingerprint::{config_fingerprint, fingerprint_bytes, size_fingerprint, Fnv64};

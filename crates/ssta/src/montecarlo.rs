@@ -85,6 +85,7 @@ use crate::config::SstaConfig;
 use crate::delay::CircuitTiming;
 use crate::engine::{EngineKind, TimingEngine, TimingReport};
 use crate::pool::ScopedPool;
+use crate::state::CircuitSummary;
 use crate::variation::VariationContext;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -763,9 +764,11 @@ impl TimingEngine for MonteCarloTimer<'_> {
             kind: EngineKind::MonteCarlo,
             arrivals: result.arrivals.clone(),
             pdfs: None,
-            circuit: result.moments,
-            circuit_pdf: Some(circuit_pdf),
-            worst_output,
+            circuit: CircuitSummary {
+                moments: result.moments,
+                pdf: Some(circuit_pdf),
+                worst_output,
+            },
             timing,
             samples: Some(result.samples),
         }

@@ -80,7 +80,10 @@
 //! the level's reused result buffers, which the join compares with the
 //! slots and copies in, and a from-scratch build's kernels write
 //! straight into the level's slots, split off the lower levels they
-//! read. Reports build their [`DiscretePdf`]s from the slab at the end.
+//! read. A report keeps a slab of the same layout ([`NodePdfs`]): a
+//! laneless one-shot analysis moves the state's own slab into it once
+//! the bucket slab is freed, a session's report copies it, and a
+//! conditioned report holds one lane of per-node lane mixtures.
 //!
 //! # Level-prefix buckets
 //!
@@ -165,7 +168,7 @@ use vartol_stats::{DiscretePdf, Moments, PdfOut, PdfRef};
 /// crossover (`analytic_parallel` group).
 pub(crate) const PARALLEL_LEVEL_MIN: usize = 16;
 
-/// Circuit-level summary of a propagation state.
+/// Circuit-level summary of a propagation state (and of a report).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CircuitSummary {
     pub moments: Moments,
@@ -334,6 +337,30 @@ impl Slabs {
     }
 }
 
+/// A report's node-indexed arrival PDFs: a one-lane PDF slab without
+/// buckets, addressed through the schedule's node → slot map.
+#[derive(Debug, Clone)]
+pub(crate) struct NodePdfs {
+    slabs: Slabs,
+    slot_of: Vec<u32>,
+}
+
+impl NodePdfs {
+    /// The PDF of node index `node`.
+    pub(crate) fn pdf(&self, node: usize) -> PdfRef<'_> {
+        self.slabs.view().pdf(self.slot_of[node] as usize)
+    }
+}
+
+impl PartialEq for NodePdfs {
+    /// Node by node, each PDF up to its point count: a stride's tail
+    /// holds whatever a longer, earlier PDF of that slot left there.
+    fn eq(&self, other: &Self) -> bool {
+        self.slot_of.len() == other.slot_of.len()
+            && (0..self.slot_of.len()).all(|node| self.pdf(node) == other.pdf(node))
+    }
+}
+
 /// Read access to [`Slabs`], or (in a from-scratch build's kernels) to
 /// the part of them below the running level.
 #[derive(Debug, Clone, Copy)]
@@ -396,17 +423,17 @@ impl LaneArena {
             (s, w, true)
         };
         let lanes = shifts.len();
-        let bucket_base: Vec<usize> = if track {
-            // A level-`l` slot holds `l + 1` entries per lane.
-            std::iter::once(0)
-                .chain((0..schedule.level_count()).scan(0, |base, l| {
-                    *base += (schedule.starts[l + 1] - schedule.starts[l]) * lanes * (l + 1);
-                    Some(*base)
-                }))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut bucket_base = Vec::new();
+        if track {
+            // Sized up front, so a build allocates alike at any depth.
+            bucket_base.reserve_exact(schedule.level_count() + 1);
+            bucket_base.push(0);
+            for l in 0..schedule.level_count() {
+                // A level-`l` slot holds `l + 1` entries per lane.
+                let width = schedule.starts[l + 1] - schedule.starts[l];
+                bucket_base.push(bucket_base[l] + width * lanes * (l + 1));
+            }
+        }
         let slabs = if kind == EngineKind::FullSsta {
             let buckets = bucket_base.last().copied().unwrap_or(0);
             Slabs::new(config.pdf_samples, lanes * nodes, buckets)
@@ -1179,47 +1206,49 @@ impl TimingState {
             .worst_output(netlist, &self.arrivals)
     }
 
-    /// Node-indexed **unconditional** arrival PDFs, built from the arena
-    /// at report time: laneless, lane 0 in node order; with lanes, the
-    /// weighted per-node lane mixture. Mixing at report time instead of
-    /// per visit is observationally identical — the mixture depends only
-    /// on the final lane PDFs, and the legacy per-visit mixture never fed
-    /// the change detection.
-    fn report_pdfs(&self, config: &SstaConfig) -> Vec<DiscretePdf> {
-        let lanes = self.arena.lanes();
-        (0..self.arena.nodes)
-            .map(|node| {
-                let slot = self.schedule.slot_of[node] as usize;
-                if !self.arena.conditioned {
-                    return self.slabs.view().pdf(slot).to_pdf();
-                }
-                mix_lane_pdfs(
-                    (0..lanes).map(|lane| {
-                        (
-                            self.arena.weights[lane],
-                            self.slabs.view().pdf(self.arena.idx(lane, slot)),
-                        )
-                    }),
-                    config.pdf_samples,
-                )
-            })
-            .collect()
+    /// A conditioned arena's **unconditional** arrival PDFs: a one-lane
+    /// slab holding each slot's weighted lane mixture. Mixing at report
+    /// time instead of per visit is observationally identical — the
+    /// mixture depends only on the final lane PDFs, and the legacy
+    /// per-visit mixture never fed the change detection.
+    fn mixed_pdfs(&self) -> Slabs {
+        let (lanes, cap) = (self.arena.lanes(), self.slabs.cap);
+        let mut mixed = Slabs::new(cap, self.arena.nodes, 0);
+        for slot in 0..self.arena.nodes {
+            let pdf = mix_lane_pdfs(
+                (0..lanes).map(|lane| {
+                    (
+                        self.arena.weights[lane],
+                        self.slabs.view().pdf(self.arena.idx(lane, slot)),
+                    )
+                }),
+                cap,
+            );
+            mixed.set_pdf(slot, pdf.view());
+        }
+        mixed
     }
 
     /// Packages the state as a [`TimingReport`], consuming it: the
-    /// bucket slab is freed once the circuit summary is reduced, before
-    /// the report's PDFs are built, so the two never coexist.
+    /// bucket slab is freed once the circuit summary is reduced, and a
+    /// laneless state's PDF slab and node → slot map then move into the
+    /// report, so nothing is copied.
     pub fn into_report(mut self, netlist: &Netlist, config: &SstaConfig) -> TimingReport {
-        let summary = self.circuit(netlist, config);
+        let circuit = self.circuit(netlist, config);
         self.slabs.buckets = Vec::new();
-        let pdfs = (self.kind == EngineKind::FullSsta).then(|| self.report_pdfs(config));
+        let pdfs = (self.kind == EngineKind::FullSsta).then(|| NodePdfs {
+            slabs: if self.arena.conditioned {
+                self.mixed_pdfs()
+            } else {
+                std::mem::take(&mut self.slabs)
+            },
+            slot_of: std::mem::take(&mut self.schedule.slot_of),
+        });
         TimingReport {
             kind: self.kind,
             arrivals: self.arrivals,
             pdfs,
-            circuit: summary.moments,
-            circuit_pdf: summary.pdf,
-            worst_output: summary.worst_output,
+            circuit,
             timing: self.timing,
             samples: None,
         }
@@ -1227,16 +1256,27 @@ impl TimingState {
 
     /// Packages the state as a [`TimingReport`] without consuming it,
     /// given its circuit summary (as [`TimingState::circuit`] returns
-    /// it): clones only what the report holds.
-    pub fn report(&self, summary: &CircuitSummary, config: &SstaConfig) -> TimingReport {
-        let pdfs = (self.kind == EngineKind::FullSsta).then(|| self.report_pdfs(config));
+    /// it): copies only what the report holds — a laneless PDF slab
+    /// without its buckets.
+    pub fn report(&self, circuit: &CircuitSummary) -> TimingReport {
+        let pdfs = (self.kind == EngineKind::FullSsta).then(|| NodePdfs {
+            slabs: if self.arena.conditioned {
+                self.mixed_pdfs()
+            } else {
+                Slabs {
+                    cap: self.slabs.cap,
+                    points: self.slabs.points.clone(),
+                    lens: self.slabs.lens.clone(),
+                    ..Slabs::default()
+                }
+            },
+            slot_of: self.schedule.slot_of.clone(),
+        });
         TimingReport {
             kind: self.kind,
             arrivals: self.arrivals.clone(),
             pdfs,
-            circuit: summary.moments,
-            circuit_pdf: summary.pdf.clone(),
-            worst_output: summary.worst_output,
+            circuit: circuit.clone(),
             timing: self.timing.clone(),
             samples: None,
         }

@@ -13,7 +13,10 @@
 //! some blocks this one allocated. A from-scratch build keeps no
 //! level-wide scratch: a new session holds exactly the blocks its fork
 //! copies, and a fork copies the same handful of blocks whatever the
-//! circuit's size.
+//! circuit's size. A one-shot FULLSSTA analysis makes as many
+//! allocations whatever the circuit's size, since its report keeps the
+//! state's PDF slab instead of one PDF per node, and those PDFs take no
+//! more bytes than the state's slabs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,15 +26,23 @@ use vartol_liberty::Library;
 use vartol_netlist::generators::{benchmark, random_dag, RandomDagConfig};
 use vartol_netlist::iscas::parse_bench;
 use vartol_netlist::{GateId, Netlist};
-use vartol_ssta::{CorrelationMode, EngineKind, SstaConfig, TimingSession};
+use vartol_ssta::{
+    CorrelationMode, EngineKind, Fassta, FullSsta, SstaConfig, TimingEngine, TimingSession,
+};
 
-/// The system allocator, counting each thread's allocations and live
-/// blocks.
+/// The system allocator, counting each thread's allocations, live
+/// blocks and live bytes.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live byte count.
+fn add_bytes(delta: isize) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments;
@@ -41,16 +52,19 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
         let _ = LIVE.try_with(|c| c.set(c.get() + 1));
+        add_bytes(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         let _ = LIVE.try_with(|c| c.set(c.get() - 1));
+        add_bytes(-(layout.size() as isize));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_bytes(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -72,6 +86,14 @@ fn held<R>(f: impl FnOnce() -> R) -> (R, isize) {
     let before = LIVE.with(Cell::get);
     let out = f();
     (out, LIVE.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with how many more bytes are live on
+/// this thread afterwards.
+fn held_bytes<R>(f: impl FnOnce() -> R) -> (R, isize) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = f();
+    (out, LIVE_BYTES.with(Cell::get) - before)
 }
 
 fn dag(gates: usize, seed: u64, lib: &Library) -> Netlist {
@@ -242,4 +264,48 @@ fn a_new_session_holds_no_level_wide_scratch() {
         );
         drop(fork);
     }
+}
+
+#[test]
+fn a_one_shot_fullssta_analysis_allocates_alike_at_any_size() {
+    let lib = Library::synthetic_90nm();
+    let circuits = [dag(1_000, 0x0A11, &lib), dag(4_000, 0x0A11, &lib)];
+    let config = SstaConfig::default().with_threads(1);
+    let engine = FullSsta::new(&lib, &config);
+    // The PDF kernels keep their per-thread scratch after the first
+    // call; size it before counting.
+    for n in &circuits {
+        drop(engine.analyze(n));
+    }
+    let allocs: Vec<usize> = circuits
+        .iter()
+        .map(|n| counted(|| engine.analyze(n)).1)
+        .collect();
+    assert_eq!(
+        allocs[0], allocs[1],
+        "allocations on a 1,000- and a 4,000-gate DAG"
+    );
+}
+
+#[test]
+fn a_fullssta_report_holds_no_more_pdf_bytes_than_the_slabs() {
+    // What a FULLSSTA report or state holds beyond a FASSTA one of the
+    // same circuit: the report's PDFs and circuit PDF, and the state's
+    // PDF and bucket slabs and circuit PDF.
+    let lib = Arc::new(Library::synthetic_90nm());
+    let n = dag(2_000, 0xB17E5, &lib);
+    let config = SstaConfig::default().with_threads(1);
+    drop(FullSsta::new(&lib, &config).analyze(&n));
+    let report_bytes = |engine: &dyn TimingEngine| held_bytes(|| engine.analyze(&n)).1;
+    let report =
+        report_bytes(&FullSsta::new(&lib, &config)) - report_bytes(&Fassta::new(&lib, &config));
+    let session_bytes = |kind| {
+        let (netlist, config) = (n.clone(), config.clone());
+        held_bytes(|| TimingSession::with_kind(Arc::clone(&lib), config, netlist, kind)).1
+    };
+    let slabs = session_bytes(EngineKind::FullSsta) - session_bytes(EngineKind::Fassta);
+    assert!(
+        report <= slabs,
+        "the report's PDFs take {report} bytes, the state's slabs {slabs}"
+    );
 }

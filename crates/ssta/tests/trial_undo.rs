@@ -99,7 +99,12 @@ fn capture(session: &mut TimingSession) -> Snapshot {
         session
             .netlist()
             .node_ids()
-            .map(|id| report.arrival_pdf(id).map(pdf_bits).unwrap_or_default())
+            .map(|id| {
+                report
+                    .arrival_pdf(id)
+                    .map(|p| pdf_bits(&p.to_pdf()))
+                    .unwrap_or_default()
+            })
             .collect()
     });
     Snapshot {

@@ -267,15 +267,7 @@ impl DiscretePdf {
     /// `P(X ≤ x)` (right-continuous step function).
     #[must_use]
     pub fn cdf(&self, x: f64) -> f64 {
-        let mut acc = 0.0;
-        for (v, p) in self.values.iter().zip(&self.probs) {
-            if *v <= x {
-                acc += p;
-            } else {
-                break;
-            }
-        }
-        acc.min(1.0)
+        self.view().cdf(x)
     }
 
     /// Smallest support value `x` with `P(X ≤ x) ≥ p`.
@@ -499,6 +491,20 @@ impl<'a> PdfRef<'a> {
     #[must_use]
     pub fn moments(self) -> Moments {
         Moments::new(self.mean(), self.var())
+    }
+
+    /// `P(X ≤ x)` (right-continuous step function).
+    #[must_use]
+    pub fn cdf(self, x: f64) -> f64 {
+        let mut acc = 0.0;
+        for (v, p) in self.values.iter().zip(self.probs) {
+            if *v <= x {
+                acc += p;
+            } else {
+                break;
+            }
+        }
+        acc.min(1.0)
     }
 
     /// An owned copy.

@@ -33,7 +33,7 @@ fn main() {
     println!("parsed: {netlist}");
 
     let config = SstaConfig::default();
-    let det = Dsta::new(&library, &config).detailed(&netlist);
+    let det = Dsta::new(&library, &config).analyze(&netlist);
     let stat = FullSsta::new(&library, &config).analyze(&netlist);
 
     println!();

@@ -70,18 +70,6 @@ fn trait_objects_unify_all_engines() {
 }
 
 #[test]
-fn deterministic_engine_detailed_and_unified_views_agree() {
-    let lib = Library::synthetic_90nm();
-    let config = SstaConfig::default();
-    let n = benchmark("c432", &lib).expect("known benchmark");
-    let engine = Dsta::new(&lib, &config);
-    let detailed = engine.detailed(&n);
-    let unified = engine.analyze(&n);
-    assert_eq!(unified.max_delay(), detailed.max_delay());
-    assert_eq!(unified.worst_output(), detailed.worst_output());
-}
-
-#[test]
 fn all_engines_are_coherent_under_a_correlated_model() {
     // Under a die-to-die source: DSTA becomes a corner sweep (pure
     // global spread), FASSTA and FULLSSTA condition, Monte Carlo
