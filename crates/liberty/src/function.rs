@@ -149,28 +149,29 @@ impl LogicFunction {
 
     /// Parses the canonical short name (case-insensitive). `NOT` and `INV`
     /// both map to [`LogicFunction::Inv`], `BUFF` to [`LogicFunction::Buf`].
+    /// Matches on the name's bytes, upper-cased in ASCII only, so a
+    /// non-ASCII name never matches.
     #[must_use]
     pub fn parse_short_name(s: &str) -> Option<Self> {
-        const NAMES: [(&str, LogicFunction); 14] = [
-            ("BUF", LogicFunction::Buf),
-            ("BUFF", LogicFunction::Buf),
-            ("NOT", LogicFunction::Inv),
-            ("INV", LogicFunction::Inv),
-            ("AND", LogicFunction::And),
-            ("NAND", LogicFunction::Nand),
-            ("OR", LogicFunction::Or),
-            ("NOR", LogicFunction::Nor),
-            ("XOR", LogicFunction::Xor),
-            ("XNOR", LogicFunction::Xnor),
-            ("AOI21", LogicFunction::Aoi21),
-            ("OAI21", LogicFunction::Oai21),
-            ("MAJ3", LogicFunction::Maj3),
-            ("DFF", LogicFunction::Dff),
-        ];
-        NAMES
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(s))
-            .map(|&(_, f)| f)
+        let mut upper = [0u8; 5];
+        let name = upper.get_mut(..s.len())?;
+        name.copy_from_slice(s.as_bytes());
+        name.make_ascii_uppercase();
+        Some(match &*name {
+            b"BUF" | b"BUFF" => LogicFunction::Buf,
+            b"NOT" | b"INV" => LogicFunction::Inv,
+            b"AND" => LogicFunction::And,
+            b"NAND" => LogicFunction::Nand,
+            b"OR" => LogicFunction::Or,
+            b"NOR" => LogicFunction::Nor,
+            b"XOR" => LogicFunction::Xor,
+            b"XNOR" => LogicFunction::Xnor,
+            b"AOI21" => LogicFunction::Aoi21,
+            b"OAI21" => LogicFunction::Oai21,
+            b"MAJ3" => LogicFunction::Maj3,
+            b"DFF" => LogicFunction::Dff,
+            _ => return None,
+        })
     }
 }
 

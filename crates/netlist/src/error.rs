@@ -70,8 +70,8 @@ pub enum NetlistError {
     },
     /// A flat netlist table outgrew its `u32` offsets.
     TooLarge {
-        /// What the table holds (`"name bytes"`, `"fanin pins"`,
-        /// `"references"`).
+        /// What the table holds (`"name bytes"`, `"fanin pins"`, or
+        /// `"text bytes"` for a `.bench` text past `u32` offsets).
         table: &'static str,
         /// The length it would have reached.
         len: usize,

@@ -12,14 +12,18 @@
 //! G17 = NOT(G10)
 //! ```
 //!
-//! The parser borrows every name and reference from the text and hashes
-//! each name once, into one keyed name table that becomes the netlist's
-//! own index; everything after that is index arithmetic over statement
-//! numbers. Its passes, each linear:
+//! The parser keeps every name and reference as a span of the text and
+//! hashes each name once, into one keyed name table that becomes the
+//! netlist's own index; everything after that is index arithmetic over
+//! statement numbers. Its passes, each linear:
 //!
-//! 1. tokenize: one record per statement, its name a `&str` into the
-//!    text, and every fanin (or D) reference in one flat list, each list
-//!    sized once from the text's line and comma counts;
+//! 1. tokenize: one forward walk over the text's bytes, each scan
+//!    reading eight bytes at a time up to the next byte that matters
+//!    (`\n`, `#`, `=`, `(` or `,`). It keeps one record per statement
+//!    and every fanin (or D) reference in one flat list, as `u32` spans
+//!    trimmed as `str::trim` trims them (the `str` methods run only where
+//!    an end is non-ASCII). The lists are reserved from the text's
+//!    length, with no counting pre-pass;
 //! 2. the name table: a `NameIndex` over the statements (std's keyed
 //!    `RandomState`, since served `Register` requests parse untrusted
 //!    text), mapping each name's hash to its statement;
@@ -33,13 +37,14 @@
 //!    fanout CSR derived from the fanins in one counting pass; the name
 //!    table is renumbered from statements to nodes, not rebuilt.
 //!
-//! A `k`-input gate thus costs `k + 1` hashes (its definition and its
-//! `k` references) and no allocation of its own (a register keeps its
-//! name as a `String`): a combinational file parses in the same few
-//! dozen allocations whatever its size. Cycles and undefined
-//! signals are reported with the offending name, malformed lines with
-//! their line number. The writer emits gates in topological order so
-//! round-trips are stable.
+//! A `k`-input gate thus costs one walk over its line's bytes, `k + 1`
+//! hashes (its definition and its `k` references) and no allocation of
+//! its own (a register keeps its name as a `String`): a combinational
+//! file at a written netlist's density parses in the same few dozen
+//! allocations whatever its size. Cycles and undefined signals are
+//! reported with the offending name, malformed lines (an empty `INPUT()`
+//! or `OUTPUT()` name among them) with their line number. The writer
+//! emits gates in topological order so round-trips are stable.
 //!
 //! `DFF` statements follow the ISCAS-89 dialect: the implicit clock is
 //! synthesized as a shared primary input (named `clk` unless that name is
@@ -66,31 +71,52 @@ enum Kind {
     Dff,
 }
 
+/// A name or reference, trimmed: bytes `start..end` of the text.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Self {
+        // `tokenize` checks that the whole text has `u32` offsets.
+        Self {
+            start: to_u32(start),
+            end: to_u32(end),
+        }
+    }
+
+    fn of(self, text: &str) -> &str {
+        &text[self.start as usize..self.end as usize]
+    }
+}
+
 /// One defining `.bench` statement (`INPUT`, gate or `DFF`).
 #[derive(Debug)]
-struct Def<'a> {
-    name: &'a str,
+struct Def {
+    name: Span,
     kind: Kind,
     /// Its fanin references (a `DFF`'s one D reference) in
     /// [`Tokens::refs`].
     refs: Range<u32>,
 }
 
-impl Def<'_> {
+impl Def {
     fn refs(&self) -> Range<usize> {
         self.refs.start as usize..self.refs.end as usize
     }
 }
 
-/// A tokenized `.bench` text, borrowing every name from it.
+/// A tokenized `.bench` text: spans of it.
 #[derive(Debug)]
-struct Tokens<'a> {
+struct Tokens {
     /// The defining statements, in text order.
-    defs: Vec<Def<'a>>,
+    defs: Vec<Def>,
     /// The `OUTPUT` names, in text order.
-    outputs: Vec<&'a str>,
+    outputs: Vec<Span>,
     /// Every statement's references, one flat list in text order.
-    refs: Vec<&'a str>,
+    refs: Vec<Span>,
 }
 
 /// Parses `.bench` text into a [`Netlist`].
@@ -104,8 +130,8 @@ struct Tokens<'a> {
 /// [`NetlistError::Cycle`] for a combinational loop,
 /// [`NetlistError::UnknownSignal`] for the first undefined `OUTPUT`, and
 /// then the checks a [`NetlistBuilder`](crate::NetlistBuilder) makes
-/// (arity in emission order, no inputs, no outputs). A text whose
-/// references, name bytes or pins outgrow `u32` offsets gives
+/// (arity in emission order, no inputs, no outputs). A text whose bytes,
+/// name bytes or pins outgrow `u32` offsets gives
 /// [`NetlistError::TooLarge`] where it overflows.
 ///
 /// # Example
@@ -135,12 +161,13 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
         refs,
     } = tokenize(text)?;
     let n = defs.len();
-    let name_of = |j: usize| defs[j].name;
+    let name_of = |j: usize| defs[j].name.of(text);
 
     let mut index = NameIndex::with_capacity(n);
     for def in &defs {
-        if !index.insert(def.name, name_of) {
-            return Err(NetlistError::DuplicateName(def.name.to_owned()));
+        let name = def.name.of(text);
+        if !index.insert(name, name_of) {
+            return Err(NetlistError::DuplicateName(name.to_owned()));
         }
     }
     let resolve = |r: &str| {
@@ -156,9 +183,9 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
     // cycles.
     let mut fanins = Vec::with_capacity(refs.len());
     for r in &refs {
-        fanins.push(to_u32(resolve(r)?));
+        fanins.push(to_u32(resolve(r.of(text))?));
     }
-    let gate_fanins = |def: &Def<'_>| match def.kind {
+    let gate_fanins = |def: &Def| match def.kind {
         Kind::Gate(_) => &fanins[def.refs()],
         Kind::Input | Kind::Dff => &[],
     };
@@ -210,55 +237,49 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, NetlistError> {
             .iter()
             .zip(&indegree)
             .find(|&(_, &k)| k > 0)
-            .map_or("", |(def, _)| def.name);
+            .map_or("", |(def, _)| def.name.of(text));
         return Err(NetlistError::Cycle(stuck.to_owned()));
     }
     let mut output_defs = Vec::with_capacity(outputs.len());
     for o in &outputs {
-        output_defs.push(resolve(o)?);
+        output_defs.push(resolve(o.of(text))?);
     }
 
+    emit(name, text, &defs, &fanins, &order, &output_defs, index)
+}
+
+/// Emits the statements in Kahn's `order` straight into a netlist's
+/// flat arrays, each sized exactly, after the synthesized clock input
+/// (if any); `defs` are spans of `text`, `fanins` holds every
+/// statement's references resolved, and `outputs` the `OUTPUT`
+/// statements. The statement-keyed `index` becomes the netlist's,
+/// renumbered to node ids.
+fn emit(
+    name: &str,
+    text: &str,
+    defs: &[Def],
+    fanins: &[u32],
+    order: &[u32],
+    outputs: &[usize],
+    mut index: NameIndex,
+) -> Result<Netlist, NetlistError> {
     // ISCAS-89 registers share one implicit clock; synthesize it as the
     // first primary input (dodging any colliding signal name).
     let clock = defs.iter().any(|d| d.kind == Kind::Dff).then(|| {
         let mut clk_name = "clk".to_owned();
-        while index.get(&clk_name, name_of).is_some() {
+        while index.get(&clk_name, |j| defs[j].name.of(text)).is_some() {
             clk_name.push('_');
         }
         clk_name
     });
-    emit(
-        name,
-        &defs,
-        &fanins,
-        &order,
-        clock.as_deref(),
-        &output_defs,
-        index,
-    )
-}
-
-/// Emits the statements in Kahn's `order` straight into a netlist's
-/// flat arrays, each sized exactly, after the synthesized `clock` input
-/// (if any); `fanins` holds every statement's references resolved, and
-/// `outputs` the `OUTPUT` statements. The statement-keyed `index`
-/// becomes the netlist's, renumbered to node ids.
-fn emit(
-    name: &str,
-    defs: &[Def<'_>],
-    fanins: &[u32],
-    order: &[u32],
-    clock: Option<&str>,
-    outputs: &[usize],
-    mut index: NameIndex,
-) -> Result<Netlist, NetlistError> {
+    let clock = clock.as_deref();
     let nodes = defs.len() + usize::from(clock.is_some());
     let mut name_bytes = clock.map_or(0, str::len);
     let mut pins = 0;
     let mut input_count = usize::from(clock.is_some());
     let mut registers = 0;
     for def in defs {
-        name_bytes += def.name.len();
+        name_bytes += def.name.of(text).len();
         match def.kind {
             Kind::Input => input_count += 1,
             Kind::Gate(_) => pins += def.refs().len(),
@@ -289,7 +310,8 @@ fn emit(
         let i = i as usize;
         let def = &defs[i];
         let id = GateId::new(kinds.len());
-        names.push(def.name)?;
+        let def_name = def.name.of(text);
+        names.push(def_name)?;
         match def.kind {
             Kind::Input => {
                 kinds.push(GateKind::Input);
@@ -300,7 +322,7 @@ fn emit(
                 let pins = &fanins[def.refs()];
                 if bad_arity.is_none() && !function.supports_arity(pins.len()) {
                     bad_arity = Some(NetlistError::BadArity {
-                        gate: def.name.to_owned(),
+                        gate: def_name.to_owned(),
                         function,
                         arity: pins.len(),
                     });
@@ -342,7 +364,7 @@ fn emit(
         .into_iter()
         .map(|(q, i)| {
             let d = ids[fanins[defs[i].refs.start as usize] as usize];
-            Register::new(defs[i].name.to_owned(), q, d)
+            Register::new(defs[i].name.of(text).to_owned(), q, d)
         })
         .collect();
     index.renumber(&ids, nodes, clock.map(|c| (clk, c)));
@@ -359,87 +381,210 @@ fn emit(
     }))
 }
 
-fn tokenize(text: &str) -> Result<Tokens<'_>, NetlistError> {
-    // Every list is sized once: `l` lines hold at most `l` statements,
-    // and with `c` commas at most `l + c` references.
-    let (mut lines, mut commas) = (1, 0);
-    for b in text.bytes() {
-        lines += usize::from(b == b'\n');
-        commas += usize::from(b == b',');
+/// The first position at or after `i` whose byte is one of `stops`, or
+/// the text's end, found eight bytes at a time.
+fn scan(bytes: &[u8], mut i: usize, stops: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        // Per stop byte, the lowest byte flagged is the first one equal
+        // to it (a borrow only flags bytes above an equal one).
+        let hits = stops.iter().fold(0, |hits, &stop| {
+            let diff = word ^ (ONES * u64::from(stop));
+            hits | (diff.wrapping_sub(ONES) & !diff & HIGHS)
+        });
+        if hits != 0 {
+            return i + hits.trailing_zeros() as usize / 8;
+        }
+        i += 8;
     }
-    let mut out = Tokens {
-        defs: Vec::with_capacity(lines),
-        outputs: Vec::with_capacity(lines),
-        refs: Vec::with_capacity(lines + commas),
-    };
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |message: String| NetlistError::Parse {
-            line: lineno + 1,
-            message,
-        };
+    bytes[i..]
+        .iter()
+        .position(|b| stops.contains(b))
+        .map_or(bytes.len(), |k| i + k)
+}
 
-        let start = offset(out.refs.len(), "references")?;
-        if let Some(rest) = strip_directive(line, "INPUT") {
-            out.defs.push(Def {
-                name: rest,
-                kind: Kind::Input,
-                refs: start..start,
-            });
-        } else if let Some(rest) = strip_directive(line, "OUTPUT") {
-            out.outputs.push(rest);
-        } else if let Some(eq) = line.find('=') {
-            let name = line[..eq].trim();
-            if name.is_empty() {
-                return Err(err("missing signal name before `=`".into()));
+/// Whether ASCII byte `b` is whitespace to [`char::is_whitespace`]
+/// (which, unlike [`u8::is_ascii_whitespace`], takes in `\x0b`).
+fn is_ascii_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The first position at or after `i` past whitespace (as `str::trim`
+/// sees it) on the same line: it stops at a `\n`.
+fn skip_space(text: &str, mut i: usize) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii() {
+            if b == b'\n' || !is_ascii_space(b) {
+                break;
             }
-            let rhs = line[eq + 1..].trim();
-            let open = rhs
-                .find('(')
-                .ok_or_else(|| err(format!("expected `FUNC(...)` after `=`, got `{rhs}`")))?;
-            if !rhs.ends_with(')') {
-                return Err(err("missing closing parenthesis".into()));
-            }
-            let func_name = rhs[..open].trim();
-            let function = LogicFunction::parse_short_name(func_name)
-                .ok_or_else(|| err(format!("unknown gate type `{func_name}`")))?;
-            let args = &rhs[open + 1..rhs.len() - 1];
-            out.refs
-                .extend(args.split(',').map(str::trim).filter(|a| !a.is_empty()));
-            let end = offset(out.refs.len(), "references")?;
-            let count = end - start;
-            if count == 0 {
-                return Err(err("gate with no inputs".into()));
-            }
-            let kind = if function == LogicFunction::Dff {
-                if count != 1 {
-                    return Err(err(format!("DFF takes exactly one D input, got {count}")));
-                }
-                Kind::Dff
-            } else {
-                Kind::Gate(function)
-            };
-            out.defs.push(Def {
-                name,
-                kind,
-                refs: start..end,
-            });
+            i += 1;
         } else {
-            return Err(err(format!("unrecognized statement `{line}`")));
+            let c = text[i..].chars().next().expect("a character starts here");
+            if !c.is_whitespace() {
+                break;
+            }
+            i += c.len_utf8();
         }
+    }
+    i
+}
+
+/// The end of `text[start..end]` with trailing whitespace trimmed as
+/// `str::trim_end` trims it; `str` is called only at a non-ASCII end.
+fn trim_end(text: &str, start: usize, mut end: usize) -> usize {
+    let bytes = text.as_bytes();
+    while end > start {
+        let b = bytes[end - 1];
+        if !b.is_ascii() {
+            return start + text[start..end].trim_end().len();
+        }
+        if !is_ascii_space(b) {
+            break;
+        }
+        end -= 1;
+    }
+    end
+}
+
+/// `text[start..end]` trimmed as `str::trim` trims it, where the byte at
+/// `end` (a `,` or `)` on `start`'s line) is no whitespace.
+fn trimmed(text: &str, start: usize, end: usize) -> Span {
+    let start = skip_space(text, start);
+    Span::new(start, trim_end(text, start, end))
+}
+
+/// Tokenizes `text` in one forward walk over its bytes, line by line:
+/// each scan stops at the next byte that matters (`\n`, `#`, `=`, `(`
+/// or `,`), and names and references are trimmed at their ends only.
+fn tokenize(text: &str) -> Result<Tokens, NetlistError> {
+    offset(text.len(), "text bytes")?;
+    // Reserved for a written netlist's density (one definition per 16
+    // bytes or more, one reference per 8, one `OUTPUT` per 64); a denser
+    // text grows them.
+    let mut out = Tokens {
+        defs: Vec::with_capacity(text.len() / 16 + 1),
+        outputs: Vec::with_capacity(text.len() / 64 + 1),
+        refs: Vec::with_capacity(text.len() / 8 + 1),
+    };
+    let mut at = 0;
+    let mut line = 0;
+    while at < text.len() {
+        line += 1;
+        at = statement(text, at, &mut out)
+            .map_err(|message| NetlistError::Parse { line, message })?;
     }
     Ok(out)
 }
 
-fn strip_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword)?.trim();
-    let rest = rest.strip_prefix('(')?;
-    let rest = rest.strip_suffix(')')?;
-    Some(rest.trim())
+/// Tokenizes the line starting at byte `start` into `out`, and returns
+/// where the next line starts (past the text's end after the last), or
+/// the message of a malformed line.
+fn statement(text: &str, start: usize, out: &mut Tokens) -> Result<usize, String> {
+    let bytes = text.as_bytes();
+    let next_line = |i: usize| scan(bytes, i, b"\n") + 1;
+    let s = skip_space(text, start);
+    match bytes.get(s) {
+        None | Some(b'\n' | b'#') => return Ok(next_line(s)),
+        _ => {}
+    }
+
+    // `INPUT(name)` or `OUTPUT(name)`, spaces allowed before the `(`.
+    let keyword = match bytes[s] {
+        b'I' if bytes[s..].starts_with(b"INPUT") => Some(("INPUT", false)),
+        b'O' if bytes[s..].starts_with(b"OUTPUT") => Some(("OUTPUT", true)),
+        _ => None,
+    };
+    if let Some((keyword, is_output)) = keyword {
+        let open = skip_space(text, s + keyword.len());
+        if bytes.get(open) == Some(&b'(') {
+            let stop = scan(bytes, open + 1, b"\n#");
+            let end = trim_end(text, open + 1, stop);
+            if end > open + 1 && bytes[end - 1] == b')' {
+                let name = trimmed(text, open + 1, end - 1);
+                if name.start == name.end {
+                    return Err(format!("missing signal name in `{keyword}()`"));
+                }
+                if is_output {
+                    out.outputs.push(name);
+                } else {
+                    let refs = to_u32(out.refs.len());
+                    out.defs.push(Def {
+                        name,
+                        kind: Kind::Input,
+                        refs: refs..refs,
+                    });
+                }
+                return Ok(next_line(stop));
+            }
+        }
+    }
+
+    // `name = FUNC(ref, ...)`.
+    let eq = scan(bytes, s, b"\n#=");
+    if bytes.get(eq) != Some(&b'=') {
+        return Err(format!(
+            "unrecognized statement `{}`",
+            &text[s..trim_end(text, s, eq)]
+        ));
+    }
+    if eq == s {
+        return Err("missing signal name before `=`".into());
+    }
+    let name = Span::new(s, trim_end(text, s, eq));
+    let rhs = skip_space(text, eq + 1);
+    let open = scan(bytes, rhs, b"\n#(");
+    if bytes.get(open) != Some(&b'(') {
+        let got = &text[rhs..trim_end(text, rhs, open)];
+        return Err(format!("expected `FUNC(...)` after `=`, got `{got}`"));
+    }
+    let first = out.refs.len();
+    let push_ref = |refs: &mut Vec<Span>, start: usize, end: usize| {
+        let r = trimmed(text, start, end);
+        if r.start < r.end {
+            refs.push(r);
+        }
+    };
+    // Every reference but the last ends at a comma; the last ends at
+    // the line's closing `)`, which is known only once the walk is past
+    // the line's last comma.
+    let mut arg = open + 1;
+    let stop = loop {
+        let at = scan(bytes, arg, b"\n#,");
+        if bytes.get(at) != Some(&b',') {
+            break at;
+        }
+        push_ref(&mut out.refs, arg, at);
+        arg = at + 1;
+    };
+    let end = trim_end(text, open + 1, stop);
+    if end == open + 1 || bytes[end - 1] != b')' {
+        return Err("missing closing parenthesis".into());
+    }
+    push_ref(&mut out.refs, arg, end - 1);
+    let func = &text[rhs..trim_end(text, rhs, open)];
+    let function = LogicFunction::parse_short_name(func)
+        .ok_or_else(|| format!("unknown gate type `{func}`"))?;
+    let count = out.refs.len() - first;
+    if count == 0 {
+        return Err("gate with no inputs".into());
+    }
+    let kind = if function == LogicFunction::Dff {
+        if count != 1 {
+            return Err(format!("DFF takes exactly one D input, got {count}"));
+        }
+        Kind::Dff
+    } else {
+        Kind::Gate(function)
+    };
+    out.defs.push(Def {
+        name,
+        kind,
+        refs: to_u32(first)..to_u32(out.refs.len()),
+    });
+    Ok(next_line(stop))
 }
 
 /// Serializes a netlist to `.bench` text (topological gate order).
@@ -638,6 +783,27 @@ y = NOT(p)
         assert_eq!(parsed.output_count(), original.output_count());
         assert_eq!(parsed.depth(), original.depth());
         assert!(parsed.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn empty_directive_names_are_parse_errors() {
+        for (text, line, keyword) in [
+            ("INPUT()\nOUTPUT(y)\ny = NOT(a)\n", 1, "INPUT"),
+            (
+                "INPUT(a)\n# c\nOUTPUT( \u{3000} )\ny = NOT(a)\n",
+                3,
+                "OUTPUT",
+            ),
+        ] {
+            assert_eq!(
+                parse_bench(text, "c").unwrap_err(),
+                NetlistError::Parse {
+                    line,
+                    message: format!("missing signal name in `{keyword}()`"),
+                },
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

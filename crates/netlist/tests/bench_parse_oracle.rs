@@ -447,6 +447,171 @@ fn error_precedence_matches_the_oracle() {
     }
 }
 
+/// Texts the generators below never write: tabs, vertical tabs and
+/// Unicode whitespace around every token, non-ASCII names (some ending
+/// in bytes a Latin-1 reader takes for spaces), spaced and
+/// keyword-prefixed directives, a directive holding `=`, blank lines of
+/// whitespace only, a last line with no newline and lone carriage
+/// returns. None holds an empty name.
+const UNUSUAL_TEXTS: [(&str, &str); 22] = [
+    (
+        "tabs",
+        "\tINPUT(\ta\t)\nINPUT(b)\t\nOUTPUT(\ty)\ny\t=\tNAND\t(\ta\t,\tb\t)\t\n",
+    ),
+    (
+        "unicode spaces",
+        "\u{a0}INPUT(\u{2003}a\u{3000})\u{a0}\nINPUT\u{3000}(b)\nOUTPUT(\u{3000}y\u{2028})\n\
+         y\u{a0}=\u{2003}NAND\u{3000}(\u{a0}a\u{2003},\u{3000}b\u{a0})\u{3000}\n",
+    ),
+    (
+        "vertical tab, form feed, next line",
+        "\x0bINPUT(a\x0c)\nOUTPUT(\u{85}y)\x0b\ny\x0c=\x0bNOT(\u{85}a\x0b)\n",
+    ),
+    (
+        "unit separator is no space",
+        "INPUT(\x1fa)\nOUTPUT(y)\ny = NOT(\x1fa)\n",
+    ),
+    (
+        "non-ASCII names",
+        "INPUT(α)\nINPUT(名前)\nOUTPUT(ÿ)\nÿ = NAND(α, 名前)\n",
+    ),
+    (
+        "names ending in 0xA0 and 0x85 bytes",
+        "INPUT(là)\nINPUT(Å)\nOUTPUT(y\u{2010})\ny\u{2010} = NAND(là , Å)\n",
+    ),
+    (
+        "spaces inside names, zero-width space kept",
+        "INPUT(a\u{a0}b)\nINPUT(c\u{200b})\nOUTPUT(y)\ny = AND(a\u{a0}b, c\u{200b})\n",
+    ),
+    (
+        "spaced directives",
+        "INPUT (a)\nOUTPUT ( y )\nINPUT\t( b )\ny = NAND(a, b)\n",
+    ),
+    (
+        "keyword-prefixed gate names",
+        "INPUT(a)\nINPUT(b)\nINPUTS = AND(a, b)\nINPUT = NOT(a)\nOUTPUTS = BUF(INPUT)\n\
+         OUTPUT = OR(INPUTS, OUTPUTS)\nOUTPUT(OUTPUT)\n",
+    ),
+    (
+        "a directive holding `=`",
+        "INPUT(a) = NOT(b)\nOUTPUT(a) = NOT(b)\nOUTPUT(y)\ny = NOT(a) = NOT(b)\n",
+    ),
+    (
+        "whitespace-only lines",
+        " \t \n\u{3000}\nINPUT(a)\n\r\n\x0b\x0c\nOUTPUT(y)\n\u{a0}\u{2003}\ny = NOT(a)\n   ",
+    ),
+    ("no final newline", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)"),
+    (
+        "final lone carriage return",
+        "INPUT(a)\r\nOUTPUT(y)\r\ny = NOT(a)\r",
+    ),
+    (
+        "lone carriage returns inside lines",
+        "\rINPUT(a\rb)\nOUTPUT(y)\ny =\rNAND(a\rb\r,\ra\rb)\r# c\r\n",
+    ),
+    (
+        "comments after spaces",
+        "INPUT(a)\u{3000}# x\nOUTPUT(y)\t#\ny = NOT(a) \u{a0}#(b, c)\n#INPUT(b)\n",
+    ),
+    ("lowercase directive", "input(a)\nOUTPUT(y)\ny = NOT(a)\n"),
+    ("unclosed directive", "INPUT(a\nOUTPUT(y)\ny = NOT(a)\n"),
+    (
+        "unknown spaced gate type",
+        "INPUT(a)\nOUTPUT(y)\ny\u{3000}=\u{3000}FR\u{a0}OB\u{3000}(a)\n",
+    ),
+    (
+        "no function after spaces",
+        "INPUT(a)\ny =\u{3000}a\u{2003}# c\n",
+    ),
+    (
+        "text after the parenthesis",
+        "INPUT(a)\ny = NOT(a)\u{3000}x\n",
+    ),
+    (
+        "unrecognized spaced statement",
+        "INPUT(a)\n\u{3000}w\u{a0}at\u{3000}\n",
+    ),
+    ("no name after spaces", "INPUT(a)\n\u{2003}\t= NOT(a)\n"),
+];
+
+#[test]
+fn unusual_spacing_and_names_match_the_oracle() {
+    let mut parsed = 0;
+    for (what, text) in UNUSUAL_TEXTS {
+        if assert_agree(text, what).is_ok() {
+            parsed += 1;
+            assert_agree(&reversed(text), what).ok();
+        }
+    }
+    assert_eq!(parsed, 15, "the first fifteen texts are netlists");
+    // A spaced name is trimmed as `str::trim` trims it, and nothing more.
+    let n = parse_bench(UNUSUAL_TEXTS[6].1, "c").expect("valid");
+    assert!(n.gate_by_name("a\u{a0}b").is_some());
+    assert!(n.gate_by_name("c\u{200b}").is_some());
+    let n = parse_bench(UNUSUAL_TEXTS[9].1, "c").expect("valid");
+    assert!(n.gate_by_name("a) = NOT(b").is_some());
+}
+
+/// `text` with random whitespace (ASCII and Unicode) around every
+/// delimiter and at both ends of each line, a comment after some lines,
+/// `\r\n` endings on some, no newline after the last line on some
+/// texts, and its `i`/`g`/`q` name letters spelt as multi-byte
+/// characters. Names stay whole, so the statements are unchanged.
+fn respaced(text: &str, rng: &mut StdRng) -> String {
+    const SPACES: [&str; 12] = [
+        "", " ", "  ", "\t", "\x0b", "\x0c", "\r", "\u{85}", "\u{a0}", "\u{2003}", "\u{2028}",
+        "\u{3000}",
+    ];
+    let space = |rng: &mut StdRng, out: &mut String| {
+        if rng.gen_bool(0.5) {
+            out.push_str(SPACES[rng.gen_range(0..SPACES.len())]);
+        }
+    };
+    let mut out = String::new();
+    for line in text.lines() {
+        space(rng, &mut out);
+        for c in line.chars() {
+            match c {
+                '(' | ')' | ',' | '=' => {
+                    space(rng, &mut out);
+                    out.push(c);
+                    space(rng, &mut out);
+                }
+                'i' => out.push('à'),
+                'g' => out.push('名'),
+                'q' => out.push('Å'),
+                _ => out.push(c),
+            }
+        }
+        space(rng, &mut out);
+        if rng.gen_bool(0.1) {
+            out.push_str("#\u{3000}(, =)");
+        }
+        out.push_str(if rng.gen_bool(0.1) { "\r\n" } else { "\n" });
+    }
+    if rng.gen_bool(0.3) {
+        out.pop();
+    }
+    out
+}
+
+#[test]
+fn respaced_random_texts_match_the_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x005b_ace5);
+    let mut seen = std::collections::BTreeMap::new();
+    for case in 0..4_000 {
+        let text = if case % 2 == 0 {
+            random_text(&mut rng)
+        } else {
+            random_netlist_text(&mut rng)
+        };
+        let text = respaced(&text, &mut rng);
+        let ok = assert_agree(&text, &format!("respaced case {case}")).is_ok();
+        *seen.entry(ok).or_insert(0) += 1;
+    }
+    assert!(seen.values().all(|&k| k >= 200), "{seen:?}");
+}
+
 /// A random `.bench` text over a small name pool: mostly well-formed
 /// statements (so both valid netlists and every late error show up),
 /// with comments, blank lines, odd spacing and the occasional malformed

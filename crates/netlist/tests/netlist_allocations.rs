@@ -1,7 +1,9 @@
 //! Allocation counts of the flat-array netlist. A parse sizes every
-//! table once, so its allocation count does not grow with the netlist;
-//! a clone or a drop touches each flat array once; and the name index,
-//! which owns no strings, resolves every node's name back to its id.
+//! table once, so its allocation count does not grow with the netlist,
+//! and its scratch (the live bytes it peaks at above the netlist it
+//! returns) stays within a fixed budget; a clone or a drop touches each
+//! flat array once; and the name index, which owns no strings, resolves
+//! every node's name back to its id.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,12 +13,28 @@ use vartol_netlist::generators::{random_dag, RandomDagConfig};
 use vartol_netlist::iscas::{parse_bench, write_bench};
 use vartol_netlist::Netlist;
 
-/// The system allocator, counting each thread's allocations and frees.
+/// The system allocator, counting each thread's allocations and frees
+/// and tracking its live bytes and their high-water mark.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static FREES: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live bytes, raising the peak with it.
+fn track(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// A size in bytes as a signed delta (allocations stay below `isize::MAX`).
+fn bytes(size: usize) -> isize {
+    size as isize
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments;
@@ -25,16 +43,21 @@ thread_local! {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        track(bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         let _ = FREES.try_with(|c| c.set(c.get() + 1));
+        track(-bytes(layout.size()));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        // Both blocks may be live at once while the contents move.
+        track(bytes(new_size));
+        track(-bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,11 +74,28 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     (out, after.0 - before.0, after.1 - before.1)
 }
 
+/// Runs `f` and returns its result with the live bytes it kept and its
+/// scratch: how far this thread's live bytes peaked above what it kept.
+fn peak_scratch<R>(f: impl FnOnce() -> R) -> (R, isize, isize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    let kept = LIVE.with(Cell::get) - before;
+    let peak = PEAK.with(Cell::get) - before;
+    (out, kept, peak - kept)
+}
+
 /// The flat arrays of a combinational netlist: its name, the name arena
 /// and its offsets, the kinds, both CSRs (offsets and ids each), the
 /// inputs, outputs and output flags, and the index's hash table and
 /// chain links. An empty register list owns no buffer.
 const FLAT_ARRAYS: usize = 13;
+
+/// The most live bytes a parse of `dag_text(25_000)` (747,172 bytes of
+/// text) may hold above the netlist it returns: the figure of the
+/// previous tokenizer, which kept every reference as a `&str` and
+/// reserved one `OUTPUT` slot per line.
+const SCRATCH_BUDGET: isize = 3_153_144;
 
 fn dag_text(gates: usize) -> String {
     let config = RandomDagConfig {
@@ -88,6 +128,18 @@ fn parsing_allocates_no_more_for_a_larger_netlist() {
     assert_eq!(
         small_allocs, large_allocs,
         "a parse's allocations must not grow with the node count"
+    );
+}
+
+#[test]
+fn parsing_scratch_stays_within_budget() {
+    let text = dag_text(25_000);
+    drop(parse_bench(&text, "dag"));
+    let (n, kept, scratch) = peak_scratch(|| parse_bench(&text, "dag").expect("valid"));
+    assert_eq!(n.gate_count(), 25_000);
+    assert!(
+        scratch <= SCRATCH_BUDGET,
+        "a 25k-gate parse peaked {scratch} B above its netlist ({kept} B), budget {SCRATCH_BUDGET} B"
     );
 }
 

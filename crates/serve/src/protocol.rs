@@ -544,18 +544,18 @@ pub enum ServeResponse {
     /// Final answer to [`ServeRequest::Size`], after one
     /// [`ServeResponse::Progress`] frame per pass row.
     Sized {
-        /// Circuit mean after sizing (ps).
+        /// Circuit mean after sizing (ps): what the next FULLSSTA
+        /// `Analyze` answers.
         mu: f64,
-        /// Circuit σ after sizing (ps).
+        /// Circuit σ after sizing (ps), likewise.
         sigma: f64,
         /// Total area after sizing.
         area: f64,
         /// Pass rows reported — the number of `Progress` frames sent
         /// (1 for `mean_delay`, whatever its pass count).
         passes: usize,
-        /// Sum of the pass rows' `resized` counts. It includes gates
-        /// moved in passes the optimizer later discarded, and
-        /// `mean_delay` reports 0 even when gates moved.
+        /// How many gates the run left at a size other than their size
+        /// before it.
         resized: usize,
         /// Wire name of the optimizer that ran.
         optimizer: String,

@@ -776,6 +776,8 @@ fn answer_payload(
         },
         Answer::Sized {
             report,
+            moments,
+            resized,
             area,
             optimizer,
         } => {
@@ -789,13 +791,12 @@ fn answer_payload(
                     resized: pass.resized,
                 });
             }
-            let final_moments = report.final_moments();
             ServeResponse::Sized {
-                mu: final_moments.mean,
-                sigma: final_moments.std(),
+                mu: moments.mean,
+                sigma: moments.std(),
                 area,
                 passes: report.passes().len(),
-                resized: report.passes().iter().map(|p| p.resized).sum(),
+                resized,
                 optimizer: optimizer.to_string(),
             }
         }

@@ -45,6 +45,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)

@@ -593,7 +593,16 @@ pub enum Answer {
         ///
         /// For the global optimizers the `cost` column is the
         /// optimizer's own objective value.
-        report: OptimizationReport,
+        report: Box<OptimizationReport>,
+        /// Circuit moments of the sized circuit, from the cached
+        /// session's refresh: what the next [`Request::Analyze`] with
+        /// [`EngineKind::FullSsta`] answers. (The report's own final
+        /// moments are the optimizer's view, which for a sequential
+        /// circuit covers every timing endpoint.)
+        moments: Moments,
+        /// How many gates the run left at a size other than their
+        /// size before it.
+        resized: usize,
         /// Total cell area after sizing.
         area: f64,
         /// The optimizer that ran.
@@ -1444,12 +1453,22 @@ fn answer(
                     .size_clocked(&mut netlist),
                 ),
             };
-            if let Err(e) = entry.session.try_restore_sizes(&netlist.sizes()) {
+            let sizes = netlist.sizes();
+            let resized = entry
+                .session
+                .netlist()
+                .sizes()
+                .iter()
+                .zip(&sizes)
+                .filter(|(before, after)| before != after)
+                .count();
+            if let Err(e) = entry.session.try_restore_sizes(&sizes) {
                 return Answer::error(ErrorCode::InvalidNetlist, e.to_string());
             }
-            entry.session.refresh();
             Answer::Sized {
-                report,
+                report: Box::new(report),
+                moments: entry.session.refresh(),
+                resized,
                 area: entry.session.total_area(),
                 optimizer: *optimizer,
             }
@@ -2569,6 +2588,71 @@ mod tests {
         assert!(
             after > before,
             "sizing must improve sequential WNS: {before} -> {after}"
+        );
+    }
+
+    #[test]
+    fn sized_describes_the_circuit_it_leaves() {
+        let mut runs_that_moved = 0;
+        for optimizer in [
+            OptimizerKind::Greedy,
+            OptimizerKind::MeanDelay,
+            OptimizerKind::Lagrangian,
+            OptimizerKind::Annealing,
+        ] {
+            for circuit in ["adder_8", "s27"] {
+                let mut ws = Workspace::new(
+                    Library::synthetic_90nm(),
+                    WorkspaceConfig::default().with_threads(1),
+                );
+                ws.register_preset("adder_8").expect("preset");
+                ws.register_bench_str("s27", include_str!("../data/s27.bench"))
+                    .expect("valid bench");
+                let sizes = |ws: &Workspace| ws.netlist(circuit).expect("registered").sizes();
+                let before = sizes(&ws);
+                let answer = ws
+                    .query(Request::Size {
+                        circuit: circuit.into(),
+                        config: SizerConfig {
+                            max_passes: 2,
+                            ..SizerConfig::default()
+                        },
+                        optimizer,
+                        yield_deadline: None,
+                    })
+                    .answer;
+                let Answer::Sized {
+                    moments, resized, ..
+                } = answer
+                else {
+                    panic!("{optimizer} on {circuit}: {answer:?}");
+                };
+                let after = sizes(&ws);
+                let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+                assert_eq!(resized, changed, "{optimizer} on {circuit}");
+                runs_that_moved += usize::from(changed > 0);
+
+                let Answer::Analysis {
+                    moments: analyzed, ..
+                } = ws
+                    .query(Request::Analyze {
+                        circuit: circuit.into(),
+                        kind: EngineKind::FullSsta,
+                    })
+                    .answer
+                else {
+                    panic!("analyze {circuit}");
+                };
+                assert_eq!(
+                    (moments.mean.to_bits(), moments.var.to_bits()),
+                    (analyzed.mean.to_bits(), analyzed.var.to_bits()),
+                    "{optimizer} on {circuit}: Sized {moments:?}, Analyze {analyzed:?}"
+                );
+            }
+        }
+        assert!(
+            runs_that_moved >= 6,
+            "{runs_that_moved} of 8 runs moved a gate"
         );
     }
 
