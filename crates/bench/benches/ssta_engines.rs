@@ -91,10 +91,10 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     let largest = benchmark("c7552", &lib).expect("known benchmark");
-    let timer = MonteCarloTimer::new(&lib, &config).with_seed(2025);
     for threads in [1usize, 2, 4, 8] {
+        let config = config.clone().with_threads(threads);
+        let timer = MonteCarloTimer::new(&lib, &config).with_seed(2025);
         group.bench_with_input(BenchmarkId::new("threads", threads), &largest, |b, n| {
-            let timer = timer.with_threads(threads);
             b.iter(|| black_box(timer.sample_parallel(n, 20_000).moments()));
         });
     }
@@ -108,9 +108,8 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
     let c880 = benchmark("c880", &lib).expect("known benchmark");
-    let timer = MonteCarloTimer::new(&lib, &config)
-        .with_seed(2025)
-        .with_threads(1);
+    let serial = config.clone().with_threads(1);
+    let timer = MonteCarloTimer::new(&lib, &serial).with_seed(2025);
     let deadline = timer.sample_parallel(&c880, 2000).moments().mean;
     group.bench_function("exact", |b| {
         b.iter(|| black_box(timer.sample_parallel(&c880, 2000).yield_at(deadline)));
@@ -125,8 +124,9 @@ fn bench_engines(c: &mut Criterion) {
     let mult_8 = preset("mult_8", &lib).expect("known preset");
     let deadline = timer.sample_parallel(&mult_8, 2000).moments().mean;
     for threads in [1usize, 2] {
+        let config = config.clone().with_threads(threads);
+        let timer = MonteCarloTimer::new(&lib, &config).with_seed(2025);
         group.bench_with_input(BenchmarkId::new("mult_8", threads), &mult_8, |b, n| {
-            let timer = timer.with_threads(threads);
             b.iter(|| black_box(timer.count_within(n, 2000, deadline).fraction()));
         });
     }

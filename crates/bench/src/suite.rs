@@ -1049,7 +1049,7 @@ pub fn run_large_scenario(
         for &threads in large_thread_widths() {
             let ssta = config.ssta.clone().with_threads(threads);
             let t0 = std::time::Instant::now();
-            let report = kind.engine(library, &ssta).analyze(netlist);
+            let report = kind.analyze(library, &ssta, netlist);
             let wall_s = t0.elapsed().as_secs_f64();
             let m = report.circuit_moments();
             let bits = (m.mean.to_bits(), m.var.to_bits());

@@ -243,8 +243,14 @@ impl vartol_ssta::Sizer for MeanDelaySizer {
     fn size(&self, netlist: &mut Netlist) -> vartol_ssta::SizingOutcome {
         let engine = vartol_ssta::FullSsta::new(&self.library, &self.config);
         let initial_moments = engine.analyze(netlist).circuit_moments();
+        let initial_sizes = netlist.sizes();
         let report = self.minimize_delay(netlist);
         let final_moments = engine.analyze(netlist).circuit_moments();
+        let resized = initial_sizes
+            .iter()
+            .zip(netlist.sizes())
+            .filter(|&(&before, after)| before != after)
+            .count();
         vartol_ssta::SizingOutcome {
             optimizer: "mean_delay",
             objective: vartol_ssta::Objective::Statistical { alpha: 0.0 },
@@ -257,7 +263,7 @@ impl vartol_ssta::Sizer for MeanDelaySizer {
                 moments: final_moments,
                 objective: final_moments.mean,
                 area: report.final_area,
-                resized: 0,
+                resized,
             }],
             runtime: report.runtime,
         }

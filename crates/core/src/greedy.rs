@@ -668,7 +668,7 @@ mod tests {
         let config = SstaConfig::default();
         let clock = ClockConstraint::new(400.0, 0.0);
         let wns = |n: &Netlist| {
-            let r = EngineKind::FullSsta.engine(&lib, &config).analyze(n);
+            let r = EngineKind::FullSsta.analyze(&lib, &config, n);
             SequentialTiming::analyze(n, &lib, clock, &r).wns()
         };
         let before = wns(&n);

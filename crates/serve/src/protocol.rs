@@ -480,7 +480,8 @@ pub enum ServeResponse {
     /// * `annealing` — one frame per restart; `pass` is 1-based and the
     ///   moments and area are those of the restart's end state.
     /// * `mean_delay` — a single frame whose `pass` is the total pass
-    ///   count, with the final moments and area and `resized` 0.
+    ///   count, with the final moments and area and `resized` the gates
+    ///   whose size differs from the input.
     Progress {
         /// Circuit being sized.
         circuit: String,
@@ -492,7 +493,8 @@ pub enum ServeResponse {
         sigma: f64,
         /// Total area recorded for the pass.
         area: f64,
-        /// Gates resized in the pass (0 for `mean_delay`).
+        /// Gates resized in the pass (for `mean_delay`, in the whole
+        /// run).
         resized: usize,
     },
     /// Answer to [`ServeRequest::Analyze`] / `AnalyzeUnder`.

@@ -27,7 +27,7 @@
 //! every thread width**.
 
 use crate::config::SstaConfig;
-use crate::engine::{EngineKind, TimingEngine, TimingReport};
+use crate::engine::{EngineKind, TimingReport};
 use crate::state::TimingState;
 use vartol_liberty::Library;
 use vartol_netlist::Netlist;
@@ -56,16 +56,6 @@ impl<'a> Dsta<'a> {
     pub fn analyze(&self, netlist: &Netlist) -> TimingReport {
         TimingState::full(netlist, self.library, self.config, EngineKind::Dsta)
             .into_report(netlist, self.config)
-    }
-}
-
-impl TimingEngine for Dsta<'_> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Dsta
-    }
-
-    fn analyze(&self, netlist: &Netlist) -> TimingReport {
-        Dsta::analyze(self, netlist)
     }
 }
 

@@ -3,38 +3,33 @@
 //! Every timing engine in this crate — deterministic STA ([`crate::Dsta`]),
 //! the accurate discrete-PDF engine ([`crate::FullSsta`]), the fast moment
 //! engine ([`crate::Fassta`]), and the Monte-Carlo reference
-//! ([`crate::MonteCarloTimer`]) — implements one trait:
-//!
-//! ```text
-//! fn analyze(&self, netlist: &Netlist) -> TimingReport
-//! ```
-//!
-//! and returns the same [`TimingReport`]: per-node arrival [`Moments`],
-//! the statistically-worst primary output, circuit-level moments, and —
-//! for engines that compute them — full arrival PDFs. The report is the
+//! ([`crate::MonteCarloTimer`]) — has its own `analyze`, and all return
+//! the same [`TimingReport`]: per-node arrival [`Moments`], the
+//! statistically-worst primary output, circuit-level moments, and — for
+//! engines that compute them — full arrival PDFs. The report is the
 //! only result type: DSTA's critical path is traced on it too
 //! ([`TimingReport::critical_path`]). A FULLSSTA report keeps its
 //! per-node PDFs in the engine's own fixed-stride slab (moved in by a
 //! one-shot analysis, copied by
 //! [`TimingSession::current_report`](crate::TimingSession::current_report))
-//! and lends them out as [`PdfRef`]s. [`EngineKind`] selects an engine
-//! dynamically; incremental re-analysis on top of the shared propagation
-//! kernels lives in [`TimingSession`](crate::TimingSession).
+//! and lends them out as [`PdfRef`]s. [`EngineKind::analyze`] runs the
+//! engine a kind names; incremental re-analysis on top of the shared
+//! propagation kernels lives in [`TimingSession`](crate::TimingSession).
 //!
 //! # Example
 //!
 //! ```
 //! use vartol_liberty::Library;
 //! use vartol_netlist::generators::ripple_carry_adder;
-//! use vartol_ssta::{EngineKind, SstaConfig, TimingEngine};
+//! use vartol_ssta::{EngineKind, SstaConfig};
 //!
 //! let lib = Library::synthetic_90nm();
 //! let netlist = ripple_carry_adder(8, &lib);
 //! let config = SstaConfig::default();
 //!
-//! // Dynamic engine selection through the shared trait.
-//! for kind in [EngineKind::Dsta, EngineKind::Fassta, EngineKind::FullSsta] {
-//!     let report = kind.engine(&lib, &config).analyze(&netlist);
+//! // Engine selection at run time.
+//! for kind in EngineKind::ALL {
+//!     let report = kind.analyze(&lib, &config, &netlist);
 //!     assert_eq!(report.kind(), kind);
 //!     assert!(report.circuit_moments().mean > 0.0);
 //! }
@@ -72,18 +67,26 @@ impl EngineKind {
         self != Self::MonteCarlo
     }
 
-    /// Instantiates the engine behind this kind for dynamic dispatch.
+    /// Analyzes the netlist at its current sizes with this kind's engine.
+    /// Monte Carlo draws [`DEFAULT_MC_SAMPLES`](crate::DEFAULT_MC_SAMPLES)
+    /// samples at seed 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist references cells missing from the library.
     #[must_use]
-    pub fn engine<'a>(
+    pub fn analyze(
         self,
-        library: &'a Library,
-        config: &'a SstaConfig,
-    ) -> Box<dyn TimingEngine + 'a> {
+        library: &Library,
+        config: &SstaConfig,
+        netlist: &Netlist,
+    ) -> TimingReport {
         match self {
-            Self::Dsta => Box::new(crate::Dsta::new(library, config)),
-            Self::Fassta => Box::new(crate::Fassta::new(library, config)),
-            Self::FullSsta => Box::new(crate::FullSsta::new(library, config)),
-            Self::MonteCarlo => Box::new(crate::MonteCarloTimer::new(library, config)),
+            Self::Dsta => crate::Dsta::new(library, config).analyze(netlist),
+            Self::Fassta => crate::Fassta::new(library, config).analyze(netlist),
+            Self::FullSsta => crate::FullSsta::new(library, config).analyze(netlist),
+            Self::MonteCarlo => crate::MonteCarloTimer::new(library, config)
+                .analyze(netlist, crate::DEFAULT_MC_SAMPLES),
         }
     }
 }
@@ -98,19 +101,6 @@ impl std::fmt::Display for EngineKind {
         };
         write!(f, "{name}")
     }
-}
-
-/// The common interface of all timing engines.
-///
-/// Implementations are cheap handles over a borrowed [`Library`] and
-/// [`SstaConfig`]; `analyze` does all the work and returns a self-contained
-/// [`TimingReport`].
-pub trait TimingEngine {
-    /// The engine's kind tag.
-    fn kind(&self) -> EngineKind;
-
-    /// Analyzes the netlist at its current sizes.
-    fn analyze(&self, netlist: &Netlist) -> TimingReport;
 }
 
 /// The shared result of any timing analysis.
@@ -240,12 +230,26 @@ mod tests {
     use vartol_netlist::generators::{parity_tree, ripple_carry_adder};
 
     #[test]
-    fn all_kinds_produce_reports_through_the_trait() {
+    fn analyze_equals_each_engines_own_report() {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(4, &lib);
         for kind in EngineKind::ALL {
-            let report = kind.engine(&lib, &config).analyze(&n);
+            let report = kind.analyze(&lib, &config, &n);
+            let own = match kind {
+                EngineKind::Dsta => crate::Dsta::new(&lib, &config).analyze(&n),
+                EngineKind::Fassta => crate::Fassta::new(&lib, &config).analyze(&n),
+                EngineKind::FullSsta => crate::FullSsta::new(&lib, &config).analyze(&n),
+                EngineKind::MonteCarlo => crate::MonteCarloTimer::new(&lib, &config)
+                    .with_seed(0)
+                    .analyze(&n, crate::DEFAULT_MC_SAMPLES),
+            };
+            assert_eq!(report, own, "{kind}");
+            let bits = |r: &TimingReport| {
+                let m = r.circuit_moments();
+                (m.mean.to_bits(), m.var.to_bits())
+            };
+            assert_eq!(bits(&report), bits(&own), "{kind}");
             assert_eq!(report.kind(), kind, "{kind}");
             assert_eq!(report.arrivals().len(), n.node_count(), "{kind}");
             assert!(report.circuit_moments().mean > 0.0, "{kind}");
@@ -259,10 +263,10 @@ mod tests {
         let config = SstaConfig::default();
         let n = parity_tree(8, &lib);
         let o = n.outputs()[0];
-        let full = EngineKind::FullSsta.engine(&lib, &config).analyze(&n);
+        let full = EngineKind::FullSsta.analyze(&lib, &config, &n);
         assert!(full.circuit_pdf().is_some());
         assert!(full.arrival_pdf(o).is_some());
-        let fast = EngineKind::Fassta.engine(&lib, &config).analyze(&n);
+        let fast = EngineKind::Fassta.analyze(&lib, &config, &n);
         assert!(fast.circuit_pdf().is_none());
         assert!(fast.arrival_pdf(o).is_none());
         assert!(fast.samples().is_none());
@@ -273,8 +277,8 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(6, &lib);
-        let det = EngineKind::Dsta.engine(&lib, &config).analyze(&n);
-        let full = EngineKind::FullSsta.engine(&lib, &config).analyze(&n);
+        let det = EngineKind::Dsta.analyze(&lib, &config, &n);
+        let full = EngineKind::FullSsta.analyze(&lib, &config, &n);
         // Statistical mean of the max dominates the max of the means.
         assert!(full.circuit_moments().mean >= det.max_delay() - 1e-9);
         assert!(det.circuit_moments().var == 0.0);

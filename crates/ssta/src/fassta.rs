@@ -41,7 +41,7 @@
 
 use crate::config::SstaConfig;
 use crate::delay::CircuitTiming;
-use crate::engine::{EngineKind, TimingEngine, TimingReport};
+use crate::engine::{EngineKind, TimingReport};
 use crate::state::TimingState;
 use vartol_liberty::Library;
 use vartol_netlist::{Netlist, Subcircuit};
@@ -128,16 +128,6 @@ impl<'a> Fassta<'a> {
                 local[pos]
             })
             .collect()
-    }
-}
-
-impl TimingEngine for Fassta<'_> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Fassta
-    }
-
-    fn analyze(&self, netlist: &Netlist) -> TimingReport {
-        Fassta::analyze(self, netlist)
     }
 }
 

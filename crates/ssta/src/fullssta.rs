@@ -41,7 +41,7 @@
 //! (`tests/engine_determinism.rs`).
 
 use crate::config::SstaConfig;
-use crate::engine::{EngineKind, TimingEngine, TimingReport};
+use crate::engine::{EngineKind, TimingReport};
 use crate::state::TimingState;
 use vartol_liberty::Library;
 use vartol_netlist::Netlist;
@@ -69,16 +69,6 @@ impl<'a> FullSsta<'a> {
     pub fn analyze(&self, netlist: &Netlist) -> TimingReport {
         TimingState::full(netlist, self.library, self.config, EngineKind::FullSsta)
             .into_report(netlist, self.config)
-    }
-}
-
-impl TimingEngine for FullSsta<'_> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::FullSsta
-    }
-
-    fn analyze(&self, netlist: &Netlist) -> TimingReport {
-        FullSsta::analyze(self, netlist)
     }
 }
 

@@ -3,10 +3,10 @@
 //! Timing engines for statistical gate sizing, mirroring the paper's nested
 //! architecture (§4) behind one unified API:
 //!
-//! * [`engine::TimingEngine`] — the shared trait: every engine analyzes a
-//!   netlist into the same [`engine::TimingReport`] (per-node arrival
-//!   moments, worst output, circuit moments, optional PDFs);
-//!   [`engine::EngineKind`] selects engines dynamically.
+//! * [`engine::EngineKind::analyze`] — the one front door: every engine
+//!   analyzes a netlist into the same [`engine::TimingReport`] (per-node
+//!   arrival moments, worst output, circuit moments, optional PDFs), and
+//!   the kind picks which engine runs.
 //! * [`session::TimingSession`] — the incremental API, an **owned
 //!   handle**: the session holds an `Arc<Library>` and the netlist
 //!   itself (no lifetime parameters), so it can live in structs, maps,
@@ -105,7 +105,7 @@ pub use config::{CorrelationMode, SstaConfig};
 pub use criticality::Criticality;
 pub use delay::CircuitTiming;
 pub use dsta::Dsta;
-pub use engine::{EngineKind, TimingEngine, TimingReport};
+pub use engine::{EngineKind, TimingReport};
 pub use fassta::Fassta;
 pub use fingerprint::{config_fingerprint, fingerprint_bytes, size_fingerprint, Fnv64};
 pub use fullssta::FullSsta;

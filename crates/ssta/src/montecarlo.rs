@@ -32,8 +32,7 @@
 //! Together these make the result **bit-identical for every thread
 //! count**: 1 thread ≡ N threads (asserted in this module's tests and in
 //! `tests/mc_determinism.rs`). The thread count comes from
-//! [`SstaConfig::threads`] or [`MonteCarloTimer::with_threads`] (0 = all
-//! CPUs).
+//! [`SstaConfig::threads`] (0 = all CPUs).
 //!
 //! # Exact samples versus the certified yield count
 //!
@@ -73,17 +72,10 @@
 //! and an add, and `max` could differ only in the sign of a zero, which
 //! changes no comparison. The band test and the exact recompute are per
 //! sample, as before, so the count does not change.
-//!
-//! As a [`TimingEngine`], the timer samples with a configurable count and
-//! seed ([`MonteCarloTimer::with_samples`] /
-//! [`MonteCarloTimer::with_seed`]) through the parallel path, so `analyze`
-//! is deterministic; the explicit [`MonteCarloTimer::sample`] entry point
-//! remains for callers that manage their own RNG (single-stream,
-//! sequential).
 
 use crate::config::SstaConfig;
 use crate::delay::CircuitTiming;
-use crate::engine::{EngineKind, TimingEngine, TimingReport};
+use crate::engine::{EngineKind, TimingReport};
 use crate::pool::ScopedPool;
 use crate::state::CircuitSummary;
 use crate::variation::VariationContext;
@@ -92,13 +84,14 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::ops::Range;
 use vartol_liberty::Library;
-use vartol_netlist::{GateId, Netlist};
+use vartol_netlist::Netlist;
 use vartol_stats::normal::{
     box_muller, box_muller_fast, box_muller_uniforms, standard_normal_sample, Z_ERR,
 };
 use vartol_stats::{DiscretePdf, Moments, RunningMoments};
 
-/// Default sample count for trait-driven analyses.
+/// The sample count of [`EngineKind::analyze`] under
+/// [`EngineKind::MonteCarlo`].
 pub const DEFAULT_MC_SAMPLES: usize = 4000;
 
 /// Samples per deterministic chunk. The chunk partition is a function of
@@ -111,9 +104,7 @@ pub const MC_CHUNK_SAMPLES: usize = 512;
 pub struct MonteCarloTimer<'a> {
     library: &'a Library,
     config: &'a SstaConfig,
-    samples: usize,
     seed: u64,
-    threads: usize,
 }
 
 /// Empirical circuit-delay distribution from sampling.
@@ -121,7 +112,6 @@ pub struct MonteCarloTimer<'a> {
 pub struct MonteCarloResult {
     samples: Vec<f64>,
     moments: Moments,
-    arrivals: Vec<Moments>,
 }
 
 /// How many of `samples` Monte Carlo samples meet a deadline
@@ -401,8 +391,8 @@ fn count_lanes_portable<const L: usize>(
     (within, recomputed)
 }
 
-/// Summary of one sampling pass (a chunk, or a whole sequential run):
-/// the raw circuit-delay samples plus mergeable running moments.
+/// Summary of one sampling pass (a chunk, or the merge of a run's
+/// chunks): the raw circuit-delay samples plus mergeable running moments.
 struct SampleStats {
     samples: Vec<f64>,
     circuit: RunningMoments,
@@ -426,9 +416,6 @@ impl SampleStats {
     fn into_result(self) -> MonteCarloResult {
         MonteCarloResult {
             moments: self.circuit.sample_moments(),
-            // Population moments per node, matching the empirical-arrival
-            // semantics the engines validate against.
-            arrivals: self.nodes.iter().map(RunningMoments::moments).collect(),
             samples: self.samples,
         }
     }
@@ -442,84 +429,15 @@ impl<'a> MonteCarloTimer<'a> {
         Self {
             library,
             config,
-            samples: DEFAULT_MC_SAMPLES,
             seed: 0,
-            threads: config.threads,
         }
     }
 
-    /// Sets the sample count used by [`TimingEngine::analyze`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples < 2`.
-    #[must_use]
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        assert!(samples >= 2, "need at least two samples");
-        self.samples = samples;
-        self
-    }
-
-    /// Sets the RNG seed used by [`TimingEngine::analyze`] and the
-    /// `sample_parallel*` entry points.
+    /// Sets the RNG seed of every sampling entry point.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Overrides the worker-thread count (`0` = all available CPUs).
-    /// Purely a speed knob: results are bit-identical for every value.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Samples the circuit delay distribution `n` times (circuit-level
-    /// statistics only; [`MonteCarloResult::arrivals`] stays empty — use
-    /// [`MonteCarloTimer::sample_with_arrivals`] for per-node moments).
-    ///
-    /// Sequential, single-stream: the caller owns the RNG. For the
-    /// deterministic multi-threaded path use
-    /// [`MonteCarloTimer::sample_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or the netlist references cells missing from the
-    /// library.
-    #[must_use]
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        netlist: &Netlist,
-        n: usize,
-        rng: &mut R,
-    ) -> MonteCarloResult {
-        assert!(n >= 2, "need at least two samples");
-        let timing = CircuitTiming::compute(netlist, self.library, self.config);
-        let ctx = VariationContext::new(&self.config.model, netlist);
-        Self::run_samples(&GateTable::new(netlist, &timing), &ctx, n, rng, false).into_result()
-    }
-
-    /// Like [`MonteCarloTimer::sample`], but also accumulates empirical
-    /// per-node arrival moments (one extra pass over all nodes per
-    /// sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or the netlist references cells missing from the
-    /// library.
-    #[must_use]
-    pub fn sample_with_arrivals<R: Rng + ?Sized>(
-        &self,
-        netlist: &Netlist,
-        n: usize,
-        rng: &mut R,
-    ) -> MonteCarloResult {
-        assert!(n >= 2, "need at least two samples");
-        let timing = CircuitTiming::compute(netlist, self.library, self.config);
-        let ctx = VariationContext::new(&self.config.model, netlist);
-        Self::run_samples(&GateTable::new(netlist, &timing), &ctx, n, rng, true).into_result()
     }
 
     /// Samples the circuit delay distribution `n` times on the worker
@@ -537,17 +455,39 @@ impl<'a> MonteCarloTimer<'a> {
             .into_result()
     }
 
-    /// Like [`MonteCarloTimer::sample_parallel`], but also accumulates
-    /// empirical per-node arrival moments.
+    /// Draws the samples of [`MonteCarloTimer::sample_parallel`]`(netlist,
+    /// n)`, also accumulating every node's empirical arrival moments, into
+    /// the unified report: those arrivals, the statistically-worst output,
+    /// the samples' moments, their histogram over
+    /// [`SstaConfig::pdf_samples`] bins, and the samples themselves.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2` or the netlist references cells missing from the
     /// library.
     #[must_use]
-    pub fn sample_parallel_with_arrivals(&self, netlist: &Netlist, n: usize) -> MonteCarloResult {
+    pub fn analyze(&self, netlist: &Netlist, n: usize) -> TimingReport {
         let timing = CircuitTiming::compute(netlist, self.library, self.config);
-        self.sample_chunked(netlist, &timing, n, true).into_result()
+        let stats = self.sample_chunked(netlist, &timing, n, true);
+        // Population moments per node, matching the empirical-arrival
+        // semantics the engines validate against.
+        let arrivals: Vec<Moments> = stats.nodes.iter().map(RunningMoments::moments).collect();
+        let result = stats.into_result();
+        let worst_output = crate::WnssTracer::new(self.config.variation.mu_sigma_coupling())
+            .worst_output(netlist, &arrivals);
+        let circuit_pdf = result.empirical_pdf(self.config.pdf_samples);
+        TimingReport {
+            kind: EngineKind::MonteCarlo,
+            arrivals,
+            pdfs: None,
+            circuit: CircuitSummary {
+                moments: result.moments,
+                pdf: Some(circuit_pdf),
+                worst_output,
+            },
+            timing,
+            samples: Some(result.samples),
+        }
     }
 
     /// The RNG seed of chunk `chunk` under base seed `seed`: a SplitMix64
@@ -590,7 +530,7 @@ impl<'a> MonteCarloTimer<'a> {
         let timing = CircuitTiming::compute(netlist, self.library, self.config);
         let table = GateTable::new(netlist, &timing);
         let ctx = VariationContext::new(&self.config.model, netlist);
-        let pool = ScopedPool::new(self.threads);
+        let pool = ScopedPool::new(self.config.threads);
         let chunks = n.div_ceil(MC_CHUNK_SAMPLES);
         let counts = if ctx.is_empty() {
             // Up to `LANES` chunks per task, but as many tasks as the
@@ -701,7 +641,7 @@ impl<'a> MonteCarloTimer<'a> {
         // function of `(seed, n)`, never of the thread count.
         let ctx = VariationContext::new(&self.config.model, netlist);
         let table = GateTable::new(netlist, timing);
-        let pool = ScopedPool::new(self.threads);
+        let pool = ScopedPool::new(self.config.threads);
         let summaries = pool.map(chunks, |chunk| {
             let mut rng = self.chunk_rng(chunk);
             Self::run_samples(&table, &ctx, chunk_len(n, chunk), &mut rng, track_nodes)
@@ -747,55 +687,11 @@ impl<'a> MonteCarloTimer<'a> {
     }
 }
 
-impl TimingEngine for MonteCarloTimer<'_> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::MonteCarlo
-    }
-
-    fn analyze(&self, netlist: &Netlist) -> TimingReport {
-        let timing = CircuitTiming::compute(netlist, self.library, self.config);
-        let result = self
-            .sample_chunked(netlist, &timing, self.samples, true)
-            .into_result();
-        let worst_output = crate::WnssTracer::new(self.config.variation.mu_sigma_coupling())
-            .worst_output(netlist, &result.arrivals);
-        let circuit_pdf = result.empirical_pdf(self.config.pdf_samples);
-        TimingReport {
-            kind: EngineKind::MonteCarlo,
-            arrivals: result.arrivals.clone(),
-            pdfs: None,
-            circuit: CircuitSummary {
-                moments: result.moments,
-                pdf: Some(circuit_pdf),
-                worst_output,
-            },
-            timing,
-            samples: Some(result.samples),
-        }
-    }
-}
-
 impl MonteCarloResult {
     /// Empirical mean/variance of the circuit delay.
     #[must_use]
     pub fn moments(&self) -> Moments {
         self.moments
-    }
-
-    /// Empirical per-node arrival moments, indexed by [`GateId::index`]
-    /// (empty unless sampled via
-    /// [`MonteCarloTimer::sample_with_arrivals`],
-    /// [`MonteCarloTimer::sample_parallel_with_arrivals`], or the engine
-    /// trait).
-    #[must_use]
-    pub fn arrivals(&self) -> &[Moments] {
-        &self.arrivals
-    }
-
-    /// Empirical arrival moments at one node.
-    #[must_use]
-    pub fn arrival(&self, id: GateId) -> Moments {
-        self.arrivals[id.index()]
     }
 
     /// The raw delay samples.
@@ -873,8 +769,6 @@ mod tests {
     use super::*;
     use crate::fassta::Fassta;
     use crate::fullssta::FullSsta;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use vartol_netlist::generators::{benchmark, parity_tree, preset, ripple_carry_adder};
 
     impl GateTable {
@@ -971,7 +865,7 @@ mod tests {
     #[test]
     fn lane_kernel_counts_equal_the_one_chunk_oracle() {
         let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
+        let widths = [1, 2].map(|threads| SstaConfig::default().with_threads(threads));
         // The circuits the service benchmark registers and sends `Yield`
         // to. 2100 samples are four full chunks and a 52-sample tail: a
         // one-wide pool counts them as lanes of four then one, a two-wide
@@ -984,8 +878,8 @@ mod tests {
             let netlist = preset(name, &lib)
                 .or_else(|| benchmark(name, &lib))
                 .expect("known circuit");
-            let timer = MonteCarloTimer::new(&lib, &config).with_seed(0x1A7E);
-            let exact = timer.with_threads(1).sample_parallel(&netlist, n);
+            let timer = MonteCarloTimer::new(&lib, &widths[0]).with_seed(0x1A7E);
+            let exact = timer.sample_parallel(&netlist, n);
             let mut sorted = exact.samples().to_vec();
             sorted.sort_by(f64::total_cmp);
             let m = exact.moments();
@@ -1001,13 +895,14 @@ mod tests {
                     oracle.within,
                     exact.samples().iter().filter(|&&s| s <= deadline).count()
                 );
-                for threads in [1, 2] {
-                    let timer = timer.with_threads(threads);
+                for config in &widths {
+                    let timer = MonteCarloTimer::new(&lib, config).with_seed(0x1A7E);
                     for dispatch in [false, true] {
                         assert_eq!(
                             timer.count_with(&netlist, n, deadline, dispatch),
                             oracle,
-                            "{name}: {deadline:e}, {threads} threads, dispatch {dispatch}"
+                            "{name}: {deadline:e}, {} threads, dispatch {dispatch}",
+                            config.threads
                         );
                     }
                 }
@@ -1020,9 +915,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(8, &lib);
-        let mut rng = StdRng::seed_from_u64(10);
         let mc = MonteCarloTimer::new(&lib, &config)
-            .sample(&n, 20_000, &mut rng)
+            .with_seed(10)
+            .sample_parallel(&n, 20_000)
             .moments();
         let full = FullSsta::new(&lib, &config).analyze(&n).circuit_moments();
         let fast = Fassta::new(&lib, &config).analyze(&n).circuit_moments();
@@ -1061,11 +956,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(4, &lib);
-        let timer = MonteCarloTimer::new(&lib, &config)
-            .with_samples(500)
-            .with_seed(7);
-        let a = TimingEngine::analyze(&timer, &n);
-        let b = TimingEngine::analyze(&timer, &n);
+        let timer = MonteCarloTimer::new(&lib, &config).with_seed(7);
+        let a = timer.analyze(&n, 500);
+        let b = timer.analyze(&n, 500);
         assert_eq!(a.circuit_moments(), b.circuit_moments(), "seeded run");
         assert_eq!(a.samples().map(<[f64]>::len), Some(500));
         assert!(a.circuit_pdf().is_some());
@@ -1078,42 +971,63 @@ mod tests {
     #[test]
     fn parallel_sampling_is_thread_count_invariant() {
         let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
         let n = ripple_carry_adder(6, &lib);
-        let timer = MonteCarloTimer::new(&lib, &config).with_seed(99);
+        let widths = [1usize, 2, 4, 8].map(|threads| SstaConfig::default().with_threads(threads));
+        let timer = |config| MonteCarloTimer::new(&lib, config).with_seed(99);
         // 3 full chunks plus a partial one.
         let samples = 3 * MC_CHUNK_SAMPLES + 100;
-        let reference = timer
-            .with_threads(1)
-            .sample_parallel_with_arrivals(&n, samples);
-        for threads in [2usize, 4, 8] {
-            let got = timer
-                .with_threads(threads)
-                .sample_parallel_with_arrivals(&n, samples);
-            assert_eq!(got, reference, "{threads} threads");
+        let reference = timer(&widths[0]).analyze(&n, samples);
+        let plain = timer(&widths[0]).sample_parallel(&n, samples);
+        for config in &widths[1..] {
+            let threads = config.threads;
+            assert_eq!(
+                timer(config).analyze(&n, samples),
+                reference,
+                "{threads} threads"
+            );
+            assert_eq!(
+                timer(config).sample_parallel(&n, samples),
+                plain,
+                "{threads} threads"
+            );
         }
-        // The plain (arrival-free) path too.
-        let plain = timer.with_threads(1).sample_parallel(&n, samples);
-        assert_eq!(
-            timer.with_threads(8).sample_parallel(&n, samples),
-            plain,
-            "plain path"
-        );
-        assert_eq!(plain.samples(), reference.samples());
-        assert!(plain.arrivals().is_empty());
+        assert_eq!(Some(plain.samples()), reference.samples());
+    }
+
+    #[test]
+    fn analyze_draws_the_samples_of_sample_parallel() {
+        let lib = Library::synthetic_90nm();
+        let config = SstaConfig::default();
+        let n = parity_tree(16, &lib);
+        let timer = MonteCarloTimer::new(&lib, &config).with_seed(31);
+        for samples in [2, MC_CHUNK_SAMPLES + 1, 3 * MC_CHUNK_SAMPLES] {
+            let report = timer.analyze(&n, samples);
+            let result = timer.sample_parallel(&n, samples);
+            let bits = |m: Moments| (m.mean.to_bits(), m.var.to_bits());
+            assert_eq!(
+                report.samples(),
+                Some(result.samples()),
+                "{samples} samples"
+            );
+            assert_eq!(
+                bits(report.circuit_moments()),
+                bits(result.moments()),
+                "{samples} samples"
+            );
+        }
     }
 
     #[test]
     fn analyze_reports_are_thread_count_invariant() {
         let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
         let n = parity_tree(16, &lib);
-        let timer = MonteCarloTimer::new(&lib, &config)
-            .with_samples(2 * MC_CHUNK_SAMPLES + 17)
-            .with_seed(5);
-        let one = TimingEngine::analyze(&timer.with_threads(1), &n);
-        let eight = TimingEngine::analyze(&timer.with_threads(8), &n);
-        assert_eq!(one, eight);
+        let analyze = |threads| {
+            let config = SstaConfig::default().with_threads(threads);
+            MonteCarloTimer::new(&lib, &config)
+                .with_seed(5)
+                .analyze(&n, 2 * MC_CHUNK_SAMPLES + 17)
+        };
+        assert_eq!(analyze(1), analyze(8));
     }
 
     #[test]
@@ -1133,8 +1047,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = ripple_carry_adder(8, &lib);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mc = MonteCarloTimer::new(&lib, &config).sample_with_arrivals(&n, 10_000, &mut rng);
+        let mc = MonteCarloTimer::new(&lib, &config)
+            .with_seed(11)
+            .analyze(&n, 10_000);
         let full = FullSsta::new(&lib, &config).analyze(&n);
         for id in n.gate_ids() {
             let e = mc.arrival(id);
@@ -1147,31 +1062,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_statistically() {
-        // Different streams, same distribution: moments must line up
-        // within Monte-Carlo error.
-        let lib = Library::synthetic_90nm();
-        let config = SstaConfig::default();
-        let n = ripple_carry_adder(8, &lib);
-        let mut rng = StdRng::seed_from_u64(21);
-        let seq = MonteCarloTimer::new(&lib, &config)
-            .sample(&n, 20_000, &mut rng)
-            .moments();
-        let par = MonteCarloTimer::new(&lib, &config)
-            .with_seed(22)
-            .sample_parallel(&n, 20_000)
-            .moments();
-        assert!((seq.mean - par.mean).abs() / seq.mean < 0.01);
-        assert!((seq.std() - par.std()).abs() / seq.std() < 0.10);
-    }
-
-    #[test]
     fn quantiles_are_ordered() {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = parity_tree(16, &lib);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mc = MonteCarloTimer::new(&lib, &config).sample(&n, 2_000, &mut rng);
+        let mc = MonteCarloTimer::new(&lib, &config)
+            .with_seed(2)
+            .sample_parallel(&n, 2_000);
         assert!(mc.quantile(0.05) < mc.quantile(0.5));
         assert!(mc.quantile(0.5) < mc.quantile(0.99));
     }
@@ -1181,8 +1078,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = parity_tree(8, &lib);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mc = MonteCarloTimer::new(&lib, &config).sample(&n, 1_001, &mut rng);
+        let mc = MonteCarloTimer::new(&lib, &config)
+            .with_seed(6)
+            .sample_parallel(&n, 1_001);
         let min = mc.samples().iter().copied().fold(f64::INFINITY, f64::min);
         let max = mc
             .samples()
@@ -1205,8 +1103,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = parity_tree(8, &lib);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mc = MonteCarloTimer::new(&lib, &config).sample(&n, 2_000, &mut rng);
+        let mc = MonteCarloTimer::new(&lib, &config)
+            .with_seed(3)
+            .sample_parallel(&n, 2_000);
         let m = mc.moments();
         assert!(mc.yield_at(m.mean - 3.0 * m.std()) < 0.1);
         assert!(mc.yield_at(m.mean + 3.0 * m.std()) > 0.95);
@@ -1218,8 +1117,9 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::deterministic();
         let n = parity_tree(8, &lib);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mc = MonteCarloTimer::new(&lib, &config).sample(&n, 100, &mut rng);
+        let mc = MonteCarloTimer::new(&lib, &config)
+            .with_seed(4)
+            .sample_parallel(&n, 100);
         assert!(mc.moments().std() < 1e-9);
     }
 
@@ -1234,16 +1134,20 @@ mod tests {
                 .normalized(),
         );
         let n = ripple_carry_adder(6, &lib);
-        let timer = MonteCarloTimer::new(&lib, &config).with_seed(123);
         let samples = 2 * MC_CHUNK_SAMPLES + 50;
-        let reference = timer
-            .with_threads(1)
-            .sample_parallel_with_arrivals(&n, samples);
+        let analyze = |threads| {
+            let config = config.clone().with_threads(threads);
+            MonteCarloTimer::new(&lib, &config)
+                .with_seed(123)
+                .analyze(&n, samples)
+        };
+        let reference = analyze(1);
         for threads in [2usize, 8] {
-            let got = timer
-                .with_threads(threads)
-                .sample_parallel_with_arrivals(&n, samples);
-            assert_eq!(got, reference, "{threads} threads under a model");
+            assert_eq!(
+                analyze(threads),
+                reference,
+                "{threads} threads under a model"
+            );
         }
     }
 
@@ -1286,11 +1190,11 @@ mod tests {
         let config = SstaConfig::default().with_model(model);
         let mc = MonteCarloTimer::new(&lib, &config)
             .with_seed(3)
-            .sample_parallel_with_arrivals(&n, 6_000);
+            .analyze(&n, 6_000);
         let base_cfg = SstaConfig::default();
         let base = MonteCarloTimer::new(&lib, &base_cfg)
             .with_seed(3)
-            .sample_parallel_with_arrivals(&n, 6_000);
+            .analyze(&n, 6_000);
         // Same marginal per-gate variance: node arrival moments track the
         // independent run loosely (correlation changes path covariance,
         // which a single arrival's marginal only sees through maxima).
@@ -1305,8 +1209,7 @@ mod tests {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
         let n = parity_tree(4, &lib);
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = MonteCarloTimer::new(&lib, &config).sample(&n, 1, &mut rng);
+        let _ = MonteCarloTimer::new(&lib, &config).analyze(&n, 1);
     }
 
     #[test]

@@ -120,12 +120,6 @@ impl PathGroup {
             Self::InToOut => "in2out",
         }
     }
-
-    /// Parses a [`PathGroup::name`] back to a group.
-    #[must_use]
-    pub fn parse_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|g| g.name() == name)
-    }
 }
 
 impl std::fmt::Display for PathGroup {
@@ -439,7 +433,7 @@ mod tests {
     fn analyze(netlist: &Netlist, kind: EngineKind, clock: ClockConstraint) -> SequentialTiming {
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
-        let report = kind.engine(&lib, &config).analyze(netlist);
+        let report = kind.analyze(&lib, &config, netlist);
         SequentialTiming::analyze(netlist, &lib, clock, &report)
     }
 
@@ -474,7 +468,7 @@ mod tests {
         let n = four_group_circuit();
         let lib = Library::synthetic_90nm();
         let config = SstaConfig::default();
-        let report = EngineKind::Dsta.engine(&lib, &config).analyze(&n);
+        let report = EngineKind::Dsta.analyze(&lib, &config, &n);
         let clock = ClockConstraint::new(1000.0, 25.0);
         let st = SequentialTiming::analyze(&n, &lib, clock, &report);
 
@@ -545,7 +539,7 @@ mod tests {
         // Pick a period near the critical arrival so probabilities are
         // strictly between 0 and 1 for statistical engines.
         let config = SstaConfig::default();
-        let r = EngineKind::FullSsta.engine(&lib, &config).analyze(&n);
+        let r = EngineKind::FullSsta.analyze(&lib, &config, &n);
         let clock = ClockConstraint::new(r.circuit_moments().mean, 0.0);
 
         let dsta = analyze(&n, EngineKind::Dsta, clock);
@@ -571,10 +565,8 @@ mod tests {
     #[test]
     fn path_group_names_round_trip() {
         for g in PathGroup::ALL {
-            assert_eq!(PathGroup::parse_name(g.name()), Some(g));
             assert_eq!(g.to_string(), g.name());
         }
-        assert_eq!(PathGroup::parse_name("sideways"), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! transitive fanout cone of the changed gates (plus their fanins, whose
 //! loads changed) is recomputed, instead of the whole netlist — yet the
 //! result matches a from-scratch
-//! [`TimingEngine::analyze`](crate::TimingEngine::analyze) run bit for
+//! [`EngineKind::analyze`](crate::EngineKind::analyze) run bit for
 //! bit, because both paths share the same per-node kernels.
 //!
 //! This is the performance core of the optimization loop: on deep
@@ -600,8 +600,7 @@ impl TimingSession {
     /// the session as an engine front-end.
     #[must_use]
     pub fn report(&self, kind: EngineKind) -> TimingReport {
-        kind.engine(&self.library, &self.config)
-            .analyze(&self.netlist)
+        kind.analyze(&self.library, &self.config, &self.netlist)
     }
 
     /// Statistical required times and slacks of the refreshed state

@@ -94,7 +94,7 @@
 //! ```
 //! use vartol_liberty::Library;
 //! use vartol_netlist::iscas::parse_bench;
-//! use vartol_ssta::{FullSsta, SstaConfig, TimingEngine, VariationModel};
+//! use vartol_ssta::{FullSsta, SstaConfig, VariationModel};
 //!
 //! // The smallest ISCAS-85 benchmark: six NAND2 gates.
 //! let lib = Library::synthetic_90nm();

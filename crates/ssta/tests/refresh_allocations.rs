@@ -26,9 +26,7 @@ use vartol_liberty::Library;
 use vartol_netlist::generators::{benchmark, random_dag, RandomDagConfig};
 use vartol_netlist::iscas::parse_bench;
 use vartol_netlist::{GateId, Netlist};
-use vartol_ssta::{
-    CorrelationMode, EngineKind, Fassta, FullSsta, SstaConfig, TimingEngine, TimingSession,
-};
+use vartol_ssta::{CorrelationMode, EngineKind, FullSsta, SstaConfig, TimingSession};
 
 /// The system allocator, counting each thread's allocations, live
 /// blocks and live bytes.
@@ -296,9 +294,8 @@ fn a_fullssta_report_holds_no_more_pdf_bytes_than_the_slabs() {
     let n = dag(2_000, 0xB17E5, &lib);
     let config = SstaConfig::default().with_threads(1);
     drop(FullSsta::new(&lib, &config).analyze(&n));
-    let report_bytes = |engine: &dyn TimingEngine| held_bytes(|| engine.analyze(&n)).1;
-    let report =
-        report_bytes(&FullSsta::new(&lib, &config)) - report_bytes(&Fassta::new(&lib, &config));
+    let report_bytes = |kind: EngineKind| held_bytes(|| kind.analyze(&lib, &config, &n)).1;
+    let report = report_bytes(EngineKind::FullSsta) - report_bytes(EngineKind::Fassta);
     let session_bytes = |kind| {
         let (netlist, config) = (n.clone(), config.clone());
         held_bytes(|| TimingSession::with_kind(Arc::clone(&lib), config, netlist, kind)).1

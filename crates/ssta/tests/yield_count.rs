@@ -39,9 +39,8 @@ fn check_at(
     seed: u64,
     n: usize,
 ) -> usize {
-    let timer = MonteCarloTimer::new(library, config)
-        .with_seed(seed)
-        .with_threads(1);
+    let config = config.clone().with_threads(1);
+    let timer = MonteCarloTimer::new(library, &config).with_seed(seed);
     let exact = timer.sample_parallel(netlist, n);
     let samples = exact.samples();
     let exact_count = |deadline: f64| samples.iter().filter(|&&s| s <= deadline).count();
@@ -186,20 +185,19 @@ fn count_matches_exact_samples_at_every_lane_shape() {
 #[test]
 fn count_is_thread_count_invariant() {
     let lib = Library::synthetic_90nm();
-    let config = SstaConfig::default();
+    let widths = [1, 2, 4].map(|threads| SstaConfig::default().with_threads(threads));
     let n = preset("mult_8", &lib).expect("preset");
-    let timer = MonteCarloTimer::new(&lib, &config).with_seed(5);
+    let timer = |config| MonteCarloTimer::new(&lib, config).with_seed(5);
     for samples in [SAMPLES, 2000, 4097] {
-        let exact = timer.with_threads(1).sample_parallel(&n, samples);
+        let exact = timer(&widths[0]).sample_parallel(&n, samples);
         let deadline = exact.samples()[samples / 2];
-        let one = timer.with_threads(1).count_within(&n, samples, deadline);
-        for threads in [2, 4] {
+        let one = timer(&widths[0]).count_within(&n, samples, deadline);
+        for config in &widths[1..] {
             assert_eq!(
-                timer
-                    .with_threads(threads)
-                    .count_within(&n, samples, deadline),
+                timer(config).count_within(&n, samples, deadline),
                 one,
-                "{samples} samples, {threads} threads"
+                "{samples} samples, {} threads",
+                config.threads
             );
         }
     }

@@ -14,8 +14,7 @@
 //! These are the paper's equations (1)–(3) (with ρ = 0). This module is the
 //! *accurate* evaluation — exact `Φ` via [`crate::erf::phi_cdf`] — used as a
 //! baseline against which the fast approximation in [`crate::fast_max`] is
-//! validated, and for n-ary maxima via pairwise reduction with correlation
-//! bookkeeping (the standard Clark recursion).
+//! validated.
 
 use crate::erf::{phi_cdf, phi_pdf};
 use crate::moments::Moments;
@@ -100,29 +99,6 @@ pub fn clark_max_correlated(a: Moments, b: Moments, rho: f64) -> ClarkMax {
     }
 }
 
-/// Correlation between `max(A, B)` and a third normal `C`, given the
-/// correlations of `A` and `B` with `C` (Clark's theorem on induced
-/// correlation). Needed when reducing an n-ary max pairwise.
-///
-/// Returns 0 when the max is (numerically) deterministic.
-#[must_use]
-pub fn clark_correlation_with(
-    a: Moments,
-    b: Moments,
-    rho_ab: f64,
-    rho_ac: f64,
-    rho_bc: f64,
-) -> f64 {
-    let cm = clark_max_correlated(a, b, rho_ab);
-    let sd = cm.max.std();
-    if sd == 0.0 {
-        return 0.0;
-    }
-    let t = cm.tightness_a;
-    let r = (a.std() * rho_ac * t + b.std() * rho_bc * (1.0 - t)) / sd;
-    r.clamp(-1.0, 1.0)
-}
-
 /// Moments of `min(A, B)` for independent normals, via the identity
 /// `min(A, B) = −max(−A, −B)`. Used by backward (required-time)
 /// propagation in statistical slack analysis.
@@ -141,37 +117,6 @@ pub fn clark_correlation_with(
 pub fn clark_min(a: Moments, b: Moments) -> Moments {
     let neg = |m: Moments| Moments::new(-m.mean, m.var);
     neg(clark_max(neg(a), neg(b)).max)
-}
-
-/// Moments of `max(X₁, …, Xₙ)` for independent normals via pairwise Clark
-/// reduction (left fold). Exact for n = 2; the usual controlled
-/// approximation for n > 2 because intermediate maxima are re-normalized.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-///
-/// # Example
-///
-/// ```
-/// use vartol_stats::{Moments, clark::clark_max_n};
-///
-/// let xs = vec![
-///     Moments::from_mean_std(10.0, 1.0),
-///     Moments::from_mean_std(11.0, 1.0),
-///     Moments::from_mean_std(12.0, 1.0),
-/// ];
-/// let m = clark_max_n(&xs);
-/// assert!(m.mean > 12.0);
-/// ```
-#[must_use]
-pub fn clark_max_n(inputs: &[Moments]) -> Moments {
-    assert!(!inputs.is_empty(), "max of an empty set is undefined");
-    let mut acc = inputs[0];
-    for &x in &inputs[1..] {
-        acc = clark_max(acc, x).max;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -290,40 +235,6 @@ mod tests {
         let m = clark_max_correlated(a, b, 1.0);
         assert_eq!(m.max, a);
         assert_eq!(m.tightness_a, 1.0);
-    }
-
-    #[test]
-    fn n_ary_reduction_matches_monte_carlo() {
-        use crate::montecarlo::mc_max_n_independent;
-        let mut rng = StdRng::seed_from_u64(3);
-        let xs = vec![
-            Moments::from_mean_std(95.0, 8.0),
-            Moments::from_mean_std(100.0, 10.0),
-            Moments::from_mean_std(102.0, 6.0),
-            Moments::from_mean_std(90.0, 20.0),
-        ];
-        let mc = mc_max_n_independent(&xs, MC_N, &mut rng);
-        let cl = clark_max_n(&xs);
-        assert_close(cl.mean, mc.mean, 0.5, "n-ary mean vs MC");
-        assert_close(cl.std(), mc.std(), 0.6, "n-ary sigma vs MC");
-    }
-
-    #[test]
-    fn induced_correlation_in_bounds() {
-        let a = Moments::from_mean_std(10.0, 3.0);
-        let b = Moments::from_mean_std(11.0, 2.0);
-        let r = clark_correlation_with(a, b, 0.0, 0.7, 0.2);
-        assert!((-1.0..=1.0).contains(&r));
-        assert!(
-            r > 0.0,
-            "positively correlated inputs induce positive correlation"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "max of an empty set")]
-    fn empty_max_panics() {
-        let _ = clark_max_n(&[]);
     }
 
     #[test]

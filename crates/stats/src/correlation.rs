@@ -33,37 +33,6 @@ impl CorrelationMatrix {
         Self { n, data }
     }
 
-    /// Builds from a full row-major matrix, validating symmetry, the unit
-    /// diagonal, and entry bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data is not `n×n`, not symmetric (tolerance 1e-9),
-    /// diagonal entries differ from 1, or any entry is outside `[-1, 1]`.
-    #[must_use]
-    pub fn from_rows(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "expected {n}×{n} entries");
-        for i in 0..n {
-            assert!(
-                (data[i * n + i] - 1.0).abs() < 1e-9,
-                "diagonal entry ({i},{i}) must be 1, got {}",
-                data[i * n + i]
-            );
-            for j in 0..n {
-                let v = data[i * n + j];
-                assert!(
-                    (-1.0..=1.0).contains(&v),
-                    "entry ({i},{j}) out of [-1,1]: {v}"
-                );
-                assert!(
-                    (v - data[j * n + i]).abs() < 1e-9,
-                    "matrix must be symmetric at ({i},{j})"
-                );
-            }
-        }
-        Self { n, data }
-    }
-
     /// Number of variables.
     #[must_use]
     pub fn len(&self) -> usize {

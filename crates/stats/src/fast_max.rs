@@ -148,21 +148,6 @@ pub fn fast_max_moments(a: Moments, b: Moments) -> Moments {
     fast_max_with_dominance(a, b).max
 }
 
-/// Fast n-ary max by pairwise left-fold reduction.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-#[must_use]
-pub fn fast_max_n(inputs: &[Moments]) -> Moments {
-    assert!(!inputs.is_empty(), "max of an empty set is undefined");
-    let mut acc = inputs[0];
-    for &x in &inputs[1..] {
-        acc = fast_max_moments(acc, x);
-    }
-    acc
-}
-
 /// Statistics on dominance-shortcut usage across a batch of pairwise maxima.
 /// Supports the paper's claim that "in the vast majority of cases" one of
 /// equations (5)/(6) applies (the `fastmax` section of the `ablation`
@@ -308,24 +293,6 @@ mod tests {
         assert_eq!(fast_max_moments(a, b), a);
         assert_eq!(fast_max_moments(b, a), a);
         assert_eq!(fast_max_moments(a, a), a);
-    }
-
-    #[test]
-    fn n_ary_fold() {
-        let xs = vec![
-            Moments::from_mean_std(10.0, 1.0),
-            Moments::from_mean_std(50.0, 1.0),
-            Moments::from_mean_std(20.0, 1.0),
-        ];
-        let m = fast_max_n(&xs);
-        // 50 dominates all others by far.
-        assert_eq!(m, xs[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "max of an empty set")]
-    fn empty_nary_panics() {
-        let _ = fast_max_n(&[]);
     }
 
     #[test]

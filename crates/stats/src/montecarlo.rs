@@ -84,41 +84,6 @@ pub fn mc_max_two_correlated<R: Rng + ?Sized>(
     summarize(&samples)
 }
 
-/// Monte-Carlo moments of `max(X₁, …, Xₖ)` for independent normals.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty or `n < 2`.
-pub fn mc_max_n_independent<R: Rng + ?Sized>(
-    inputs: &[Moments],
-    n: usize,
-    rng: &mut R,
-) -> McSummary {
-    assert!(!inputs.is_empty(), "max of an empty set is undefined");
-    let samples: Vec<f64> = (0..n)
-        .map(|_| {
-            inputs
-                .iter()
-                .map(|m| m.mean + m.std() * standard_normal_sample(rng))
-                .fold(f64::NEG_INFINITY, f64::max)
-        })
-        .collect();
-    summarize(&samples)
-}
-
-/// Monte-Carlo moments of `A + B` for independent normals — a sanity anchor
-/// for the exact moment arithmetic.
-pub fn mc_sum_two<R: Rng + ?Sized>(a: Moments, b: Moments, n: usize, rng: &mut R) -> McSummary {
-    let samples: Vec<f64> = (0..n)
-        .map(|_| {
-            let xa = a.mean + a.std() * standard_normal_sample(rng);
-            let xb = b.mean + b.std() * standard_normal_sample(rng);
-            xa + xb
-        })
-        .collect();
-    summarize(&samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,17 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_matches_exact() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = Moments::from_mean_std(10.0, 3.0);
-        let b = Moments::from_mean_std(20.0, 4.0);
-        let mc = mc_sum_two(a, b, 200_000, &mut rng);
-        let exact = a + b;
-        assert!((mc.mean - exact.mean).abs() < 0.05);
-        assert!((mc.std() - exact.std()).abs() < 0.05);
-    }
-
-    #[test]
     fn correlated_max_with_rho_one_is_pointwise() {
         // rho = 1, equal sigma: max is just the larger-mean variable.
         let mut rng = StdRng::seed_from_u64(9);
@@ -159,18 +113,6 @@ mod tests {
         let mc = mc_max_two_correlated(a, b, 1.0, 100_000, &mut rng);
         assert!((mc.mean - 10.0).abs() < 0.05);
         assert!((mc.std() - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn nary_includes_all_inputs() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let xs = [
-            Moments::from_mean_std(0.0, 1.0),
-            Moments::from_mean_std(0.0, 1.0),
-        ];
-        let mc = mc_max_n_independent(&xs, 150_000, &mut rng);
-        // E[max of 2 iid N(0,1)] = 1/sqrt(pi) = 0.5642
-        assert!((mc.mean - 0.564_19).abs() < 0.02, "mean {}", mc.mean);
     }
 
     #[test]

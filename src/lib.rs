@@ -20,8 +20,8 @@
 //!   6–8 sizes per gate type and a proportional + random variation model.
 //! * [`netlist`] — gate-level combinational netlists, an ISCAS-85 `.bench`
 //!   parser, and structural generators for the paper's benchmark suite.
-//! * [`ssta`] — timing engines behind the unified
-//!   [`TimingEngine`](ssta::TimingEngine) trait: deterministic STA, the
+//! * [`ssta`] — timing engines behind one front door,
+//!   [`EngineKind::analyze`](ssta::EngineKind::analyze): deterministic STA, the
 //!   accurate discrete-PDF engine (FULLSSTA), the fast moment engine
 //!   (FASSTA), Monte-Carlo reference timing, WNSS path tracing — plus the
 //!   incremental [`TimingSession`](ssta::TimingSession), an **owned

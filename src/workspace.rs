@@ -588,8 +588,8 @@ pub enum Answer {
         /// * annealing — one row per restart, `pass` 1-based, moments
         ///   and area of the restart's end state;
         /// * mean-delay — a single row whose `pass` is the total pass
-        ///   count, with the final moments and area and `resized` 0
-        ///   even when gates moved.
+        ///   count, with the final moments and area and `resized` the
+        ///   gates whose size differs from the input.
         ///
         /// For the global optimizers the `cost` column is the
         /// optimizer's own objective value.
@@ -1093,13 +1093,10 @@ fn scratch_report(
     kind: EngineKind,
 ) -> vartol_ssta::TimingReport {
     match kind {
-        EngineKind::MonteCarlo => {
-            let timer = MonteCarloTimer::new(library, ssta)
-                .with_samples(config.mc_samples)
-                .with_seed(config.mc_seed);
-            vartol_ssta::TimingEngine::analyze(&timer, netlist)
-        }
-        _ => kind.engine(library, ssta).analyze(netlist),
+        EngineKind::MonteCarlo => MonteCarloTimer::new(library, ssta)
+            .with_seed(config.mc_seed)
+            .analyze(netlist, config.mc_samples),
+        _ => kind.analyze(library, ssta, netlist),
     }
 }
 
@@ -2654,6 +2651,34 @@ mod tests {
             runs_that_moved >= 6,
             "{runs_that_moved} of 8 runs moved a gate"
         );
+    }
+
+    #[test]
+    fn mean_delay_row_counts_the_gates_it_moved() {
+        let mut ws = workspace(1);
+        let sizes = |ws: &Workspace| ws.netlist("cmp_8").expect("registered").sizes();
+        let before = sizes(&ws);
+        let answer = ws
+            .query(Request::Size {
+                circuit: "cmp_8".into(),
+                config: SizerConfig {
+                    max_passes: 2,
+                    ..SizerConfig::default()
+                },
+                optimizer: OptimizerKind::MeanDelay,
+                yield_deadline: None,
+            })
+            .answer;
+        let Answer::Sized { report, .. } = answer else {
+            panic!("mean-delay on cmp_8: {answer:?}");
+        };
+        let after = sizes(&ws);
+        let changed = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+        assert!(changed > 0, "mean-delay sizing moves gates on cmp_8");
+        let [row] = report.passes() else {
+            panic!("one row, got {:?}", report.passes());
+        };
+        assert_eq!(row.resized, changed);
     }
 
     #[test]

@@ -81,8 +81,8 @@ fn empty_model_is_bit_identical_to_an_unset_model() {
     let explicit = SstaConfig::default().with_model(VariationModel::none());
     for netlist in suite_circuits(&lib) {
         for kind in EngineKind::ALL {
-            let a = kind.engine(&lib, &unset).analyze(&netlist);
-            let b = kind.engine(&lib, &explicit).analyze(&netlist);
+            let a = kind.analyze(&lib, &unset, &netlist);
+            let b = kind.analyze(&lib, &explicit, &netlist);
             assert_eq!(a, b, "{kind} on {}", netlist.name());
         }
     }

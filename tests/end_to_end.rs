@@ -32,10 +32,9 @@ fn full_paper_flow_on_c432() {
     assert!(report.delta_area_pct() > 0.0, "variance costs area");
 
     // 3. Monte-Carlo confirms the reduction on the actual netlists.
-    let mut rng = StdRng::seed_from_u64(99);
-    let timer = MonteCarloTimer::new(&lib, &ssta);
-    let mc_orig = timer.sample(&original, 8_000, &mut rng).moments();
-    let mc_opt = timer.sample(&optimized, 8_000, &mut rng).moments();
+    let timer = MonteCarloTimer::new(&lib, &ssta).with_seed(99);
+    let mc_orig = timer.sample_parallel(&original, 8_000).moments();
+    let mc_opt = timer.sample_parallel(&optimized, 8_000).moments();
     assert!(
         mc_opt.std() < mc_orig.std() * 0.85,
         "MC-verified sigma reduction: {} vs {}",

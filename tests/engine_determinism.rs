@@ -79,7 +79,7 @@ fn report_digest(netlist: &Netlist, report: &TimingReport) -> u64 {
 }
 
 fn analyze(netlist: &Netlist, library: &Library, config: &SstaConfig, kind: EngineKind) -> u64 {
-    let report = kind.engine(library, config).analyze(netlist);
+    let report = kind.analyze(library, config, netlist);
     report_digest(netlist, &report)
 }
 
@@ -261,7 +261,7 @@ fn fixture_lines(lib: &Library) -> Vec<String> {
     for circuit in FIXTURE_CIRCUITS {
         let n = fixture_circuit(circuit, lib);
         for kind in ANALYTIC {
-            let report = kind.engine(lib, &config).analyze(&n);
+            let report = kind.analyze(lib, &config, &n);
             let c = report.circuit_moments();
             lines.push(format!(
                 "{circuit} {kind} mean={:016x} var={:016x} digest={:016x}",

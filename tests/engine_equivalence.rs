@@ -1,4 +1,4 @@
-//! Cross-engine equivalence: the unified `TimingEngine` trait, the
+//! Cross-engine equivalence: `EngineKind::analyze`, the
 //! `TimingSession` front-end, and the incremental re-analysis path must
 //! all agree with direct from-scratch engine runs.
 
@@ -54,8 +54,7 @@ fn trait_objects_unify_all_engines() {
     let n = ripple_carry_adder(4, &lib);
     let mut means = Vec::new();
     for kind in EngineKind::ALL {
-        let engine = kind.engine(&lib, &config);
-        let report = engine.analyze(&n);
+        let report = kind.analyze(&lib, &config, &n);
         assert_eq!(report.kind(), kind);
         means.push(report.circuit_moments().mean);
     }

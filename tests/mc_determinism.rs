@@ -11,7 +11,7 @@
 use vartol::liberty::Library;
 use vartol::netlist::generators::{benchmark, ripple_carry_adder};
 use vartol::netlist::Netlist;
-use vartol::ssta::{MonteCarloTimer, SstaConfig, TimingEngine, MC_CHUNK_SAMPLES};
+use vartol::ssta::{MonteCarloTimer, SstaConfig, MC_CHUNK_SAMPLES};
 
 /// Thread counts under test: 1, 2, 8, plus any `VARTOL_MC_THREADS`
 /// width from the environment (deduplicated). An unparseable value is a
@@ -29,21 +29,27 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
+/// The default configuration at pool width `threads`.
+fn width(threads: usize) -> SstaConfig {
+    SstaConfig::default().with_threads(threads)
+}
+
 fn assert_reports_thread_invariant(netlist: &Netlist, samples: usize, seed: u64) {
     let lib = Library::synthetic_90nm();
-    let config = SstaConfig::default();
-    let timer = MonteCarloTimer::new(&lib, &config)
-        .with_samples(samples)
-        .with_seed(seed);
+    let analyze = |threads| {
+        MonteCarloTimer::new(&lib, &width(threads))
+            .with_seed(seed)
+            .analyze(netlist, samples)
+    };
 
-    let reference = TimingEngine::analyze(&timer.with_threads(1), netlist);
+    let reference = analyze(1);
     assert_eq!(
         reference.samples().map(<[f64]>::len),
         Some(samples),
         "sample budget honored"
     );
     for threads in thread_counts() {
-        let report = TimingEngine::analyze(&timer.with_threads(threads), netlist);
+        let report = analyze(threads);
         // Full structural equality: samples, arrivals, circuit moments,
         // PDF, worst output, electrical snapshot.
         assert_eq!(
@@ -73,24 +79,24 @@ fn generator_circuit_reports_identical_across_thread_counts() {
 #[test]
 fn explicit_sampling_entry_points_are_thread_invariant() {
     let lib = Library::synthetic_90nm();
-    let config = SstaConfig::default();
     let n = benchmark("c432", &lib).expect("known benchmark");
-    let timer = MonteCarloTimer::new(&lib, &config).with_seed(11);
     let samples = MC_CHUNK_SAMPLES + 57;
+    let analyze = |threads| {
+        MonteCarloTimer::new(&lib, &width(threads))
+            .with_seed(11)
+            .analyze(&n, samples)
+    };
 
-    let reference = timer
-        .with_threads(1)
-        .sample_parallel_with_arrivals(&n, samples);
+    let reference = analyze(1);
     for threads in thread_counts() {
-        let got = timer
-            .with_threads(threads)
-            .sample_parallel_with_arrivals(&n, samples);
-        assert_eq!(got, reference, "{threads} threads");
+        assert_eq!(analyze(threads), reference, "{threads} threads");
     }
     // The arrival-free path draws the identical delay stream.
-    let plain = timer.with_threads(8).sample_parallel(&n, samples);
-    assert_eq!(plain.samples(), reference.samples());
-    assert_eq!(plain.moments(), reference.moments());
+    let plain = MonteCarloTimer::new(&lib, &width(8))
+        .with_seed(11)
+        .sample_parallel(&n, samples);
+    assert_eq!(Some(plain.samples()), reference.samples());
+    assert_eq!(plain.moments(), reference.circuit_moments());
 }
 
 #[test]
@@ -102,6 +108,8 @@ fn seed_changes_the_stream_thread_count_does_not() {
     let a = timer.with_seed(1).sample_parallel(&n, 600);
     let b = timer.with_seed(2).sample_parallel(&n, 600);
     assert_ne!(a.samples(), b.samples(), "different seeds, different draws");
-    let a8 = timer.with_seed(1).with_threads(8).sample_parallel(&n, 600);
+    let a8 = MonteCarloTimer::new(&lib, &width(8))
+        .with_seed(1)
+        .sample_parallel(&n, 600);
     assert_eq!(a, a8, "thread count is purely a speed knob");
 }
